@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .eigenpath import DiscretizedPath, EigenBranch, ParameterPoint
+from .eigenpath import DiscretizedPath, EigenBranch, first_index
 from .errors import (
     OrthogonalEndpoints,
     SampleOnNode,
@@ -88,7 +88,7 @@ class NodeSet:
 
 def _trace_angles(trace: OverlapTrace, angles=None) -> np.ndarray:
     if angles is None:
-        return np.array([p.coords[-1] for p in trace.path.points])
+        return trace.path.coords[:, -1]
     arr = np.asarray(angles, dtype=float)
     if arr.shape != trace.values.shape:
         raise ValueError("explicit angles must match the trace length")
@@ -107,20 +107,16 @@ def detect_nodes(trace: OverlapTrace, zero_tol: float = OVERLAP_ZERO_TOL,
     that are not angle-parameterized.
     """
     values = trace.values
-    small = np.abs(values) <= zero_tol
-    if np.any(small):
-        j = int(np.argmax(small))
+    j = first_index(np.abs(values) <= zero_tol)
+    if j < len(values):
         raise SampleOnNode(j, float(values[j]), zero_tol)
 
     theta = _trace_angles(trace, angles)
-    found = []
-    for j in range(len(values) - 1):
-        a, b = float(values[j]), float(values[j + 1])
-        if a * b < 0.0:
-            t = a / (a - b)
-            found.append(theta[j] + t * (theta[j + 1] - theta[j]))
-    found.sort()
-    return NodeSet(angles=tuple(found), count=len(found), parity=len(found) % 2)
+    j = np.nonzero(values[:-1] * values[1:] < 0.0)[0]
+    a, b = values[j], values[j + 1]
+    found = np.sort(theta[j] + a / (a - b) * (theta[j + 1] - theta[j]))
+    return NodeSet(angles=tuple(found.tolist()), count=len(found),
+                   parity=len(found) % 2)
 
 
 def refine_nodes(trace: OverlapTrace, nodes: NodeSet,
@@ -132,40 +128,36 @@ def refine_nodes(trace: OverlapTrace, nodes: NodeSet,
     interval until the bracket is narrower than `tol` radians.
     """
     branch = trace.branch
-    pts = branch.path.points
-    radii = {p.r for p in pts}
-    if len(radii) != 1:
+    radii, theta = branch.path.coords[:, 0], branch.path.coords[:, 1]
+    if np.any(radii != radii[0]):
         raise ValueError("node refinement requires a fixed-radius polar path")
-    r = pts[0].r
+    r = float(radii[0])
 
     anchor_vec = branch.vectors[trace.anchor_index]
-    theta = np.array([p.theta for p in pts])
     values = trace.values
 
     def overlap_at(th, near_vec):
-        m = branch.field.evaluate(ParameterPoint.polar(r, th))
+        m = branch.field.evaluate(np.array([[r, th]]))
         _, v = np.linalg.eigh(m)
-        vec = v[:, branch.band]
+        vec = v[0, :, branch.band]
         if float(near_vec @ vec) < 0.0:
             vec = -vec
         return float(anchor_vec @ vec)
 
     refined = []
-    k = 0
-    for j in range(len(values) - 1):
-        if values[j] * values[j + 1] < 0.0:
-            lo, hi = float(theta[j]), float(theta[j + 1])
-            f_lo = float(values[j])
-            near = branch.vectors[j]
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                f_mid = overlap_at(mid, near)
-                if f_lo * f_mid < 0.0:
-                    hi = mid
-                else:
-                    lo, f_lo = mid, f_mid
-            refined.append(0.5 * (lo + hi))
-            k += 1
+    for j in np.nonzero(values[:-1] * values[1:] < 0.0)[0]:
+        lo, hi = float(theta[j]), float(theta[j + 1])
+        f_lo = float(values[j])
+        near = branch.vectors[j]
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            f_mid = overlap_at(mid, near)
+            if f_lo * f_mid < 0.0:
+                hi = mid
+            else:
+                lo, f_lo = mid, f_mid
+        refined.append(0.5 * (lo + hi))
+    k = len(refined)
     if k != nodes.count:
         raise ValueError("node set inconsistent with the trace sign changes")
     refined.sort()
@@ -254,8 +246,8 @@ def reference_section(branch: EigenBranch, nodes: NodeSet,
     # aligned vectors; the branch itself varies continuously step to step.
     steps = np.real(np.einsum("ij,ij->i", np.conj(aligned[:-1]), aligned[1:]))
 
-    theta = np.array([p.coords[-1] for p in branch.path.points])
-    flips = [j for j in range(len(steps)) if steps[j] < 0.0]
+    theta = branch.path.coords[:, -1]
+    flips = np.nonzero(steps < 0.0)[0]
     if len(flips) != nodes.count:
         raise ValueError("node set inconsistent with the section sign pattern")
     for j, angle in zip(flips, nodes.angles):

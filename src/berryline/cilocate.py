@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenpath import HamiltonianField, ParameterPoint, polygon_path, track_branch, holonomy_sign
+from .eigenpath import HamiltonianField, band_gaps, holonomy_sign, polygon_path, track_branch
 from .errors import AmbiguousContinuation, DegeneracyOnBoundary, DegeneracyOnPath, MaxDepthExceeded
 
 # Outward expansion factors (fraction of the larger cell side) tried when a
@@ -112,13 +112,8 @@ class CIResult:
 
 
 def _gap_at(field: HamiltonianField, band: int, x: float, y: float) -> float:
-    w = np.linalg.eigh(field.evaluate(ParameterPoint.cartesian(x, y)))[0]
-    gap = math.inf
-    if band > 0:
-        gap = min(gap, float(w[band] - w[band - 1]))
-    if band < len(w) - 1:
-        gap = min(gap, float(w[band + 1] - w[band]))
-    return gap
+    w = np.linalg.eigh(field.evaluate(np.array([[x, y]])))[0]
+    return float(band_gaps(w, band)[0])
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

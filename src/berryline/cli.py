@@ -7,17 +7,13 @@ output is printed with 17 significant digits so reruns are byte-identical
 and JSON re-reads reproduce the floats exactly.  Exit codes: 0 success,
 2 usage or config problem, 3 domain error (the message names the error class
 and offending values).
-
-BERRYLINE_THREADS caps the worker threads used for radius sweeps.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +30,7 @@ from .comoving import (
     to_lab_frame,
 )
 from .eigenpath import circle_path, holonomy_sign
-from .errors import BerrylineError
+from .errors import BerrylineError, OnDegeneracyCircle
 from .jahnteller import JTParams, circle_nodes, jt_eigenvectors, nodal_map
 from .ringspectrum import RingProblem, flat_ring_problem, jt_ring_problem, spectrum
 
@@ -165,6 +161,31 @@ def _to_interval(s: str) -> tuple[float, float]:
     return (a, b)
 
 
+def _checked(conv: Callable[[str], object], ok: Callable[[object], bool],
+             need: str) -> Callable[[str], object]:
+    """Converter `conv` that also requires ok(value); `need` words the rule."""
+    def check(s: str):
+        value = conv(s)
+        if not ok(value):
+            raise ValueError(f"must be {need}, got {s!r}")
+        return value
+    return check
+
+
+def _at_least(minimum: int) -> Callable[[str], object]:
+    return _checked(int, lambda n: n >= minimum, f">= {minimum}")
+
+
+_NONNEG = _checked(float, lambda x: x >= 0, ">= 0")
+_POSITIVE = _checked(float, lambda x: x > 0, "> 0")
+_BAND = _checked(int, lambda b: b in (0, 1), "0 (lower) or 1 (upper)")
+_RADII = _checked(_to_range, lambda radii: min(radii) > 0, "radii > 0")
+_ARC = _checked(_to_interval, lambda ab: 0 < ab[0] < ab[1] < 2.0 * math.pi,
+                "START:END with 0 < START < END < 2 pi")
+_POWER_OF_TWO = _checked(int, lambda n: n >= 1 and n & (n - 1) == 0,
+                         "a power of two")
+
+
 _ALIASES = {"grid": ["--M"]}
 
 
@@ -232,66 +253,43 @@ def _convert(opt: Opt, raw: str):
         raise ConfigError(f"bad value for {opt.name}: {err}") from err
 
 
-def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("BERRYLINE_THREADS")
-    workers = os.cpu_count() or 1
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError as err:
-            raise ConfigError(f"bad BERRYLINE_THREADS value {cap!r}") from err
-    return max(1, min(workers, n_jobs))
+def _jt_params(values: dict) -> JTParams:
+    if values["k"] == 0 and values["g"] == 0:
+        raise ConfigError("--k and --g cannot both be 0")
+    return JTParams(values["k"], values["g"])
 
 
 # --- subcommands -------------------------------------------------------------
 
 _NODAL_OPTS = [
-    Opt("k", float, _REQUIRED, "linear coupling"),
-    Opt("g", float, _REQUIRED, "quadratic coupling"),
-    Opt("r", _to_range, _REQUIRED, "radius or START:STOP:STEP sweep"),
-    Opt("theta-samples", int, 2048, "loop samples per circle"),
-    Opt("band", int, 0, "band index (0 lower, 1 upper)"),
+    Opt("k", _NONNEG, _REQUIRED, "linear coupling"),
+    Opt("g", _NONNEG, _REQUIRED, "quadratic coupling"),
+    Opt("r", _RADII, _REQUIRED, "radius or START:STOP:STEP sweep"),
+    Opt("theta-samples", _at_least(2), 2048, "loop samples per circle"),
+    Opt("band", _BAND, 0, "band index (0 lower, 1 upper)"),
     Opt("nodes-out", str, "-", "node CSV destination ('-' = stdout)"),
     Opt("degeneracies-out", str, "-", "degeneracy CSV destination"),
 ]
 
 
 def cmd_nodal_map(values: dict) -> int:
-    p = JTParams(values["k"], values["g"])
-    radii = values["r"]
-    workers = _worker_count(len(radii))
-
-    def one(r):
-        return nodal_map(p, [r], theta_samples=values["theta_samples"],
-                         band=values["band"])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            maps = list(pool.map(one, radii))
-    else:
-        maps = [one(r) for r in radii]
-
+    p = _jt_params(values)
+    m = nodal_map(p, values["r"], theta_samples=values["theta_samples"],
+                  band=values["band"])
     rows = []
-    skipped = []
-    for m in maps:
-        skipped.extend(m.skipped_radii)
-        for row in m.rows:
-            for ang in row.analytic_angles:
-                rows.append((row.r, ang, "analytic"))
-            for ang in row.numeric_angles:
-                rows.append((row.r, ang, "numeric"))
+    for row in m.rows:
+        for ang in row.analytic_angles:
+            rows.append((row.r, ang, "analytic"))
+        for ang in row.numeric_angles:
+            rows.append((row.r, ang, "numeric"))
     node_csv = csv_lines(["r", "theta_node", "source"], rows)
+    deg_csv = csv_lines(["r", "theta"], [(d.r, d.theta) for d in m.degeneracies])
 
-    deg_rows = [(d.r, d.theta) for d in maps[0].degeneracies] if maps else []
-    deg_csv = csv_lines(["r", "theta"], deg_rows)
-
-    for r in skipped:
+    for r in m.skipped_radii:
         print(f"note: radius {fmt(r)} lies on the degeneracy circle; skipped",
               file=sys.stderr)
     if not rows:
-        from .errors import OnDegeneracyCircle
-
-        raise OnDegeneracyCircle(skipped[0], p.degeneracy_radius)
+        raise OnDegeneracyCircle(m.skipped_radii[0], p.degeneracy_radius)
 
     if values["nodes_out"] == "-" and values["degeneracies_out"] == "-":
         sys.stdout.write(node_csv + "\n" + deg_csv)
@@ -302,17 +300,17 @@ def cmd_nodal_map(values: dict) -> int:
 
 
 _BERRY_OPTS = [
-    Opt("k", float, _REQUIRED, "linear coupling"),
-    Opt("g", float, _REQUIRED, "quadratic coupling"),
-    Opt("r", float, _REQUIRED, "loop radius"),
-    Opt("theta-samples", int, 2048, "loop samples"),
-    Opt("band", int, 0, "band index"),
+    Opt("k", _NONNEG, _REQUIRED, "linear coupling"),
+    Opt("g", _NONNEG, _REQUIRED, "quadratic coupling"),
+    Opt("r", _NONNEG, _REQUIRED, "loop radius"),
+    Opt("theta-samples", _at_least(2), 2048, "loop samples"),
+    Opt("band", _BAND, 0, "band index"),
     Opt("out", str, "-", "JSON destination"),
 ]
 
 
 def cmd_berry(values: dict) -> int:
-    p = JTParams(values["k"], values["g"])
+    p = _jt_params(values)
     branch, _, nodes = circle_nodes(p, values["r"],
                                     n_samples=values["theta_samples"],
                                     band=values["band"])
@@ -337,14 +335,14 @@ def cmd_berry(values: dict) -> int:
 _SPECTRUM_OPTS = [
     Opt("flat", None, None, "flat (zero) potential instead of a model band",
         flag=True),
-    Opt("k", float, None, "linear coupling (model mode)"),
-    Opt("g", float, None, "quadratic coupling (model mode)"),
-    Opt("band", int, 0, "band index (model mode)"),
+    Opt("k", _NONNEG, None, "linear coupling (model mode)"),
+    Opt("g", _NONNEG, None, "quadratic coupling (model mode)"),
+    Opt("band", _BAND, 0, "band index (model mode)"),
     Opt("parity", str, None, "seam parity even|odd (required with --flat)"),
-    Opt("r0", float, 1.0, "ring radius"),
-    Opt("grid", int, 1024, "grid points"),
-    Opt("levels", int, 6, "number of levels"),
-    Opt("barrier", _to_interval, None, "impenetrable arc START:END (radians)"),
+    Opt("r0", _POSITIVE, 1.0, "ring radius"),
+    Opt("grid", _at_least(1), 1024, "grid points"),
+    Opt("levels", _at_least(1), 6, "number of levels"),
+    Opt("barrier", _ARC, None, "impenetrable arc START:END (radians)"),
     Opt("out", str, "-", "destination"),
 ]
 
@@ -362,7 +360,7 @@ def cmd_spectrum(values: dict) -> int:
     else:
         if values["k"] is None or values["g"] is None:
             raise ConfigError("model mode requires --k and --g (or use --flat)")
-        p = JTParams(values["k"], values["g"])
+        p = _jt_params(values)
         problem = jt_ring_problem(p, values["r0"], grid_size=values["grid"],
                                   band=values["band"], barrier=barrier)
         if values["parity"] in ("even", "odd"):
@@ -397,16 +395,16 @@ def cmd_spectrum(values: dict) -> int:
 
 
 _LOCATE_OPTS = [
-    Opt("k", float, _REQUIRED, "linear coupling"),
-    Opt("g", float, _REQUIRED, "quadratic coupling"),
+    Opt("k", _NONNEG, _REQUIRED, "linear coupling"),
+    Opt("g", _NONNEG, _REQUIRED, "quadratic coupling"),
     Opt("x-min", float, -3.0, "search window"),
     Opt("x-max", float, 3.0, "search window"),
     Opt("y-min", float, -3.0, "search window"),
     Opt("y-max", float, 3.0, "search window"),
-    Opt("band", int, 0, "band index"),
+    Opt("band", _BAND, 0, "band index"),
     Opt("spatial-tol", float, 1e-3, "cell size at which a hit is accepted"),
     Opt("gap-tol", float, 1e-8, "gap treated as degenerate"),
-    Opt("samples-per-edge", int, 32, "boundary samples per cell edge"),
+    Opt("samples-per-edge", _at_least(1), 32, "boundary samples per cell edge"),
     Opt("min-depth", int, 4, "quadtree depth before pruning starts"),
     Opt("max-depth", int, 24, "quadtree depth limit"),
     Opt("out", str, "-", "JSON destination"),
@@ -416,7 +414,10 @@ _LOCATE_OPTS = [
 def cmd_locate_ci(values: dict) -> int:
     from .jahnteller import jt_field
 
-    p = JTParams(values["k"], values["g"])
+    p = _jt_params(values)
+    if not (values["x_min"] < values["x_max"] and values["y_min"] < values["y_max"]):
+        raise ConfigError("the search window needs --x-min < --x-max and "
+                          "--y-min < --y-max")
     rect = SearchRect(values["x_min"], values["x_max"],
                       values["y_min"], values["y_max"])
     res: CIResult = locate_ci(jt_field(p, frame="cartesian"), rect,
@@ -442,23 +443,24 @@ def cmd_locate_ci(values: dict) -> int:
 
 
 _SPIN_OPTS = [
-    Opt("k", float, _REQUIRED, "linear coupling"),
-    Opt("g", float, _REQUIRED, "quadratic coupling"),
-    Opt("r", float, _REQUIRED, "drive radius"),
-    Opt("period", float, _REQUIRED, "drive period"),
-    Opt("steps", int, 65536, "integration steps"),
-    Opt("revolutions", float, 1.0, "drive revolutions"),
+    Opt("k", _NONNEG, _REQUIRED, "linear coupling"),
+    Opt("g", _NONNEG, _REQUIRED, "quadratic coupling"),
+    Opt("r", _POSITIVE, _REQUIRED, "drive radius"),
+    Opt("period", _POSITIVE, _REQUIRED, "drive period"),
+    Opt("steps", _at_least(2), 65536, "integration steps"),
+    Opt("revolutions", _POSITIVE, 1.0, "drive revolutions"),
     Opt("theta0", float, 0.0, "starting angle"),
     Opt("frame", str, "comoving", "propagation frame lab|comoving"),
     Opt("initial", str, "lower", "initial band eigenstate lower|upper"),
-    Opt("store-stride", int, 64, "record every this many steps (power of two)"),
+    Opt("store-stride", _POWER_OF_TWO, 64,
+        "record every this many steps (power of two)"),
     Opt("series-out", str, "-", "CSV time series destination"),
     Opt("summary-out", str, "-", "JSON phase summary destination"),
 ]
 
 
 def cmd_spin(values: dict) -> int:
-    p = JTParams(values["k"], values["g"])
+    p = _jt_params(values)
     traj = pseudorotation_trajectory(values["r"], values["period"],
                                      values["steps"], theta0=values["theta0"],
                                      revolutions=values["revolutions"])

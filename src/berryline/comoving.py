@@ -23,14 +23,13 @@ electronic part -+Delta alone.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .berryphase import canonicalize_phase
-from .eigenpath import DiscretizedPath
+from .eigenpath import DiscretizedPath, first_index
 from .errors import (
     AlphaUndefined,
     LoopThroughDegeneracy,
@@ -38,7 +37,7 @@ from .errors import (
     StepTooLarge,
     TrajectoryThroughDegeneracy,
 )
-from .jahnteller import JTParams
+from .jahnteller import JTParams, coupling_terms
 
 # Gap magnitude treated as touching the degeneracy set.
 DEGENERACY_TOL = 1e-12
@@ -56,14 +55,20 @@ def _field_values(p: JTParams, r, theta):
     Returns (f, delta, dalpha) with delta = |f| and dalpha = d arg f /
     d theta = Re[(k r e^{i theta} - g r^2 e^{-2 i theta}) / f].
     """
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    e_plus = np.exp(1j * theta)
-    e_minus2 = np.exp(-2j * theta)
-    f = p.k * r * e_plus + 0.5 * p.g * r * r * e_minus2
+    linear, quadratic = coupling_terms(p, r, theta)
+    f = linear + quadratic
     delta = np.abs(f)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dalpha = np.real((p.k * r * e_plus - p.g * r * r * e_minus2) / f)
+        dalpha = np.real((linear - 2.0 * quadratic) / f)
+    return f, delta, dalpha
+
+
+def _off_degeneracy(p: JTParams, r, theta, error=TrajectoryThroughDegeneracy):
+    """_field_values, raising `error` at the first sample on the degeneracy set."""
+    f, delta, dalpha = _field_values(p, r, theta)
+    j = first_index(delta <= DEGENERACY_TOL)
+    if j < len(delta):
+        raise error(j, float(r[j]), float(theta[j]))
     return f, delta, dalpha
 
 
@@ -170,11 +175,7 @@ def pseudorotation_trajectory(r: float, period: float, n_steps: int,
 
 def adiabaticity_ratio(p: JTParams, traj: NuclearTrajectory) -> float:
     """max over samples of |dalpha/dtheta| |thetadot| / Delta (small = adiabatic)."""
-    _, delta, dalpha = _field_values(p, traj.r_of_t, traj.theta_of_t)
-    if np.any(delta <= DEGENERACY_TOL):
-        j = int(np.argmax(delta <= DEGENERACY_TOL))
-        raise TrajectoryThroughDegeneracy(j, float(traj.r_of_t[j]),
-                                          float(traj.theta_of_t[j]))
+    _, delta, dalpha = _off_degeneracy(p, traj.r_of_t, traj.theta_of_t)
     return float(np.max(np.abs(dalpha) * np.abs(traj.theta_dot()) / delta))
 
 
@@ -266,19 +267,12 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     n_steps = len(dt)
 
     # degeneracy check at the samples themselves
-    _, delta_s, _ = _field_values(p, traj.r_of_t, traj.theta_of_t)
-    if np.any(delta_s <= DEGENERACY_TOL):
-        j = int(np.argmax(delta_s <= DEGENERACY_TOL))
-        raise TrajectoryThroughDegeneracy(j, float(traj.r_of_t[j]),
-                                          float(traj.theta_of_t[j]))
+    f_samples, _, _ = _off_degeneracy(p, traj.r_of_t, traj.theta_of_t)
 
     r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
     th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
     th_dot = np.diff(traj.theta_of_t) / dt
-    f_mid, delta, dalpha = _field_values(p, r_mid, th_mid)
-    if np.any(delta <= DEGENERACY_TOL):
-        j = int(np.argmax(delta <= DEGENERACY_TOL))
-        raise TrajectoryThroughDegeneracy(j, float(r_mid[j]), float(th_mid[j]))
+    f_mid, delta, dalpha = _off_degeneracy(p, r_mid, th_mid)
 
     drive = dalpha * th_dot
     resolution = dt * np.maximum(2.0 * delta, np.abs(drive))
@@ -319,9 +313,7 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
 
     idx = np.minimum(np.arange(len(recorded)) * block, n_steps)
     states = np.array(recorded)
-    alphas_all = np.unwrap(np.angle(
-        _field_values(p, traj.r_of_t, traj.theta_of_t)[0]
-    ))
+    alphas_all = np.unwrap(np.angle(f_samples))
     return SpinEvolution(times=t[idx], states=states, frame=frame,
                          alphas=alphas_all[idx])
 
@@ -356,18 +348,11 @@ def dynamical_phase(p: JTParams, traj: NuclearTrajectory, band: int = 0) -> floa
     """
     if band not in (0, 1):
         raise ValueError(f"band must be 0 or 1, got {band!r}")
-    _, delta_s, _ = _field_values(p, traj.r_of_t, traj.theta_of_t)
-    if np.any(delta_s <= DEGENERACY_TOL):
-        j = int(np.argmax(delta_s <= DEGENERACY_TOL))
-        raise TrajectoryThroughDegeneracy(j, float(traj.r_of_t[j]),
-                                          float(traj.theta_of_t[j]))
+    _off_degeneracy(p, traj.r_of_t, traj.theta_of_t)
     dt = np.diff(traj.times)
     r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
     th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
-    _, delta, _ = _field_values(p, r_mid, th_mid)
-    if np.any(delta <= DEGENERACY_TOL):
-        j = int(np.argmax(delta <= DEGENERACY_TOL))
-        raise TrajectoryThroughDegeneracy(j, float(r_mid[j]), float(th_mid[j]))
+    _, delta, _ = _off_degeneracy(p, r_mid, th_mid)
     energy = -delta if band == 0 else delta
     return float(-np.sum(energy * dt))
 
@@ -386,11 +371,9 @@ def ac_loop_phase(p: JTParams, loop: DiscretizedPath,
         cfg = ACConfig()
     if not loop.closed:
         raise OpenPath("the winding is defined for closed loops only")
-    coords = loop.coords_array()
-    f, delta, _ = _field_values(p, coords[:, 0], coords[:, 1])
-    if np.any(delta <= DEGENERACY_TOL):
-        j = int(np.argmax(delta <= DEGENERACY_TOL))
-        raise LoopThroughDegeneracy(j, float(coords[j, 0]), float(coords[j, 1]))
+    coords = loop.coords
+    f, _, _ = _off_degeneracy(p, coords[:, 0], coords[:, 1],
+                              error=LoopThroughDegeneracy)
     alpha = np.angle(f)
     steps = np.angle(np.exp(1j * np.diff(alpha)))
     worst = int(np.argmax(np.abs(steps)))

@@ -41,7 +41,8 @@ class ParameterPoint:
 
     `coords` is an arbitrary finite real vector; the Hamiltonian field decides
     how to read it.  Ring paths use the polar convention (r, theta) with
-    r >= 0, planar searches use Cartesian (x, y).
+    r >= 0, planar searches use Cartesian (x, y).  Paths and fields work on
+    coordinate arrays; a point converts to its (d,) row with np.asarray.
     """
 
     coords: tuple[float, ...]
@@ -51,6 +52,9 @@ class ParameterPoint:
         if not all(math.isfinite(c) for c in coords):
             raise NonFinite(f"non-finite parameter point {coords}")
         object.__setattr__(self, "coords", coords)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.coords, dtype=dtype)
 
     @classmethod
     def polar(cls, r: float, theta: float) -> "ParameterPoint":
@@ -62,49 +66,53 @@ class ParameterPoint:
     def cartesian(cls, x: float, y: float) -> "ParameterPoint":
         return cls((float(x), float(y)))
 
-    @property
-    def r(self) -> float:
-        return self.coords[0]
-
-    @property
-    def theta(self) -> float:
-        return self.coords[1]
-
-    @property
-    def x(self) -> float:
-        return self.coords[0]
-
-    @property
-    def y(self) -> float:
-        return self.coords[1]
+    # polar (r, theta) and Cartesian (x, y) names of the two coordinates
+    r = x = property(lambda self: self.coords[0])
+    theta = y = property(lambda self: self.coords[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedPath:
     """Ordered parameter points, optionally marked as a closed loop.
 
-    A closed path stores the closure point explicitly: the last point must map
-    to the same Hamiltonian as the first (checked when a branch is tracked.)
-    Consecutive stored points must be distinct.
+    `coords` holds one point per row, (n, d); a sequence of ParameterPoints
+    converts too.  A closed path stores the closure point explicitly: the last
+    point must map to the same Hamiltonian as the first (checked when a branch
+    is tracked).  Consecutive stored points must be distinct.
     """
 
-    points: tuple[ParameterPoint, ...]
+    coords: np.ndarray
     closed: bool = False
 
     def __post_init__(self):
-        points = tuple(self.points)
-        if len(points) < 3:
-            raise ValueError(f"path needs >= 3 points, got {len(points)}")
-        for j in range(1, len(points)):
-            if points[j].coords == points[j - 1].coords:
-                raise ValueError(f"consecutive duplicate point at index {j}")
-        object.__setattr__(self, "points", points)
+        coords = np.array(self.coords, dtype=float)
+        if coords.ndim != 2:
+            raise ValueError(f"path coordinates must be (n, d), got {coords.shape}")
+        if len(coords) < 3:
+            raise ValueError(f"path needs >= 3 points, got {len(coords)}")
+        if not np.isfinite(coords).all():
+            raise NonFinite("path contains a non-finite parameter point")
+        repeated = (coords[1:] == coords[:-1]).all(axis=1)
+        if repeated.any():
+            raise ValueError(
+                f"consecutive duplicate point at index {int(np.argmax(repeated)) + 1}")
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
-    def coords_array(self) -> np.ndarray:
-        return np.array([p.coords for p in self.points], dtype=float)
+    @property
+    def points(self) -> tuple[ParameterPoint, ...]:
+        """The samples as ParameterPoints, built on access (for inspection)."""
+        return tuple(ParameterPoint(tuple(row)) for row in self.coords.tolist())
+
+
+def polar_samples(r: float, thetas: np.ndarray) -> np.ndarray:
+    """(n, 2) polar coordinates (r, theta_j) of points on one circle."""
+    if r < 0:
+        raise ValueError(f"polar radius must be >= 0, got {r!r}")
+    return np.column_stack((np.full(len(thetas), float(r)), thetas))
 
 
 def circle_path(r: float, n_segments: int, theta0: float = 0.0,
@@ -114,8 +122,7 @@ def circle_path(r: float, n_segments: int, theta0: float = 0.0,
         raise ValueError(f"need >= 3 segments, got {n_segments}")
     span = 2.0 * math.pi * revolutions
     thetas = theta0 + span * np.arange(n_segments + 1) / n_segments
-    pts = tuple(ParameterPoint.polar(r, t) for t in thetas)
-    return DiscretizedPath(pts, closed=closed)
+    return DiscretizedPath(polar_samples(r, thetas), closed=closed)
 
 
 def polygon_path(vertices: Sequence[tuple[float, float]],
@@ -123,53 +130,70 @@ def polygon_path(vertices: Sequence[tuple[float, float]],
     """Closed Cartesian polygon through `vertices`, sampled edge by edge."""
     if len(vertices) < 3:
         raise ValueError(f"polygon needs >= 3 vertices, got {len(vertices)}")
-    pts: list[ParameterPoint] = []
-    n = len(vertices)
-    for i in range(n):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % n]
-        for j in range(samples_per_edge):
-            f = j / samples_per_edge
-            pts.append(ParameterPoint.cartesian(x0 + f * (x1 - x0),
-                                                y0 + f * (y1 - y0)))
-    pts.append(ParameterPoint.cartesian(*vertices[0]))
-    return DiscretizedPath(tuple(pts), closed=True)
+    start = np.asarray(vertices, dtype=float)
+    step = np.concatenate((start[1:], start[:1])) - start
+    frac = np.arange(samples_per_edge) / samples_per_edge
+    edges = start[:, None, :] + frac[None, :, None] * step[:, None, :]
+    return DiscretizedPath(np.concatenate((edges.reshape(-1, 2), start[:1])),
+                           closed=True)
+
+
+def polar_coordinates(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """(r, theta) of Cartesian points, elementwise, by math.hypot and math.atan2.
+
+    numpy's hypot and arctan2 pick kernels by CPU feature and can differ from
+    these in the last bit; math keeps the matrices the same on every host.
+    """
+    xs, ys, shape = np.ravel(x).tolist(), np.ravel(y).tolist(), np.shape(x)
+    r = np.fromiter(map(math.hypot, xs, ys), float, len(xs))
+    theta = np.fromiter(map(math.atan2, ys, xs), float, len(xs))
+    return r.reshape(shape), theta.reshape(shape)
 
 
 def to_polar_path(path: DiscretizedPath) -> DiscretizedPath:
     """Reinterpret a Cartesian path as polar points (r, theta), pointwise."""
-    pts = tuple(
-        ParameterPoint.polar(math.hypot(p.x, p.y), math.atan2(p.y, p.x))
-        for p in path.points
-    )
-    return DiscretizedPath(pts, closed=path.closed)
+    r, theta = polar_coordinates(path.coords[:, 0], path.coords[:, 1])
+    return DiscretizedPath(np.column_stack((r, theta)), closed=path.closed)
 
 
 @dataclass(frozen=True)
 class HamiltonianField:
-    """A map from parameter points to N x N real symmetric matrices."""
+    """A map from parameter coordinates to N x N real symmetric matrices.
+
+    `matrix_fn` maps a (..., d) coordinate array to the (..., N, N) matrices;
+    a constant field may return one (N, N) matrix, broadcast over the points.
+    """
 
     dimension: int
-    matrix_fn: Callable[[ParameterPoint], np.ndarray]
+    matrix_fn: Callable[[np.ndarray], np.ndarray]
 
-    def evaluate(self, point: ParameterPoint) -> np.ndarray:
-        m = np.asarray(self.matrix_fn(point), dtype=float)
-        if m.shape != (self.dimension, self.dimension):
-            raise ValueError(
-                f"field returned shape {m.shape}, expected "
-                f"({self.dimension}, {self.dimension})"
-            )
+    def evaluate(self, coords) -> np.ndarray:
+        """Validated, symmetrized matrices at (..., d) coordinates."""
+        coords = np.asarray(coords, dtype=float)
+        n = self.dimension
+        shape = coords.shape[:-1] + (n, n)
+        m = np.asarray(self.matrix_fn(coords), dtype=float)
+        if m.shape != shape:
+            if m.shape != (n, n):
+                raise ValueError(
+                    f"field returned shape {m.shape}, expected {shape}")
+            m = np.broadcast_to(m, shape)
         return _validated_symmetric(m)
 
 
 def _validated_symmetric(m: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
+    """Check a (..., N, N) stack matrix by matrix and symmetrize it."""
+    if not np.isfinite(m).all():
         raise NonFinite("matrix contains non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    asym = float(np.max(np.abs(m - m.T)))
-    if asym > MATRIX_TOL * scale:
-        raise NonSymmetric(f"asymmetry {asym:.3e} exceeds {MATRIX_TOL:.0e} * {scale:.3e}")
-    return 0.5 * (m + m.T)
+    mt = m.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    asym = np.abs(m - mt).max(axis=(-2, -1))
+    bad = asym > MATRIX_TOL * scale
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise NonSymmetric(f"asymmetry {asym.flat[j]:.3e} exceeds "
+                           f"{MATRIX_TOL:.0e} * {scale.flat[j]:.3e}")
+    return 0.5 * (m + mt)
 
 
 def eig_real_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,6 +210,17 @@ def eig_real_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = _validated_symmetric(m)
     w, v = np.linalg.eigh(m)
     return w, v
+
+
+def band_gaps(eigenvalues: np.ndarray, band: int) -> np.ndarray:
+    """Per-point gap from `band` to its nearest neighbouring band (last axis)."""
+    w = np.asarray(eigenvalues)
+    gap = np.full(w.shape[:-1], math.inf)
+    if band > 0:
+        gap = np.minimum(gap, w[..., band] - w[..., band - 1])
+    if band < w.shape[-1] - 1:
+        gap = np.minimum(gap, w[..., band + 1] - w[..., band])
+    return gap
 
 
 @dataclass(eq=False)
@@ -208,6 +243,11 @@ class EigenBranch:
         return len(self.path)
 
 
+def first_index(mask: np.ndarray) -> int:
+    """Index of the first True entry of a 1-d mask, or len(mask) if none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
 def track_branch(field: HamiltonianField, path: DiscretizedPath, band: int,
                  gap_tol: float = 1e-8) -> EigenBranch:
     """Track band `band` along `path` with sign continuity.
@@ -216,65 +256,55 @@ def track_branch(field: HamiltonianField, path: DiscretizedPath, band: int,
     eigenvector is flipped when its overlap with the previous one is
     negative.  Raises DegeneracyOnPath when the gap to an adjacent band drops
     to gap_tol, and AmbiguousContinuation when the consecutive overlap falls
-    below 0.5 in magnitude (under-resolved path).
+    below 0.5 in magnitude (under-resolved path); the first failure along
+    the path wins, a degeneracy before an ambiguity at the same sample.
+
+    One field evaluation and one batched eigensolve cover the path; with raw
+    step overlaps d_j = v_{j-1} . v_j the sign of sample j is the running
+    product of sign(d_1) ... sign(d_j), the point-by-point flip rule exactly.
     """
-    n_pts = len(path)
     dim = field.dimension
     if not 0 <= band < dim:
         raise ValueError(f"band {band} out of range for dimension {dim}")
 
-    energies = np.empty(n_pts)
-    vectors = np.empty((n_pts, dim))
-    gaps = np.empty(n_pts)
-    max_residual = 0.0
-    first_matrix = None
+    matrices = field.evaluate(path.coords)
+    w, v = np.linalg.eigh(matrices)
+    energies = w[:, band]
+    raw = v[:, :, band]
+    gaps = band_gaps(w, band)
+    # vecdot runs the 1-D dot kernel on each pair; einsum rounds differently
+    # and can move the first |d| < 0.5 off an overlap of exactly 0.5
+    steps = np.vecdot(raw[:-1], raw[1:])
+    signs = np.concatenate(([1.0], np.cumprod(np.where(steps < 0.0, -1.0, 1.0))))
 
-    for j, point in enumerate(path.points):
-        m = field.evaluate(point)
-        if j == 0:
-            first_matrix = m
-        w, v = np.linalg.eigh(m)
-
-        gap = math.inf
-        if band > 0:
-            gap = min(gap, float(w[band] - w[band - 1]))
-        if band < dim - 1:
-            gap = min(gap, float(w[band + 1] - w[band]))
-        if gap <= gap_tol:
-            raise DegeneracyOnPath(j, gap, gap_tol)
-
-        vec = v[:, band]
-        if j > 0:
-            overlap = float(vectors[j - 1] @ vec)
-            if abs(overlap) < CONTINUATION_MIN_OVERLAP:
-                raise AmbiguousContinuation(j, overlap)
-            if overlap < 0.0:
-                vec = -vec
-
-        residual = float(np.linalg.norm(m @ vec - w[band] * vec))
-        max_residual = max(max_residual, residual)
-
-        energies[j] = w[band]
-        vectors[j] = vec
-        gaps[j] = gap
+    j_gap = first_index(gaps <= gap_tol)
+    j_turn = first_index(np.abs(steps) < CONTINUATION_MIN_OVERLAP) + 1
+    if j_gap < len(gaps) and j_gap <= j_turn:
+        raise DegeneracyOnPath(j_gap, float(gaps[j_gap]), gap_tol)
+    if j_turn < len(gaps):
+        raise AmbiguousContinuation(j_turn,
+                                    float(signs[j_turn - 1] * steps[j_turn - 1]))
 
     if path.closed:
-        m_last = field.evaluate(path.points[-1])
-        scale = max(1.0, float(np.max(np.abs(first_matrix))))
-        mismatch = float(np.max(np.abs(m_last - first_matrix)))
+        first = matrices[0]
+        scale = max(1.0, float(np.max(np.abs(first))))
+        mismatch = float(np.max(np.abs(matrices[-1] - first)))
         if mismatch > MATRIX_TOL * scale:
             raise ValueError(
                 f"closed path endpoints map to different Hamiltonians "
                 f"(mismatch {mismatch:.3e})"
             )
 
+    residuals = np.einsum("nij,nj->ni", matrices, raw) - energies[:, None] * raw
+    max_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
     if max_residual > RESIDUAL_TOL:
         raise RuntimeError(
             f"eigensolver residual {max_residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
 
     return EigenBranch(field=field, path=path, band=band, energies=energies,
-                       vectors=vectors, gaps=gaps, max_residual=max_residual)
+                       vectors=raw * signs[:, None], gaps=gaps,
+                       max_residual=max_residual)
 
 
 def holonomy_sign(branch: EigenBranch) -> int:

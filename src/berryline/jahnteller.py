@@ -33,7 +33,9 @@ from .berryphase import detect_nodes, overlap_trace, refine_nodes, NodeSet
 from .eigenpath import (
     DiscretizedPath,
     HamiltonianField,
-    ParameterPoint,
+    first_index,
+    polar_coordinates,
+    polar_samples,
     track_branch,
 )
 from .errors import AlphaUndefined, OnDegeneracyCircle, SampleOnNode
@@ -66,11 +68,29 @@ class JTParams:
         return None
 
 
-def _coupling_field(p: JTParams, r: float, theta: float) -> complex:
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r!r}")
-    return (p.k * r * cmath.exp(1j * theta)
-            + 0.5 * p.g * r * r * cmath.exp(-2j * theta))
+def coupling_terms(p: JTParams, r, theta) -> tuple[np.ndarray, np.ndarray]:
+    """(k r e^{i theta}, (g/2) r^2 e^{-2 i theta}) elementwise; f is their sum."""
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if (r < 0).any():
+        raise ValueError(f"radius must be >= 0, got {float(np.min(r))!r}")
+    return (p.k * r * np.exp(1j * theta),
+            0.5 * p.g * r * r * np.exp(-2j * theta))
+
+
+def half_gap(p: JTParams, r, theta) -> tuple[np.ndarray, np.ndarray]:
+    """f and Delta = |f| elementwise; AlphaUndefined where Delta vanishes.
+
+    np.hypot matches abs(complex) bitwise; np.abs does not.
+    """
+    linear, quadratic = coupling_terms(p, r, theta)
+    f = linear + quadratic
+    delta = np.hypot(f.real, f.imag)
+    j = first_index(np.ravel(delta <= ALPHA_GAP_TOL))
+    if j < delta.size:
+        r_b, theta_b = np.broadcast_arrays(r, theta)
+        raise AlphaUndefined(float(r_b.flat[j]), float(theta_b.flat[j]))
+    return f, delta
 
 
 @dataclass(frozen=True)
@@ -88,10 +108,8 @@ def jt_point_data(p: JTParams, r: float, theta: float) -> JTPointData:
     alpha is the principal argument in (-pi, pi].  Raises AlphaUndefined on
     the degeneracy set, where the angle has no value.
     """
-    f = _coupling_field(p, r, theta)
-    delta = abs(f)
-    if delta <= ALPHA_GAP_TOL:
-        raise AlphaUndefined(r, theta)
+    f, delta = half_gap(p, r, theta)
+    f, delta = complex(f), float(delta)
     alpha = math.atan2(f.imag, f.real)
     if alpha <= -math.pi:
         alpha = math.pi
@@ -104,15 +122,20 @@ def jt_point_data(p: JTParams, r: float, theta: float) -> JTPointData:
                        energies=(trap - delta, trap + delta))
 
 
-def jt_electronic_hamiltonian(p: JTParams, r: float, theta: float) -> np.ndarray:
+def jt_electronic_hamiltonian(p: JTParams, r, theta) -> np.ndarray:
     """2x2 diabatic electronic matrix: Re f on the diagonal, Im f off it.
 
     Equal to Delta (sin alpha sigma_x + cos alpha sigma_z); traceless with
     eigenvalues +-Delta.  Well defined on the degeneracy set, where it is the
-    zero matrix.
+    zero matrix.  Elementwise over array r, theta: shape (..., 2, 2).
     """
-    f = _coupling_field(p, r, theta)
-    return np.array([[f.real, f.imag], [f.imag, -f.real]])
+    linear, quadratic = coupling_terms(p, r, theta)
+    f = linear + quadratic
+    m = np.empty(f.shape + (2, 2))
+    m[..., 0, 0] = f.real
+    m[..., 0, 1] = m[..., 1, 0] = f.imag
+    m[..., 1, 1] = -f.real
+    return m
 
 
 def jt_eigenvectors(p: JTParams, r: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -127,16 +150,16 @@ def jt_eigenvectors(p: JTParams, r: float, theta: float) -> tuple[np.ndarray, np
 
 def jt_field(p: JTParams, frame: str = "polar") -> HamiltonianField:
     """The model as a HamiltonianField over polar (r, theta) or Cartesian (x, y)."""
-    if frame == "polar":
-        def fn(point: ParameterPoint) -> np.ndarray:
-            return jt_electronic_hamiltonian(p, point.r, point.theta)
-    elif frame == "cartesian":
-        def fn(point: ParameterPoint) -> np.ndarray:
-            r = math.hypot(point.x, point.y)
-            theta = math.atan2(point.y, point.x)
-            return jt_electronic_hamiltonian(p, r, theta)
-    else:
+    if frame not in ("polar", "cartesian"):
         raise ValueError(f"frame must be 'polar' or 'cartesian', got {frame!r}")
+
+    def fn(coords) -> np.ndarray:
+        c = np.asarray(coords, dtype=float)
+        a, b = c[..., 0], c[..., 1]
+        if frame == "cartesian":
+            a, b = polar_coordinates(a, b)
+        return jt_electronic_hamiltonian(p, a, b)
+
     return HamiltonianField(dimension=2, matrix_fn=fn)
 
 
@@ -204,8 +227,7 @@ def _anchored_circle(r: float, n_samples: int, offset: float) -> DiscretizedPath
     else:
         interior = h * (offset + np.arange(n_samples))
         thetas = np.concatenate(([0.0], interior, [2.0 * math.pi]))
-    pts = tuple(ParameterPoint.polar(r, t) for t in thetas)
-    return DiscretizedPath(pts, closed=True)
+    return DiscretizedPath(polar_samples(r, thetas), closed=True)
 
 
 def circle_nodes(p: JTParams, r: float, n_samples: int = 2048, band: int = 0,

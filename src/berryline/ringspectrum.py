@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BarrierTooWide, GridTooCoarse
-from .jahnteller import JTParams, circle_nodes, jt_point_data
+from .jahnteller import JTParams, circle_nodes, half_gap
 
 MIN_GRID_POINTS = 64
 
@@ -209,8 +209,8 @@ def jt_ring_problem(p: JTParams, radius: float, grid_size: int = 1024,
                                band=band)
     parity = "odd" if nodes.parity else "even"
     h = 2.0 * math.pi / grid_size
-    pot = np.array([
-        jt_point_data(p, radius, j * h).energies[band] for j in range(grid_size)
-    ])
+    _, delta = half_gap(p, radius, np.arange(grid_size) * h)
+    trap = 0.5 * radius * radius
+    pot = trap + delta if band else trap - delta
     return RingProblem(radius=radius, grid_size=grid_size, potential=pot,
                        flux_parity=parity, barrier=barrier)

@@ -400,21 +400,49 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
-def test_thread_cap_does_not_change_output(monkeypatch, capsys):
-    args = ("nodal-map", "--k", "1", "--g", "1", "--r", "0.5:3.0:0.5",
-            "--theta-samples", "512")
-    monkeypatch.setenv("BERRYLINE_THREADS", "4")
-    code_a, a, err_a = run(capsys, *args)
-    monkeypatch.setenv("BERRYLINE_THREADS", "1")
-    code_b, b, err_b = run(capsys, *args)
-    assert code_a == code_b == 0
-    assert a == b
-    assert err_a == err_b  # the skipped-radius note survives either way
+def test_sweep_matches_single_radius_runs(capsys):
+    # a swept nodal-map is the single-radius runs put together: node rows
+    # in radius order under one header, one degeneracy table, and the
+    # skipped-radius note for r = 2k/g
+    common = ("nodal-map", "--k", "1", "--g", "1", "--theta-samples", "512")
+    code, swept, swept_err = run(capsys, *common, "--r", "0.5:3.0:0.5")
+    assert code == 0
+    rows, notes, degeneracies = [], [], None
+    for r in ("0.5", "1", "1.5", "2", "2.5", "3"):
+        code, out, err = run(capsys, *common, "--r", r)
+        assert code == (3 if r == "2" else 0)
+        notes += [line for line in err.splitlines(keepends=True)
+                  if line.startswith("note: ")]
+        if out:
+            nodes, _, degeneracies = out.partition("\n\n")
+            rows += [line + "\n" for line in nodes.split("\n")[1:]]
+    assert swept == ("r,theta_node,source\n" + "".join(rows) + "\n"
+                     + degeneracies)
+    assert swept_err == "".join(notes)
+    assert len(notes) == 1
 
 
-def test_invalid_thread_cap(monkeypatch, capsys):
-    monkeypatch.setenv("BERRYLINE_THREADS", "plenty")
-    code, _, err = run(capsys, "nodal-map", "--k", "1", "--g", "1",
-                       "--r", "0.5:1.0:0.5", "--theta-samples", "512")
+@pytest.mark.parametrize("argv, message", [
+    (("berry", "--k", "-1", "--g", "1", "--r", "1"), "bad value for k:"),
+    (("berry", "--k", "1", "--g", "1", "--r", "1", "--band", "2"),
+     "bad value for band:"),
+    (("spectrum", "--flat", "--parity", "odd", "--levels", "0"),
+     "bad value for levels:"),
+    (("spin", "--k", "1", "--g", "1", "--r", "1", "--period", "20000",
+      "--store-stride", "3"), "bad value for store-stride:"),
+    (("spectrum", "--flat", "--parity", "odd", "--barrier", "2.0:1.0"),
+     "bad value for barrier:"),
+    (("berry", "--k", "0", "--g", "0", "--r", "1"), "--k and --g"),
+    (("nodal-map", "--k", "1", "--g", "1", "--r", "0:1:0.5"),
+     "bad value for r:"),
+    (("spectrum", "--k", "1", "--g", "1", "--r0", "0"), "bad value for r0:"),
+    (("locate-ci", "--k", "1", "--g", "1", "--x-min", "1", "--x-max", "0"),
+     "--x-min < --x-max"),
+])
+def test_bad_option_value_exits_two(capsys, argv, message):
+    # out-of-range values are usage errors, caught where options are read
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    assert "BERRYLINE_THREADS" in err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

@@ -1,0 +1,149 @@
+"""The batched tracker against a point-by-point reference, bitwise.
+
+`reference_track` is the per-sample loop the batched `track_branch`
+replaced: one field evaluation and one eigensolve per sample, each
+eigenvector flipped against its sign-fixed predecessor.  It lives here, not
+in the package, so the fast path always has a slow one to answer to.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from berryline import (
+    AmbiguousContinuation,
+    DegeneracyOnPath,
+    DiscretizedPath,
+    HamiltonianField,
+    JTParams,
+    circle_path,
+    polygon_path,
+    track_branch,
+)
+from berryline.jahnteller import jt_field
+
+
+def reference_track(field, path, band, gap_tol=1e-8):
+    """(energies, vectors, gaps) of `band`, one sample at a time."""
+    n_pts, dim = len(path), field.dimension
+    energies = np.empty(n_pts)
+    vectors = np.empty((n_pts, dim))
+    gaps = np.empty(n_pts)
+    for j in range(n_pts):
+        w, v = np.linalg.eigh(field.evaluate(path.coords[j]))
+        gap = math.inf
+        if band > 0:
+            gap = min(gap, float(w[band] - w[band - 1]))
+        if band < dim - 1:
+            gap = min(gap, float(w[band + 1] - w[band]))
+        if gap <= gap_tol:
+            raise DegeneracyOnPath(j, gap, gap_tol)
+        vec = v[:, band]
+        if j > 0:
+            overlap = float(vectors[j - 1] @ vec)
+            if abs(overlap) < 0.5:
+                raise AmbiguousContinuation(j, overlap)
+            if overlap < 0.0:
+                vec = -vec
+        energies[j] = w[band]
+        vectors[j] = vec
+        gaps[j] = gap
+    return energies, vectors, gaps
+
+
+def assert_same_tracking(field, path, band):
+    try:
+        want = reference_track(field, path, band)
+    except (DegeneracyOnPath, AmbiguousContinuation) as err:
+        try:
+            track_branch(field, path, band=band)
+        except (DegeneracyOnPath, AmbiguousContinuation) as got:
+            assert type(got) is type(err)
+            assert got.index == err.index
+        else:
+            raise AssertionError(f"reference raised {err!r}, tracker did not")
+        return
+    branch = track_branch(field, path, band=band)
+    for got, ref in zip((branch.energies, branch.vectors, branch.gaps), want):
+        assert got.shape == ref.shape
+        assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
+
+
+couplings = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).filter(
+    lambda kg: max(kg) > 1e-3)
+
+vertices = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                    min_size=3, max_size=6)
+# E x e degeneracies at k = g = 1, the origin and (-2, 0), (1, sqrt 3), put
+# on the first vertex in half the cases
+corners = st.sampled_from([None] * 3 + [(0.0, 0.0), (-2.0, 0.0),
+                                        (1.0, math.sqrt(3.0))])
+
+
+@settings(deadline=None, max_examples=80)
+@given(couplings, st.floats(0.0, 4.0), st.integers(3, 700),
+       st.floats(0.0, 2.0 * math.pi), st.integers(0, 1))
+# three steps of 2 pi / 3 turn the eigenvector by pi / 3: the overlap is 0.5
+# up to rounding, and the kernel that forms it decides which side
+@example(kg=(1.0, 0.0), r=1.0, n=3, theta0=1.728515625, band=0)
+@example(kg=(1.0, 0.0), r=1.0, n=3, theta0=1.727946636611616, band=0)
+def test_circles_match_reference(kg, r, n, theta0, band):
+    field = jt_field(JTParams(*kg), frame="polar")
+    assert_same_tracking(field, circle_path(r, n, theta0=theta0), band)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([0.0, math.pi / 3.0, math.pi, 1.0]),
+       st.sampled_from([6, 12, 96, 333]), st.integers(0, 1))
+def test_degenerate_circles_match_reference(theta0, n, band):
+    # r = 2k/g runs through three degeneracies; r = 0 sits on the origin
+    field = jt_field(JTParams(1.0, 1.0), frame="polar")
+    for r in (2.0, 0.0):
+        assert_same_tracking(field, circle_path(r, n, theta0=theta0), band)
+
+
+@settings(deadline=None, max_examples=120)
+@given(vertices, corners, st.integers(1, 64), st.integers(0, 1))
+def test_polygons_match_reference(verts, corner, samples, band):
+    if corner is not None:
+        verts[0] = corner
+    try:
+        path = polygon_path(verts, samples_per_edge=samples)
+    except ValueError:
+        assume(False)
+    field = jt_field(JTParams(1.0, 1.0), frame="cartesian")
+    assert_same_tracking(field, path, band)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6),
+       st.integers(3, 64))
+def test_constant_3x3_middle_band_matches_reference(entries, n):
+    # band 1 of three has a neighbour on both sides
+    a, b, c, d, e, f = entries
+    m = np.array([[a, d, e], [d, b, f], [e, f, c]])
+    field = HamiltonianField(dimension=3, matrix_fn=lambda coords: m)
+    assert_same_tracking(field, circle_path(1.0, n), band=1)
+
+
+def test_constant_3x3_degenerate_neighbour_matches_reference():
+    for m in (np.diag([1.0, 1.0, 2.0]), np.diag([0.0, 3.0, 3.0])):
+        field = HamiltonianField(dimension=3, matrix_fn=lambda coords: m)
+        assert_same_tracking(field, circle_path(1.0, 8), band=1)
+
+
+def test_degeneracy_wins_over_ambiguity_at_one_sample():
+    # diag(-x, x) has lower eigenvector (0, 1) for x < 0; at x = 0 the zero
+    # matrix hands back (1, 0), so sample 2 is degenerate and orthogonal to
+    # its predecessor at once
+    field = HamiltonianField(
+        dimension=2,
+        matrix_fn=lambda c: np.asarray(c)[..., 0, None, None] * np.diag([-1.0, 1.0]))
+    path = DiscretizedPath([(-1.0, 0.0), (-0.5, 0.0), (0.0, 0.0), (0.5, 0.0)])
+    assert_same_tracking(field, path, band=0)
+    with pytest.raises(DegeneracyOnPath) as err:
+        track_branch(field, path, band=0)
+    assert err.value.index == 2
