@@ -241,7 +241,7 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
         # sits on an internal edge in a way sampling cannot disambiguate.
         if all(s == 1 for s in child_signs):
             raise DegeneracyOnBoundary(cell, _gap_at(field, band, *cell.center),
-                                       gap_tol)
+                                       gap_tol, parity_lost=True)
         for q, s in zip(children, child_signs):
             if s == -1:
                 queue.append((q, depth + 1))

@@ -23,11 +23,9 @@ from .berryphase import canonicalize_phase, classify_mab, open_path_berry_phase
 from .cilocate import CIResult, SearchRect, locate_ci
 from .comoving import (
     ac_loop_phase,
-    adiabaticity_ratio,
-    dynamical_phase,
     integrate_spin,
     pseudorotation_trajectory,
-    to_lab_frame,
+    rotation_matrix,
 )
 from .eigenpath import circle_path, holonomy_sign
 from .errors import BerrylineError, OnDegeneracyCircle
@@ -97,20 +95,31 @@ def write_text(path: str, text: str) -> None:
             stream.close()
 
 
+def _csv_cell(cell) -> str:
+    if cell is None:
+        return ""
+    if isinstance(cell, str):
+        return cell
+    if isinstance(cell, (int, np.integer)):
+        return str(int(cell))
+    return fmt(cell)
+
+
 def csv_lines(header: list[str], rows) -> str:
+    """CSV text: None is an empty cell, a str is written as is, an integer in
+    decimal and anything else by fmt.
+
+    A row of Python floats alone, as from ndarray.tolist(), takes one
+    %-format for the whole row, with the bytes fmt gives cell by cell.
+    """
     out = [",".join(header)]
+    float_row = ",".join(["%.17g"] * len(header))
     for row in rows:
-        cells = []
-        for cell in row:
-            if cell is None:
-                cells.append("")
-            elif isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(fmt(cell))
-        out.append(",".join(cells))
+        row = tuple(row)
+        if len(row) == len(header) and set(map(type, row)) == {float}:
+            out.append(float_row % row)
+        else:
+            out.append(",".join(map(_csv_cell, row)))
     return "\n".join(out) + "\n"
 
 
@@ -370,6 +379,10 @@ def cmd_spectrum(values: dict) -> int:
                                   flux_parity=values["parity"],
                                   barrier=problem.barrier)
         kind = "jahnteller"
+    kept = len(problem.kept_indices())
+    if values["levels"] > kept:
+        raise ConfigError(f"bad value for levels: must be <= {kept}, the grid "
+                          f"points the ring keeps, got {values['levels']}")
     result = spectrum(problem, values["levels"])
     header = {
         "format_version": FORMAT_VERSION,
@@ -477,10 +490,14 @@ def cmd_spin(values: dict) -> int:
     ev = integrate_spin(p, traj, psi0.astype(complex), frame=values["frame"],
                         store_stride=values["store_stride"])
     # the sign holonomy lives in the rotating basis, so phases are always
-    # extracted from lab-frame states no matter which frame propagated
-    lab = to_lab_frame(ev) if values["frame"] == "comoving" else ev.states
-    total = float(np.angle(np.vdot(lab[0], lab[-1])))
-    dyn = dynamical_phase(p, traj, band=band)
+    # extracted from lab-frame states no matter which frame propagated; the
+    # total phase reads the first and the last state only
+    first, last = ev.states[0], ev.states[-1]
+    if values["frame"] == "comoving":
+        first = rotation_matrix(ev.alphas[0]) @ first
+        last = rotation_matrix(ev.alphas[-1]) @ last
+    total = float(np.angle(np.vdot(first, last)))
+    dyn = ev.gap_area if band == 0 else -ev.gap_area  # = dynamical_phase
     geo = canonicalize_phase(total - dyn)
 
     ac = None
@@ -492,7 +509,8 @@ def cmd_spin(values: dict) -> int:
 
     series = csv_lines(
         ["t", "sigma_x", "sigma_y", "sigma_z", "norm"],
-        zip(ev.times, ev.sigma_x, ev.sigma_y, ev.sigma_z, ev.norms),
+        zip(ev.times.tolist(), ev.sigma_x.tolist(), ev.sigma_y.tolist(),
+            ev.sigma_z.tolist(), ev.norms.tolist()),
     )
     summary = {
         "format_version": FORMAT_VERSION,
@@ -507,7 +525,7 @@ def cmd_spin(values: dict) -> int:
         "total_phase": total,
         "dynamical_phase": dyn,
         "geometric_phase": geo,
-        "adiabaticity_ratio": adiabaticity_ratio(p, traj),
+        "adiabaticity_ratio": ev.adiabaticity_ratio,
         "final_norm": float(ev.norms[-1]),
         "ac_loop_phase": ac,
     }

@@ -24,7 +24,8 @@ electronic part -+Delta alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,20 +174,63 @@ def pseudorotation_trajectory(r: float, period: float, n_steps: int,
                              theta_of_t=theta)
 
 
+class _Drive(NamedTuple):
+    """The coupling along a trajectory, evaluated once at the samples and once
+    at the step midpoints, with the scalars read from it."""
+
+    f_samples: np.ndarray   # f at the samples
+    f_mid: np.ndarray       # f at the step midpoints
+    delta: np.ndarray       # Delta = |f| at the step midpoints
+    dalpha: np.ndarray      # d alpha / d theta at the step midpoints
+    gap_area: float         # midpoint-rule integral of Delta dt
+    ratio: float            # adiabaticity ratio at the samples
+
+
+def _drive(p: JTParams, traj: NuclearTrajectory) -> _Drive:
+    """Evaluate the coupling at the samples, then at the step midpoints.
+
+    Raises TrajectoryThroughDegeneracy at the first sample, then the first
+    midpoint, on the degeneracy set.  The sample-side Delta and dalpha are
+    dropped once the adiabaticity ratio is read from them.
+    """
+    f_samples, delta, dalpha = _off_degeneracy(p, traj.r_of_t, traj.theta_of_t)
+    ratio = float(np.max(np.abs(dalpha) * np.abs(traj.theta_dot()) / delta))
+    del delta, dalpha
+    r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
+    th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
+    f_mid, delta, dalpha = _off_degeneracy(p, r_mid, th_mid)
+    gap_area = float(np.sum(delta * np.diff(traj.times)))
+    return _Drive(f_samples, f_mid, delta, dalpha, gap_area, ratio)
+
+
 def adiabaticity_ratio(p: JTParams, traj: NuclearTrajectory) -> float:
-    """max over samples of |dalpha/dtheta| |thetadot| / Delta (small = adiabatic)."""
-    _, delta, dalpha = _off_degeneracy(p, traj.r_of_t, traj.theta_of_t)
-    return float(np.max(np.abs(dalpha) * np.abs(traj.theta_dot()) / delta))
+    """max over samples of |dalpha/dtheta| |thetadot| / Delta (small = adiabatic).
+
+    thetadot is the central-difference angular velocity at the samples.  The
+    value is the one integrate_spin records as `adiabaticity_ratio`; like
+    integrate_spin, this raises TrajectoryThroughDegeneracy if a sample or a
+    step midpoint lies on the degeneracy set.
+    """
+    return _drive(p, traj).ratio
 
 
 @dataclass(eq=False)
 class SpinEvolution:
-    """Recorded spin states along a trajectory, in the requested frame."""
+    """Recorded spin states along a trajectory, in the requested frame.
+
+    gap_area is the midpoint-rule integral of Delta over the trajectory, on
+    the same midpoints the propagation used: the dynamical phase is
+    +gap_area for the lower band and -gap_area for the upper one.
+    adiabaticity_ratio is max |dalpha/dtheta| |thetadot| / Delta over the
+    samples (see the function of that name).
+    """
 
     times: np.ndarray
     states: np.ndarray
     frame: str
     alphas: np.ndarray
+    gap_area: float
+    adiabaticity_ratio: float
 
     def _pair(self) -> np.ndarray:
         return np.conj(self.states[:, 0]) * self.states[:, 1]
@@ -266,14 +310,9 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     dt = np.diff(t)
     n_steps = len(dt)
 
-    # degeneracy check at the samples themselves
-    f_samples, _, _ = _off_degeneracy(p, traj.r_of_t, traj.theta_of_t)
+    f_samples, f_mid, delta, dalpha, gap_area, ratio = _drive(p, traj)
 
-    r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
-    th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
     th_dot = np.diff(traj.theta_of_t) / dt
-    f_mid, delta, dalpha = _off_degeneracy(p, r_mid, th_mid)
-
     drive = dalpha * th_dot
     resolution = dt * np.maximum(2.0 * delta, np.abs(drive))
     if np.any(resolution >= STEP_RESOLUTION_LIMIT):
@@ -308,14 +347,16 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     for k in range(len(ba)):
         psi = np.array([ba[k] * psi[0] + bb[k] * psi[1],
                         bc[k] * psi[0] + bd[k] * psi[1]])
-        psi = psi / np.linalg.norm(psi)
+        # the two dot products np.linalg.norm takes on a complex vector
+        psi = psi / np.sqrt(psi.real.dot(psi.real) + psi.imag.dot(psi.imag))
         recorded.append(psi)
 
     idx = np.minimum(np.arange(len(recorded)) * block, n_steps)
     states = np.array(recorded)
     alphas_all = np.unwrap(np.angle(f_samples))
     return SpinEvolution(times=t[idx], states=states, frame=frame,
-                         alphas=alphas_all[idx])
+                         alphas=alphas_all[idx], gap_area=gap_area,
+                         adiabaticity_ratio=ratio)
 
 
 def rotation_matrix(alpha: float) -> np.ndarray:
@@ -340,21 +381,17 @@ def to_lab_frame(evolution: SpinEvolution) -> np.ndarray:
 
 
 def dynamical_phase(p: JTParams, traj: NuclearTrajectory, band: int = 0) -> float:
-    """-(integral of the band's electronic energy) by the midpoint rule.
+    """-(integral of the band's electronic energy -+Delta) by the midpoint rule.
 
-    Uses the same midpoint samples as integrate_spin, so the difference
-    between a propagated total phase and this quantity isolates the
-    geometric part without quadrature mismatch.
+    That is +gap_area for band 0 and -gap_area for band 1, on the same
+    midpoint samples as integrate_spin (which records gap_area), so the
+    difference between a propagated total phase and this quantity isolates
+    the geometric part without quadrature mismatch.
     """
     if band not in (0, 1):
         raise ValueError(f"band must be 0 or 1, got {band!r}")
-    _off_degeneracy(p, traj.r_of_t, traj.theta_of_t)
-    dt = np.diff(traj.times)
-    r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
-    th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
-    _, delta, _ = _off_degeneracy(p, r_mid, th_mid)
-    energy = -delta if band == 0 else delta
-    return float(-np.sum(energy * dt))
+    gap_area = _drive(p, traj).gap_area
+    return gap_area if band == 0 else -gap_area
 
 
 def ac_loop_phase(p: JTParams, loop: DiscretizedPath,

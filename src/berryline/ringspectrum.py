@@ -163,15 +163,19 @@ def degeneracy_flags(levels: np.ndarray,
 def spectrum(problem: RingProblem, n_levels: int) -> SpectrumResult:
     """Lowest `n_levels` eigenvalues of the ring problem.
 
+    n_levels must lie in [1, number of kept grid points]; it is checked
+    before the matrix is built.
+
     For barrier problems the seam gauge is absorbed first, so even and odd
     parity produce bitwise-identical level sets, as they must once the ring
     is cut.
     """
-    h_mat = _absorb_seam(build_ring_hamiltonian(problem), problem)
-    if n_levels < 1 or n_levels > h_mat.shape[0]:
+    kept = len(problem.kept_indices())
+    if n_levels < 1 or n_levels > kept:
         raise ValueError(
-            f"n_levels {n_levels} out of range for matrix size {h_mat.shape[0]}"
+            f"n_levels {n_levels} out of range for {kept} kept grid points"
         )
+    h_mat = _absorb_seam(build_ring_hamiltonian(problem), problem)
     levels = np.linalg.eigvalsh(h_mat)[:n_levels]
     if problem.barrier is None:
         boundary = "periodic" if problem.flux_parity == "even" else "antiperiodic"

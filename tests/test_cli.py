@@ -3,10 +3,21 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from berryline import (
+    JTParams,
+    adiabaticity_ratio,
+    comoving,
+    dynamical_phase,
+    integrate_spin,
+    jt_eigenvectors,
+    pseudorotation_trajectory,
+    to_lab_frame,
+)
 from berryline.cli import (
     ConfigError,
     _to_bool,
@@ -283,6 +294,22 @@ def test_locate_ci_rerun_is_byte_identical(capsys):
     assert a == b
 
 
+def test_locate_ci_parity_lost_on_split(capsys):
+    # near (1.05, 1.82) a -1 cell splits into four quadrants that all read
+    # +1; the message says so and gives the cell-centre gap, which is far
+    # above gap_tol, as a measurement
+    code, out, err = run(capsys, "locate-ci", "--k", "0.869859",
+                         "--g", "0.827127", "--x-min", "-3", "--x-max", "3",
+                         "--y-min", "-3", "--y-max", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: DegeneracyOnBoundary: ")
+    assert err.count("\n") == 1
+    assert "was lost on the split" in err
+    assert "gap at the cell centre 8.338e-04" in err
+    assert "<= gap_tol" not in err
+
+
 # ---------------------------------------------------------------------------
 # spin
 
@@ -329,6 +356,52 @@ def test_spin_domain_error_exit_code(capsys):
                        "--store-stride", "1")
     assert code == 3
     assert "StepTooLarge" in err
+
+
+@pytest.mark.parametrize("steps, revolutions", [("16384", "1"),
+                                                ("12345", "1.5")])
+@pytest.mark.parametrize("initial", ["lower", "upper"])
+@pytest.mark.parametrize("frame", ["comoving", "lab"])
+def test_spin_summary_matches_library_bitwise(capsys, frame, initial, steps,
+                                              revolutions):
+    # the summary's phase terms equal, bit for bit, those of the library
+    # functions called one by one; 12345 steps need padding to whole blocks
+    # of the default store stride 64
+    code, out, _ = run(capsys, "spin", "--k", "1", "--g", "1", "--r", "1",
+                       "--period", "200", "--steps", steps,
+                       "--revolutions", revolutions, "--frame", frame,
+                       "--initial", initial)
+    assert code == 0
+    doc = json.loads(out.split("\n\n")[1])
+    p = JTParams(1.0, 1.0)
+    traj = pseudorotation_trajectory(1.0, 200.0, int(steps),
+                                     revolutions=float(revolutions))
+    band = 0 if initial == "lower" else 1
+    if frame == "comoving":
+        psi0 = np.eye(2, dtype=complex)[1 - band]
+    else:
+        psi0 = jt_eigenvectors(p, 1.0, 0.0)[band].astype(complex)
+    ev = integrate_spin(p, traj, psi0, frame=frame, store_stride=64)
+    lab = to_lab_frame(ev) if frame == "comoving" else ev.states
+    assert doc["total_phase"] == float(np.angle(np.vdot(lab[0], lab[-1])))
+    assert doc["dynamical_phase"] == dynamical_phase(p, traj, band=band)
+    assert doc["adiabaticity_ratio"] == adiabaticity_ratio(p, traj)
+
+
+def test_spin_evaluates_the_coupling_twice(capsys, monkeypatch):
+    # once at the 16385 trajectory samples, once at the 16384 step
+    # midpoints; the 4096-segment loop of ac_loop_phase is shorter
+    sizes = []
+    original = comoving.coupling_terms
+
+    def counting(p, r, theta):
+        sizes.append(np.broadcast(r, theta).size)
+        return original(p, r, theta)
+
+    monkeypatch.setattr(comoving, "coupling_terms", counting)
+    code, _, _ = run(capsys, *SPIN_ARGS)
+    assert code == 0
+    assert sorted(n for n in sizes if n >= 16384) == [16384, 16385]
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +511,8 @@ def test_sweep_matches_single_radius_runs(capsys):
     (("spectrum", "--k", "1", "--g", "1", "--r0", "0"), "bad value for r0:"),
     (("locate-ci", "--k", "1", "--g", "1", "--x-min", "1", "--x-max", "0"),
      "--x-min < --x-max"),
+    (("spectrum", "--flat", "--parity", "odd", "--levels", "5000",
+      "--grid", "64"), "bad value for levels:"),
 ])
 def test_bad_option_value_exits_two(capsys, argv, message):
     # out-of-range values are usage errors, caught where options are read

@@ -30,6 +30,7 @@ from berryline import (
     rotation_matrix,
     to_lab_frame,
 )
+from berryline.jahnteller import coupling_terms
 
 PSI_LOWER = np.array([0.0, 1.0], dtype=complex)
 
@@ -338,6 +339,28 @@ def test_dynamical_phase_quadrature_converges(jt11):
     fine = dynamical_phase(jt11, pseudorotation_trajectory(1.0, 100.0, 1 << 16))
     assert coarse == pytest.approx(fine, abs=1e-5)
     assert coarse > 0.0
+
+
+def test_recorded_phase_terms_match_direct_formulas(jt11):
+    # gap_area and adiabaticity_ratio, recorded by integrate_spin and read
+    # by dynamical_phase and adiabaticity_ratio, equal bit for bit the sums
+    # over a coupling evaluated here apart from the integrator
+    traj = pseudorotation_trajectory(1.0, 200.0, 12345, revolutions=1.5)
+    ev = integrate_spin(jt11, traj, PSI_LOWER, store_stride=16)
+    dt = np.diff(traj.times)
+    r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
+    th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
+    linear, quadratic = coupling_terms(jt11, r_mid, th_mid)
+    delta = np.abs(linear + quadratic)
+    assert ev.gap_area == float(-np.sum(-delta * dt))
+    assert dynamical_phase(jt11, traj) == ev.gap_area
+    assert dynamical_phase(jt11, traj, band=1) == float(-np.sum(delta * dt))
+    linear, quadratic = coupling_terms(jt11, traj.r_of_t, traj.theta_of_t)
+    f = linear + quadratic
+    dalpha = np.real((linear - 2.0 * quadratic) / f)
+    ratio = float(np.max(np.abs(dalpha) * np.abs(traj.theta_dot()) / np.abs(f)))
+    assert ev.adiabaticity_ratio == ratio
+    assert adiabaticity_ratio(jt11, traj) == ratio
 
 
 def test_adiabaticity_ratio_closed_form(jt10, jt11):

@@ -15,6 +15,7 @@ from berryline import (
     flat_ring_problem,
     jt_point_data,
     jt_ring_problem,
+    ringspectrum,
     spectrum,
 )
 
@@ -197,6 +198,15 @@ def test_spectrum_level_count_validation():
         spectrum(prob, 0)
     with pytest.raises(ValueError):
         spectrum(prob, 129)
+
+
+def test_level_count_checked_before_the_matrix(monkeypatch):
+    def no_build(problem):
+        raise AssertionError("the matrix was built")
+
+    monkeypatch.setattr(ringspectrum, "build_ring_hamiltonian", no_build)
+    with pytest.raises(ValueError, match="for 64 kept grid points"):
+        spectrum(flat_ring_problem("odd", grid_size=64), 65)
 
 
 def test_spectrum_deterministic():
