@@ -20,7 +20,6 @@ from .berryphase import (
 )
 from .cilocate import CIResult, SearchRect, locate_ci, loop_sign
 from .comoving import (
-    ACConfig,
     EffectiveFields,
     NuclearTrajectory,
     SpinEvolution,
@@ -38,7 +37,6 @@ from .eigenpath import (
     DiscretizedPath,
     EigenBranch,
     HamiltonianField,
-    ParameterPoint,
     circle_path,
     eig_real_symmetric,
     holonomy_sign,

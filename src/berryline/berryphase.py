@@ -53,10 +53,6 @@ class OverlapTrace:
     anchor_index: int
     values: np.ndarray
 
-    @property
-    def path(self) -> DiscretizedPath:
-        return self.branch.path
-
 
 def overlap_trace(branch: EigenBranch, anchor_index: int = 0) -> OverlapTrace:
     """Trace of <v(anchor), v(j)> along the branch."""
@@ -74,21 +70,23 @@ class NodeSet:
     """Angles at which an anchor-overlap trace changes sign."""
 
     angles: tuple[float, ...]
-    count: int
-    parity: int
 
     def __post_init__(self):
-        if self.count != len(self.angles):
-            raise ValueError("count does not match number of angles")
-        if self.parity != self.count % 2:
-            raise ValueError("parity must be count mod 2")
         if any(b <= a for a, b in zip(self.angles, self.angles[1:])):
             raise ValueError("node angles must be strictly increasing")
+
+    @property
+    def count(self) -> int:
+        return len(self.angles)
+
+    @property
+    def parity(self) -> int:
+        return self.count % 2
 
 
 def _trace_angles(trace: OverlapTrace, angles=None) -> np.ndarray:
     if angles is None:
-        return trace.path.coords[:, -1]
+        return trace.branch.path.coords[:, -1]
     arr = np.asarray(angles, dtype=float)
     if arr.shape != trace.values.shape:
         raise ValueError("explicit angles must match the trace length")
@@ -115,8 +113,7 @@ def detect_nodes(trace: OverlapTrace, zero_tol: float = OVERLAP_ZERO_TOL,
     j = np.nonzero(values[:-1] * values[1:] < 0.0)[0]
     a, b = values[j], values[j + 1]
     found = np.sort(theta[j] + a / (a - b) * (theta[j + 1] - theta[j]))
-    return NodeSet(angles=tuple(found.tolist()), count=len(found),
-                   parity=len(found) % 2)
+    return NodeSet(angles=tuple(found.tolist()))
 
 
 def refine_nodes(trace: OverlapTrace, nodes: NodeSet,
@@ -157,11 +154,9 @@ def refine_nodes(trace: OverlapTrace, nodes: NodeSet,
             else:
                 lo, f_lo = mid, f_mid
         refined.append(0.5 * (lo + hi))
-    k = len(refined)
-    if k != nodes.count:
+    if len(refined) != nodes.count:
         raise ValueError("node set inconsistent with the trace sign changes")
-    refined.sort()
-    return NodeSet(angles=tuple(refined), count=k, parity=k % 2)
+    return NodeSet(angles=tuple(sorted(refined)))
 
 
 class MABClass(Enum):

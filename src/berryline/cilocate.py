@@ -196,6 +196,7 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
     than the tolerance are merged (a degeneracy on a shared cell edge is
     found through more than one cell).  Raises MaxDepthExceeded if a -1 cell
     cannot be shrunk below tolerance within `max_depth` levels.
+    `cells_evaluated` counts the distinct cells whose loop sign was computed.
     """
     cells_evaluated = 0
     depth_histogram: dict[int, int] = {}
@@ -221,13 +222,15 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
 
     candidates: list[tuple[float, float]] = []
     queue: list[tuple[SearchRect, int]] = [(rect, 0)]
+    # a deeper cell was queued by the split that scored it -1: each cell's
+    # loop sign is computed once
+    scored_on_pop = max(min_depth, 0)
     while queue:
         cell, depth = queue.pop()
         if depth < min_depth:
             queue.extend((q, depth + 1) for q in cell.quadrants())
             continue
-        sign = cell_sign(cell, depth)
-        if sign == 1:
+        if depth == scored_on_pop and cell_sign(cell, depth) == 1:
             continue
         if cell.diameter <= spatial_tol:
             candidates.append(_refine_minimum(field, band, cell, gap_tol))

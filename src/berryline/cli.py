@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,7 @@ from .comoving import (
 from .eigenpath import circle_path, holonomy_sign
 from .errors import BerrylineError, OnDegeneracyCircle
 from .jahnteller import JTParams, circle_nodes, jt_eigenvectors, nodal_map
-from .ringspectrum import RingProblem, flat_ring_problem, jt_ring_problem, spectrum
+from .ringspectrum import flat_ring_problem, jt_ring_problem, spectrum
 
 FORMAT_VERSION = 1
 
@@ -146,14 +146,21 @@ def _to_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _finite(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {s!r}")
+    return x
+
+
 def _to_range(s: str) -> tuple[float, ...]:
     """Either a single value or an inclusive start:stop:step sweep."""
     parts = s.split(":")
     if len(parts) == 1:
-        return (float(parts[0]),)
+        return (_finite(parts[0]),)
     if len(parts) != 3:
         raise ValueError(f"expected VALUE or START:STOP:STEP, got {s!r}")
-    start, stop, step = (float(x) for x in parts)
+    start, stop, step = map(_finite, parts)
     if step <= 0:
         raise ValueError(f"sweep step must be > 0, got {step!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -166,8 +173,7 @@ def _to_interval(s: str) -> tuple[float, float]:
     parts = s.split(":")
     if len(parts) != 2:
         raise ValueError(f"expected START:END, got {s!r}")
-    a, b = float(parts[0]), float(parts[1])
-    return (a, b)
+    return (_finite(parts[0]), _finite(parts[1]))
 
 
 def _checked(conv: Callable[[str], object], ok: Callable[[object], bool],
@@ -185,8 +191,8 @@ def _at_least(minimum: int) -> Callable[[str], object]:
     return _checked(int, lambda n: n >= minimum, f">= {minimum}")
 
 
-_NONNEG = _checked(float, lambda x: x >= 0, ">= 0")
-_POSITIVE = _checked(float, lambda x: x > 0, "> 0")
+_NONNEG = _checked(_finite, lambda x: x >= 0, ">= 0")
+_POSITIVE = _checked(_finite, lambda x: x > 0, "> 0")
 _BAND = _checked(int, lambda b: b in (0, 1), "0 (lower) or 1 (upper)")
 _RADII = _checked(_to_range, lambda radii: min(radii) > 0, "radii > 0")
 _ARC = _checked(_to_interval, lambda ab: 0 < ab[0] < ab[1] < 2.0 * math.pi,
@@ -373,11 +379,7 @@ def cmd_spectrum(values: dict) -> int:
         problem = jt_ring_problem(p, values["r0"], grid_size=values["grid"],
                                   band=values["band"], barrier=barrier)
         if values["parity"] in ("even", "odd"):
-            problem = RingProblem(radius=problem.radius,
-                                  grid_size=problem.grid_size,
-                                  potential=problem.potential,
-                                  flux_parity=values["parity"],
-                                  barrier=problem.barrier)
+            problem = replace(problem, flux_parity=values["parity"])
         kind = "jahnteller"
     kept = len(problem.kept_indices())
     if values["levels"] > kept:
@@ -410,13 +412,13 @@ def cmd_spectrum(values: dict) -> int:
 _LOCATE_OPTS = [
     Opt("k", _NONNEG, _REQUIRED, "linear coupling"),
     Opt("g", _NONNEG, _REQUIRED, "quadratic coupling"),
-    Opt("x-min", float, -3.0, "search window"),
-    Opt("x-max", float, 3.0, "search window"),
-    Opt("y-min", float, -3.0, "search window"),
-    Opt("y-max", float, 3.0, "search window"),
+    Opt("x-min", _finite, -3.0, "search window"),
+    Opt("x-max", _finite, 3.0, "search window"),
+    Opt("y-min", _finite, -3.0, "search window"),
+    Opt("y-max", _finite, 3.0, "search window"),
     Opt("band", _BAND, 0, "band index"),
-    Opt("spatial-tol", float, 1e-3, "cell size at which a hit is accepted"),
-    Opt("gap-tol", float, 1e-8, "gap treated as degenerate"),
+    Opt("spatial-tol", _POSITIVE, 1e-3, "cell size at which a hit is accepted"),
+    Opt("gap-tol", _POSITIVE, 1e-8, "gap treated as degenerate"),
     Opt("samples-per-edge", _at_least(1), 32, "boundary samples per cell edge"),
     Opt("min-depth", int, 4, "quadtree depth before pruning starts"),
     Opt("max-depth", int, 24, "quadtree depth limit"),
@@ -462,7 +464,7 @@ _SPIN_OPTS = [
     Opt("period", _POSITIVE, _REQUIRED, "drive period"),
     Opt("steps", _at_least(2), 65536, "integration steps"),
     Opt("revolutions", _POSITIVE, 1.0, "drive revolutions"),
-    Opt("theta0", float, 0.0, "starting angle"),
+    Opt("theta0", _finite, 0.0, "starting angle"),
     Opt("frame", str, "comoving", "propagation frame lab|comoving"),
     Opt("initial", str, "lower", "initial band eigenstate lower|upper"),
     Opt("store-stride", _POWER_OF_TWO, 64,

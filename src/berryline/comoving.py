@@ -82,9 +82,7 @@ def comoving_transform(p: JTParams, r: float, theta: float) -> tuple[np.ndarray,
     f, delta, _ = _field_values(p, r, theta)
     if delta <= DEGENERACY_TOL:
         raise AlphaUndefined(r, theta)
-    alpha = math.atan2(f.imag, f.real)
-    c, s = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
-    u = np.array([[c, -s], [s, c]])
+    u = rotation_matrix(math.atan2(f.imag, f.real))
     h_el = np.array([[f.real, f.imag], [f.imag, -f.real]])
     h_rot = u.T @ h_el @ u
     if abs(h_rot[0, 1]) > 1e-12 * max(1.0, float(delta)):
@@ -95,34 +93,11 @@ def comoving_transform(p: JTParams, r: float, theta: float) -> tuple[np.ndarray,
 
 
 @dataclass(frozen=True)
-class ACConfig:
-    """Single prefactor of the loop phase.
-
-    The physical coupling (moment, line-charge density, vacuum constants)
-    enters the phase only as one multiplicative scale, which is 1 in the
-    natural units used everywhere else in this package.
-    """
-
-    coupling_scale: float = 1.0
-
-    def __post_init__(self):
-        if not self.coupling_scale > 0:
-            raise ValueError(
-                f"coupling_scale must be > 0, got {self.coupling_scale!r}"
-            )
-
-
-@dataclass(frozen=True)
 class EffectiveFields:
-    """Effective magnetic vector and electric components seen by the spin.
-
-    e_theta is the azimuthal electric component, which this model does not
-    evaluate; it is always None and kept only so the omission is explicit.
-    """
+    """Effective magnetic vector and radial electric component seen by the spin."""
 
     b_eff: tuple[float, float, float]
     e_radial: float
-    e_theta: None = None
 
 
 def effective_fields(p: JTParams, r: float, theta: float,
@@ -394,18 +369,14 @@ def dynamical_phase(p: JTParams, traj: NuclearTrajectory, band: int = 0) -> floa
     return gap_area if band == 0 else -gap_area
 
 
-def ac_loop_phase(p: JTParams, loop: DiscretizedPath,
-                  cfg: ACConfig | None = None) -> float:
+def ac_loop_phase(p: JTParams, loop: DiscretizedPath) -> float:
     """Half the winding of the mixing angle around a closed loop.
 
     Equals pi times the signed number of enclosed degeneracies mod 2 pi, and
     hence pi times the node-count parity: the phase an orbiting magnetic
     moment picks up from the effective line charges sitting at the
-    degeneracies.  Scaled by cfg.coupling_scale (1 in natural units) and
-    canonicalized to (-pi, pi].
+    degeneracies, in natural units and canonicalized to (-pi, pi].
     """
-    if cfg is None:
-        cfg = ACConfig()
     if not loop.closed:
         raise OpenPath("the winding is defined for closed loops only")
     coords = loop.coords
@@ -416,4 +387,4 @@ def ac_loop_phase(p: JTParams, loop: DiscretizedPath,
     worst = int(np.argmax(np.abs(steps)))
     if abs(steps[worst]) >= WINDING_STEP_LIMIT:
         raise StepTooLarge(worst, float(abs(steps[worst])), WINDING_STEP_LIMIT)
-    return canonicalize_phase(cfg.coupling_scale * 0.5 * float(np.sum(steps)))
+    return canonicalize_phase(0.5 * float(np.sum(steps)))

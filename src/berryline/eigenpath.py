@@ -35,50 +35,16 @@ MATRIX_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ParameterPoint:
-    """A point in nuclear parameter space.
-
-    `coords` is an arbitrary finite real vector; the Hamiltonian field decides
-    how to read it.  Ring paths use the polar convention (r, theta) with
-    r >= 0, planar searches use Cartesian (x, y).  Paths and fields work on
-    coordinate arrays; a point converts to its (d,) row with np.asarray.
-    """
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        coords = tuple(float(c) for c in self.coords)
-        if not all(math.isfinite(c) for c in coords):
-            raise NonFinite(f"non-finite parameter point {coords}")
-        object.__setattr__(self, "coords", coords)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.coords, dtype=dtype)
-
-    @classmethod
-    def polar(cls, r: float, theta: float) -> "ParameterPoint":
-        if r < 0:
-            raise ValueError(f"polar radius must be >= 0, got {r!r}")
-        return cls((float(r), float(theta)))
-
-    @classmethod
-    def cartesian(cls, x: float, y: float) -> "ParameterPoint":
-        return cls((float(x), float(y)))
-
-    # polar (r, theta) and Cartesian (x, y) names of the two coordinates
-    r = x = property(lambda self: self.coords[0])
-    theta = y = property(lambda self: self.coords[1])
-
-
 @dataclass(frozen=True, eq=False)
 class DiscretizedPath:
     """Ordered parameter points, optionally marked as a closed loop.
 
-    `coords` holds one point per row, (n, d); a sequence of ParameterPoints
-    converts too.  A closed path stores the closure point explicitly: the last
-    point must map to the same Hamiltonian as the first (checked when a branch
-    is tracked).  Consecutive stored points must be distinct.
+    `coords` is an (n, d) array, one finite point per row; the field decides
+    how to read a row: ring paths use polar (r, theta) with r >= 0, planar
+    searches Cartesian (x, y).  A closed path stores the closure point
+    explicitly: the last point must map to the same Hamiltonian as the first
+    (checked when a branch is tracked).  Consecutive stored points must be
+    distinct.
     """
 
     coords: np.ndarray
@@ -101,11 +67,6 @@ class DiscretizedPath:
 
     def __len__(self) -> int:
         return len(self.coords)
-
-    @property
-    def points(self) -> tuple[ParameterPoint, ...]:
-        """The samples as ParameterPoints, built on access (for inspection)."""
-        return tuple(ParameterPoint(tuple(row)) for row in self.coords.tolist())
 
 
 def polar_samples(r: float, thetas: np.ndarray) -> np.ndarray:
@@ -162,6 +123,8 @@ class HamiltonianField:
 
     `matrix_fn` maps a (..., d) coordinate array to the (..., N, N) matrices;
     a constant field may return one (N, N) matrix, broadcast over the points.
+    A path is an (n, d) array and a single point a (d,) array, both passed
+    to `evaluate`.
     """
 
     dimension: int

@@ -252,9 +252,7 @@ def circle_nodes(p: JTParams, r: float, n_samples: int = 2048, band: int = 0,
             continue
         nodes = refine_nodes(trace, nodes, tol=refine_tol)
         folded = sorted(a % (2.0 * math.pi) for a in nodes.angles)
-        nodes = NodeSet(angles=tuple(folded), count=nodes.count,
-                        parity=nodes.parity)
-        return branch, trace, nodes
+        return branch, trace, NodeSet(angles=tuple(folded))
     raise last_error
 
 
@@ -263,7 +261,10 @@ class NodalMapRow:
     r: float
     numeric_angles: tuple[float, ...]
     analytic_angles: tuple[float, ...]
-    count: int
+
+    @property
+    def count(self) -> int:
+        return len(self.numeric_angles)
 
 
 @dataclass(frozen=True)
@@ -313,7 +314,7 @@ def nodal_map(p: JTParams, r_values, theta_samples: int = 2048,
                 f"r={r!r}: node angles differ from closed form by {worst:.3e}"
             )
         rows.append(NodalMapRow(r=r, numeric_angles=nodes.angles,
-                                analytic_angles=analytic, count=nodes.count))
+                                analytic_angles=analytic))
     return NodalMap(params=p, theta_samples=theta_samples, rows=tuple(rows),
                     skipped_radii=tuple(skipped),
                     degeneracies=degeneracy_points(p))

@@ -104,7 +104,9 @@ def build_ring_hamiltonian(problem: RingProblem) -> np.ndarray:
 
     Off-diagonal couplings are -1/(2 r0^2 h^2); with odd flux parity the wrap
     coupling flips sign (antiperiodic seam), which keeps the matrix real
-    symmetric.  Barrier grid points are deleted outright.
+    symmetric.  Barrier grid points are deleted outright; the cut ring's seam
+    sign is pure gauge, so both parities keep the periodic wrap and build
+    literally the same matrix.
     """
     m_size = problem.grid_size
     t = 1.0 / (2.0 * problem.radius ** 2 * problem.step ** 2)
@@ -113,7 +115,8 @@ def build_ring_hamiltonian(problem: RingProblem) -> np.ndarray:
     idx = np.arange(m_size - 1)
     h_mat[idx, idx + 1] = -t
     h_mat[idx + 1, idx] = -t
-    wrap = t if problem.flux_parity == "odd" else -t
+    odd_seam = problem.flux_parity == "odd" and problem.barrier is None
+    wrap = t if odd_seam else -t
     h_mat[m_size - 1, 0] = wrap
     h_mat[0, m_size - 1] = wrap
     keep = problem.kept_indices()
@@ -122,20 +125,6 @@ def build_ring_hamiltonian(problem: RingProblem) -> np.ndarray:
             f"barrier leaves only {len(keep)} grid points"
         )
     return h_mat[np.ix_(keep, keep)]
-
-
-def _absorb_seam(matrix: np.ndarray, problem: RingProblem) -> np.ndarray:
-    """Gauge away the seam sign of a barrier-cut ring.
-
-    With the ring cut, flipping the basis sign on every kept point before the
-    barrier moves the wrap coupling back to its periodic value; this is exact
-    (sign flips only), so both parities diagonalize literally the same matrix.
-    """
-    if problem.barrier is None or problem.flux_parity == "even":
-        return matrix
-    keep = problem.kept_indices()
-    signs = np.where(keep < problem.barrier_indices()[0], -1.0, 1.0)
-    return matrix * np.outer(signs, signs)
 
 
 @dataclass(eq=False)
@@ -166,17 +155,16 @@ def spectrum(problem: RingProblem, n_levels: int) -> SpectrumResult:
     n_levels must lie in [1, number of kept grid points]; it is checked
     before the matrix is built.
 
-    For barrier problems the seam gauge is absorbed first, so even and odd
-    parity produce bitwise-identical level sets, as they must once the ring
-    is cut.
+    For barrier problems even and odd parity diagonalize the same matrix
+    (see build_ring_hamiltonian), so their level sets are bitwise identical,
+    as they must be once the ring is cut.
     """
     kept = len(problem.kept_indices())
     if n_levels < 1 or n_levels > kept:
         raise ValueError(
             f"n_levels {n_levels} out of range for {kept} kept grid points"
         )
-    h_mat = _absorb_seam(build_ring_hamiltonian(problem), problem)
-    levels = np.linalg.eigvalsh(h_mat)[:n_levels]
+    levels = np.linalg.eigvalsh(build_ring_hamiltonian(problem))[:n_levels]
     if problem.barrier is None:
         boundary = "periodic" if problem.flux_parity == "even" else "antiperiodic"
     else:

@@ -115,9 +115,8 @@ def assorted_loops(jt11):
 
 def loop_xy(case: LoopCase) -> np.ndarray:
     """Cartesian coordinates of a loop, regardless of its native frame."""
-    pts = case.polar_path.points
-    return np.array([(q.r * math.cos(q.theta), q.r * math.sin(q.theta))
-                     for q in pts])
+    return np.array([(r * math.cos(theta), r * math.sin(theta))
+                     for r, theta in case.polar_path.coords.tolist()])
 
 
 def winding_number(xy: np.ndarray, px: float, py: float) -> int:

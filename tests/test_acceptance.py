@@ -20,7 +20,6 @@ from conftest import cone_states, loop_xy, winding_number
 from berryline import (
     DiscretizedPath,
     JTParams,
-    ParameterPoint,
     SearchRect,
     ac_loop_phase,
     canonicalize_phase,
@@ -178,8 +177,7 @@ def test_criterion_5_reparametrization(jt11, capsys):
         field = jt_field(jt11, frame="polar")
         uniform = open_path_berry_phase(
             track_branch(field, circle_path(1.0, 4096), band=0).vectors)
-        points = tuple(ParameterPoint.polar(1.0, a)
-                       for a in monotone_angles(4096))
+        points = [(1.0, a) for a in monotone_angles(4096)]
         skewed = open_path_berry_phase(
             track_branch(field, DiscretizedPath(points, closed=True),
                          band=0).vectors)

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import berryline.cilocate as cilocate
 from berryline import (
     CIResult,
     DegeneracyOnBoundary,
     JTParams,
     MaxDepthExceeded,
-    ParameterPoint,
     SearchRect,
     jt_field,
     locate_ci,
@@ -29,7 +29,7 @@ def field():
 
 
 def gap_at(field, x, y):
-    w = np.linalg.eigvalsh(field.matrix_fn(ParameterPoint.cartesian(x, y)))
+    w = np.linalg.eigvalsh(field.matrix_fn(np.array([x, y])))
     return float(w[1] - w[0])
 
 
@@ -146,6 +146,22 @@ def test_locate_ci_accounting(four_point_result):
     assert sum(res.depth_histogram.values()) == res.cells_evaluated
     # unconditional splitting means nothing shallower than min_depth is scored
     assert min(res.depth_histogram) >= 4
+
+
+def test_locate_ci_scores_each_cell_once(field, monkeypatch):
+    # a -1 child read by its parent's split is not scored again when popped
+    scored = []
+
+    def recording(*args, **kwargs):
+        sign = loop_sign(*args, **kwargs)
+        scored.append(args[1])
+        return sign
+
+    monkeypatch.setattr(cilocate, "loop_sign", recording)
+    res = locate_ci(field, SearchRect(-0.6, 0.5, -0.55, 0.5),
+                    spatial_tol=1e-2, samples_per_edge=16, min_depth=2)
+    assert len(res.points) == 1
+    assert len(scored) == len(set(scored)) == res.cells_evaluated
 
 
 def test_locate_ci_origin_only(field):

@@ -513,6 +513,18 @@ def test_sweep_matches_single_radius_runs(capsys):
      "--x-min < --x-max"),
     (("spectrum", "--flat", "--parity", "odd", "--levels", "5000",
       "--grid", "64"), "bad value for levels:"),
+    (("spin", "--k", "1", "--g", "1", "--r", "1", "--period", "inf",
+      "--steps", "64"), "bad value for period:"),
+    (("spin", "--k", "1", "--g", "1", "--r", "1", "--period", "20000",
+      "--steps", "64", "--theta0", "nan"), "bad value for theta0:"),
+    (("locate-ci", "--k", "1", "--g", "1", "--samples-per-edge", "8",
+      "--gap-tol", "nan"), "bad value for gap-tol:"),
+    (("locate-ci", "--k", "1", "--g", "1", "--spatial-tol", "0"),
+     "bad value for spatial-tol:"),
+    (("locate-ci", "--k", "1", "--g", "1", "--x-max", "inf"),
+     "bad value for x-max:"),
+    (("nodal-map", "--k", "1", "--g", "1", "--r", "0.5:inf:0.5"),
+     "bad value for r:"),
 ])
 def test_bad_option_value_exits_two(capsys, argv, message):
     # out-of-range values are usage errors, caught where options are read

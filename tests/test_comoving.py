@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from berryline import (
-    ACConfig,
     AlphaUndefined,
     DiscretizedPath,
     EffectiveFields,
@@ -14,7 +13,6 @@ from berryline import (
     LoopThroughDegeneracy,
     NuclearTrajectory,
     OpenPath,
-    ParameterPoint,
     StepTooLarge,
     TrajectoryThroughDegeneracy,
     ac_loop_phase,
@@ -44,12 +42,11 @@ def static_trajectory(r, theta, duration, n_steps):
 def cartesian_loop(cx, cy, radius, n_segments):
     """Closed polar path tracing a Cartesian circle around (cx, cy)."""
     ts = np.linspace(0.0, 2.0 * math.pi, n_segments + 1)
-    pts = tuple(
-        ParameterPoint.polar(
-            math.hypot(cx + radius * math.cos(t), cy + radius * math.sin(t)),
-            math.atan2(cy + radius * math.sin(t), cx + radius * math.cos(t)))
+    pts = [
+        (math.hypot(cx + radius * math.cos(t), cy + radius * math.sin(t)),
+         math.atan2(cy + radius * math.sin(t), cx + radius * math.cos(t)))
         for t in ts
-    )
+    ]
     return DiscretizedPath(pts, closed=True)
 
 
@@ -99,7 +96,6 @@ def test_effective_fields_pure_linear(jt10):
     assert eff.b_eff[1] == pytest.approx(-0.4, abs=1e-14)
     assert eff.b_eff[2] == pytest.approx(3.0, abs=1e-13)
     assert eff.e_radial == pytest.approx(1.0 / 3.0, abs=1e-14)
-    assert eff.e_theta is None
 
 
 def test_effective_fields_pure_quadratic(jt01):
@@ -417,8 +413,7 @@ def test_ac_phase_independent_of_start_angle(jt11):
 
 
 def test_ac_phase_open_path_rejected(jt11):
-    pts = tuple(ParameterPoint.polar(1.0, t)
-                for t in np.linspace(0.0, 3.0, 64))
+    pts = [(1.0, t) for t in np.linspace(0.0, 3.0, 64)]
     with pytest.raises(OpenPath):
         ac_loop_phase(jt11, DiscretizedPath(pts, closed=False))
 
@@ -434,17 +429,6 @@ def test_ac_phase_underresolved_crossing(jt11):
     # offset keeps the samples themselves off the intersections)
     with pytest.raises(StepTooLarge):
         ac_loop_phase(jt11, circle_path(2.0, 512, theta0=0.05))
-
-
-def test_ac_phase_coupling_scale(jt11):
-    loop = circle_path(1.0, 2048)
-    assert ac_loop_phase(jt11, loop, ACConfig()) == ac_loop_phase(jt11, loop)
-    half = ac_loop_phase(jt11, loop, ACConfig(coupling_scale=0.5))
-    assert abs(half - 0.5 * math.pi) < 1e-9
-    with pytest.raises(ValueError):
-        ACConfig(coupling_scale=0.0)
-    with pytest.raises(ValueError):
-        ACConfig(coupling_scale=-1.0)
 
 
 def test_ac_phase_matches_kinetic_coupling_integral(jt11):

@@ -14,7 +14,6 @@ from berryline import (
     NonFinite,
     NonSymmetric,
     OpenPath,
-    ParameterPoint,
     circle_path,
     eig_real_symmetric,
     holonomy_sign,
@@ -33,48 +32,41 @@ def constant_field(matrix):
 # --- points and paths --------------------------------------------------------
 
 
-def test_parameter_point_polar_accessors():
-    pt = ParameterPoint.polar(2.0, 0.7)
-    assert pt.r == 2.0 and pt.theta == 0.7
-    assert pt.coords == (2.0, 0.7)
-
-
 def test_parameter_point_negative_radius():
+    # a polar point is a row (r, theta) with r >= 0
     with pytest.raises(ValueError):
-        ParameterPoint.polar(-0.1, 0.0)
+        circle_path(-0.1, 8)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_parameter_point_nonfinite(bad):
+    coords = [(1.0, 0.0), (bad, 0.0), (1.0, 1.0)]
     with pytest.raises(NonFinite):
-        ParameterPoint.cartesian(bad, 0.0)
+        DiscretizedPath(coords)
 
 
 def test_path_needs_three_points():
-    pts = (ParameterPoint.polar(1, 0), ParameterPoint.polar(1, 1))
     with pytest.raises(ValueError):
-        DiscretizedPath(pts)
+        DiscretizedPath([(1, 0), (1, 1)])
 
 
 def test_path_rejects_consecutive_duplicates():
-    pts = (ParameterPoint.polar(1, 0), ParameterPoint.polar(1, 0),
-           ParameterPoint.polar(1, 1))
     with pytest.raises(ValueError):
-        DiscretizedPath(pts)
+        DiscretizedPath([(1, 0), (1, 0), (1, 1)])
 
 
 def test_circle_path_layout():
     path = circle_path(2.0, 8, theta0=0.5)
     assert len(path) == 9
     assert path.closed
-    assert path.points[0].theta == 0.5
-    assert path.points[-1].theta == pytest.approx(0.5 + 2 * math.pi)
-    assert all(p.r == 2.0 for p in path.points)
+    assert path.coords[0, 1] == 0.5
+    assert path.coords[-1, 1] == pytest.approx(0.5 + 2 * math.pi)
+    assert np.all(path.coords[:, 0] == 2.0)
 
 
 def test_circle_path_revolutions():
     path = circle_path(1.0, 12, revolutions=2.0)
-    assert path.points[-1].theta == pytest.approx(4 * math.pi)
+    assert path.coords[-1, 1] == pytest.approx(4 * math.pi)
 
 
 def test_polygon_path_closure():
@@ -82,16 +74,16 @@ def test_polygon_path_closure():
     path = polygon_path(verts, samples_per_edge=4)
     assert len(path) == 3 * 4 + 1
     assert path.closed
-    assert path.points[-1].coords == path.points[0].coords
+    assert np.array_equal(path.coords[-1], path.coords[0])
 
 
 def test_to_polar_path_roundtrip():
     path = polygon_path([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.5)],
                         samples_per_edge=5)
     polar = to_polar_path(path)
-    for pc, pp in zip(path.points, polar.points):
-        assert pp.r * math.cos(pp.theta) == pytest.approx(pc.x, abs=1e-12)
-        assert pp.r * math.sin(pp.theta) == pytest.approx(pc.y, abs=1e-12)
+    for (x, y), (r, theta) in zip(path.coords, polar.coords):
+        assert r * math.cos(theta) == pytest.approx(x, abs=1e-12)
+        assert r * math.sin(theta) == pytest.approx(y, abs=1e-12)
 
 
 # --- eigendecomposition ------------------------------------------------------
@@ -160,13 +152,13 @@ def test_eig_contract_property(n, seed):
 def test_field_shape_validation():
     field = HamiltonianField(dimension=3, matrix_fn=lambda pt: np.eye(2))
     with pytest.raises(ValueError):
-        field.evaluate(ParameterPoint.cartesian(0, 0))
+        field.evaluate(np.zeros(2))
 
 
 def test_field_symmetrizes_below_tolerance():
     m = np.array([[1.0, 1.0 + 5e-13], [1.0, 1.0]])
     field = HamiltonianField(dimension=2, matrix_fn=lambda pt: m)
-    out = field.evaluate(ParameterPoint.cartesian(0, 0))
+    out = field.evaluate(np.zeros(2))
     assert np.array_equal(out, out.T)
 
 
@@ -192,9 +184,8 @@ def test_linear_model_sign_flip(jt10):
 
 
 def test_degeneracy_on_path(jt11):
-    pts = tuple(ParameterPoint.polar(2.0, t)
-                for t in np.linspace(math.pi - 0.5, math.pi + 0.5, 21))
-    path = DiscretizedPath(pts, closed=False)
+    thetas = np.linspace(math.pi - 0.5, math.pi + 0.5, 21)
+    path = DiscretizedPath([(2.0, t) for t in thetas], closed=False)
     with pytest.raises(DegeneracyOnPath) as err:
         track_branch(jt_field(jt11, frame="polar"), path, band=0)
     assert err.value.index == 10
@@ -215,8 +206,7 @@ def test_band_out_of_range(jt11):
 
 
 def test_closed_flag_checked_against_endpoints():
-    pts = tuple(ParameterPoint.polar(1.0, t) for t in (0.0, 1.0, 2.0))
-    path = DiscretizedPath(pts, closed=True)
+    path = DiscretizedPath([(1.0, t) for t in (0.0, 1.0, 2.0)], closed=True)
     field = jt_field(JTParams(1.0, 0.0), frame="polar")
     with pytest.raises(ValueError):
         track_branch(field, path, band=0)
@@ -244,8 +234,7 @@ def test_holonomy_constant_field():
 
 
 def test_holonomy_requires_closed_path(jt11):
-    pts = tuple(ParameterPoint.polar(1.0, t)
-                for t in np.linspace(0, 3.0, 40))
+    pts = [(1.0, t) for t in np.linspace(0, 3.0, 40)]
     branch = track_branch(jt_field(jt11, frame="polar"),
                           DiscretizedPath(pts, closed=False), band=0)
     with pytest.raises(OpenPath):

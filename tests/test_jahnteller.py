@@ -13,7 +13,6 @@ from berryline import (
     DegeneracyPoint,
     JTParams,
     OnDegeneracyCircle,
-    ParameterPoint,
     circle_nodes,
     degeneracy_points,
     jt_electronic_hamiltonian,
@@ -302,14 +301,14 @@ def test_circle_nodes_single_node(jt11):
     # theta = pi sits on the 2048 grid and is itself a node, so the run
     # must have fallen back to the half-step offset grid
     h = 2.0 * math.pi / 2048
-    assert branch.path.points[0].theta == 0.0
-    assert branch.path.points[1].theta == pytest.approx(0.5 * h, abs=1e-15)
+    assert branch.path.coords[0, 1] == 0.0
+    assert branch.path.coords[1, 1] == pytest.approx(0.5 * h, abs=1e-15)
 
 
 def test_circle_nodes_without_retry(jt11):
     branch, _, nodes = circle_nodes(jt11, 1.0, n_samples=1023)
     h = 2.0 * math.pi / 1023
-    assert branch.path.points[1].theta == pytest.approx(h, abs=1e-15)
+    assert branch.path.coords[1, 1] == pytest.approx(h, abs=1e-15)
     assert abs(nodes.angles[0] - math.pi) < 1e-9
 
 
@@ -378,9 +377,9 @@ def test_jt_field_frames_agree(jt11):
     for _ in range(20):
         r = rng.uniform(0.1, 3.0)
         theta = rng.uniform(-math.pi, math.pi)
-        a = polar.matrix_fn(ParameterPoint.polar(r, theta))
-        b = cart.matrix_fn(ParameterPoint.cartesian(r * math.cos(theta),
-                                                    r * math.sin(theta)))
+        a = polar.matrix_fn(np.array([r, theta]))
+        b = cart.matrix_fn(np.array([r * math.cos(theta),
+                                     r * math.sin(theta)]))
         assert np.max(np.abs(a - b)) < 1e-12
 
 

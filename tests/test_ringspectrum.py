@@ -247,13 +247,18 @@ def test_seam_equals_distributed_flux(parity):
     assert np.allclose(got, want, atol=1e-10)
 
 
-@pytest.mark.parametrize("barrier", [(math.pi / 2.0, math.pi / 3.0),
-                                     (1.0, 4.0)])
-def test_barrier_makes_parity_gauge(barrier):
+@pytest.mark.parametrize("grid, barrier", [
+    (512, (math.pi / 2.0, math.pi / 3.0)),
+    (512, (1.0, 4.0)),
+    # gauging the odd seam away by basis sign flips turns +0.0 entries into
+    # -0.0, which moves the last bit of level 0 on this grid
+    (64, (0.5, 0.7)),
+], ids=["barrier0", "barrier1", "barrier2"])
+def test_barrier_makes_parity_gauge(grid, barrier):
     """Once the ring is cut the seam sign is unobservable: both parities
     must return bitwise-identical levels."""
-    even = spectrum(flat_ring_problem("even", 512, barrier=barrier), 8)
-    odd = spectrum(flat_ring_problem("odd", 512, barrier=barrier), 8)
+    even = spectrum(flat_ring_problem("even", grid, barrier=barrier), 8)
+    odd = spectrum(flat_ring_problem("odd", grid, barrier=barrier), 8)
     assert np.array_equal(even.levels, odd.levels)
     assert even.boundary == odd.boundary == "dirichlet-barrier"
 
