@@ -1,12 +1,14 @@
 """Locating conical intersections by loop-sign bisection.
 
-An eigenvector transported around a rectangle returns with sign (-1)^(number
-of enclosed degeneracies), so the sign is a parity detector that never needs
-to resolve the gap itself.  The locator subdivides negative cells in a
-quadtree until they are smaller than the requested spatial tolerance, then
-polishes each candidate by direct gap minimization.  Cells are always split
-down to a minimum depth before positive cells are pruned, so a pair of
-intersections hiding in one coarse cell (parity +1) is not lost.
+A real eigenvector transported around a loop returns with sign (-1)^(number
+of enclosed degeneracies) (Longuet-Higgins, Proc. R. Soc. A 344, 147, 1975).
+Each cell side is a link with one transport sign between the raw eigenvectors
+at its ends (Fukui, Hatsugai & Suzuki, J. Phys. Soc. Jpn. 74, 1674, 2005); a
+cell's sign is the product of its four links, so a shared side cancels and
+quadrants multiply to the sign of their outer boundary.  Cells are split
+unconditionally down to a minimum depth, so a pair of intersections in one
+coarse cell (parity +1) is not lost; below it, cells reading +1 are pruned
+and cells below the spatial tolerance are polished by gap minimization.
 """
 
 from __future__ import annotations
@@ -16,19 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenpath import HamiltonianField, band_gaps, holonomy_sign, polygon_path, track_branch
-from .errors import AmbiguousContinuation, DegeneracyOnBoundary, DegeneracyOnPath, MaxDepthExceeded
+from .eigenpath import CONTINUATION_MIN_OVERLAP, HamiltonianField, band_gaps, band_steps
+from .errors import DegeneracyOnBoundary, MaxDepthExceeded
 
-# Outward expansion factors (fraction of the larger cell side) tried when a
-# boundary runs through a degeneracy.  Expansion, not displacement: the
-# perturbed rectangle always covers the original cell.
-_BOUNDARY_RETRY_FACTORS = (0.1, 0.15, 0.2, 0.25, 0.3)
-
-# Edge sampling is doubled this many times at most when the tracker reports
-# an ambiguous continuation.  A rotation that stays unresolved after that is
-# not a sampling problem: the boundary crosses a degeneracy, across which the
-# eigenvector turns by a quarter circle no matter how finely the edge is cut.
-_MAX_EDGE_REFINES = 4
+# Sample points per field call when links are scored, which bounds the memory
+# a quadtree level takes whatever its number of cells.
+_CHUNK_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,10 +55,6 @@ class SearchRect:
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
 
-    def expanded(self, margin: float) -> "SearchRect":
-        return SearchRect(self.x_min - margin, self.x_max + margin,
-                          self.y_min - margin, self.y_max + margin)
-
     def quadrants(self) -> tuple["SearchRect", ...]:
         cx, cy = self.center
         return (
@@ -74,31 +65,76 @@ class SearchRect:
         )
 
 
+def _link_signs(field: HamiltonianField, ends: np.ndarray, band: int,
+                samples_per_edge: int,
+                gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transport sign of `band` along straight links, and their smallest gaps.
+
+    ends[i] holds the end points of link i; its sign is the product of the
+    step-overlap signs of the raw eigenvectors along it.  A step with
+    |overlap| < 0.5 is sampled again alone, with at least 2 sub-steps.  Sign
+    0 marks a link through a degeneracy: a sample with gap <= gap_tol, or
+    such a step too short for float resolution to split.
+    """
+    sign = np.ones(len(ends))
+    low = np.full(len(ends), math.inf)
+    link, a, b = np.arange(len(ends)), ends[:, 0], ends[:, 1]
+    n = samples_per_edge
+    while len(link):
+        frac = np.arange(n + 1)[:, None] / n
+        per = max(1, _CHUNK_POINTS // (n + 1))
+        parts = []
+        for c in range(0, len(link), per):
+            ln, ca, cb = link[c:c + per], a[c:c + per], b[c:c + per]
+            pts = ca[:, None] + frac * (cb - ca)[:, None]
+            pts[:, -1] = cb  # a + (b - a) can round off the shared end b
+            _, _, gaps, _, steps = band_steps(field, pts, band)
+            np.minimum.at(low, ln, gaps.min(axis=1))
+            short = np.abs(steps) < CONTINUATION_MIN_OVERLAP
+            odd = ((steps < 0.0) & ~short).sum(axis=1) % 2 == 1
+            np.multiply.at(sign, ln, np.where(odd, -1.0, 1.0))
+            p, j = np.nonzero(short)
+            parts.append((ln[p], pts[p, j], pts[p, j + 1]))
+        link, a, b = (np.concatenate(x) for x in zip(*parts))
+        mid = a + 0.5 * (b - a)
+        sign[link[(mid == a).all(axis=1) | (mid == b).all(axis=1)]] = 0.0
+        live = (sign[link] != 0.0) & (low[link] > gap_tol)
+        link, a, b = link[live], a[live], b[live]
+        n = max(2, samples_per_edge)
+    sign[low <= gap_tol] = 0.0
+    return sign, low
+
+
+def _cell_signs(field: HamiltonianField, cells: list[SearchRect], band: int,
+                samples_per_edge: int,
+                gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Loop sign of each cell (0: a side through a degeneracy) and the smallest
+    gap sampled on its boundary; each distinct side is scored once."""
+    index: dict[tuple[float, float, float, float], int] = {}
+    sides = []
+    for c in cells:
+        x0, x1, y0, y1 = c.x_min, c.x_max, c.y_min, c.y_max
+        sides.append([index.setdefault(link, len(index)) for link in (
+            (x0, y0, x1, y0), (x1, y0, x1, y1),
+            (x0, y1, x1, y1), (x0, y0, x0, y1))])
+    ends = np.array(list(index), dtype=float).reshape(-1, 2, 2)
+    sign, low = _link_signs(field, ends, band, samples_per_edge, gap_tol)
+    sides = np.array(sides, dtype=np.intp).reshape(-1, 4)
+    return sign[sides].prod(axis=1), low[sides].min(axis=1)
+
+
 def loop_sign(field: HamiltonianField, rect: SearchRect, band: int = 0,
               samples_per_edge: int = 32, gap_tol: float = 1e-8) -> int:
     """Holonomy sign of `band` around the rectangle boundary.
 
-    -1 iff the rectangle encloses an odd number of degeneracies of the band.
-    A gap collapse at a boundary sample raises DegeneracyOnBoundary; an
-    under-resolved eigenvector rotation is retried with doubled sampling
-    before giving up.
+    -1 iff the rectangle encloses an odd number of degeneracies of the band:
+    the product of the transport signs of its four sides.  A side that runs
+    through a degeneracy raises DegeneracyOnBoundary.
     """
-    vertices = [(rect.x_min, rect.y_min), (rect.x_max, rect.y_min),
-                (rect.x_max, rect.y_max), (rect.x_min, rect.y_max)]
-    n = samples_per_edge
-    last = None
-    for _ in range(_MAX_EDGE_REFINES + 1):
-        path = polygon_path(vertices, samples_per_edge=n)
-        try:
-            branch = track_branch(field, path, band=band, gap_tol=gap_tol)
-        except DegeneracyOnPath as err:
-            raise DegeneracyOnBoundary(rect, err.gap, gap_tol) from err
-        except AmbiguousContinuation as err:
-            last = err
-            n *= 2
-            continue
-        return holonomy_sign(branch)
-    raise DegeneracyOnBoundary(rect, 0.0, gap_tol) from last
+    sign, low = _cell_signs(field, [rect], band, samples_per_edge, gap_tol)
+    if sign[0] == 0.0:
+        raise DegeneracyOnBoundary(rect, float(low[0]), gap_tol)
+    return int(sign[0])
 
 
 @dataclass(frozen=True)
@@ -161,8 +197,7 @@ def _compass_min(field: HamiltonianField, band: int, x: float, y: float,
 
 
 def _refine_minimum(field: HamiltonianField, band: int, rect: SearchRect,
-                    gap_tol: float, rounds: int = 2,
-                    iterations: int = 20) -> tuple[float, float]:
+                    gap_tol: float) -> tuple[float, float]:
     """Gap minimization seeded at the cell center.
 
     Golden-section coordinate descent does the bulk reduction; the first
@@ -172,15 +207,12 @@ def _refine_minimum(field: HamiltonianField, band: int, rect: SearchRect,
     degeneracy tolerance.
     """
     x, y = rect.center
-    span = max(rect.width, rect.height)
-    for _ in range(rounds):
-        x = _golden_min(lambda t: _gap_at(field, band, t, y),
-                        x - span, x + span, iterations)
-        y = _golden_min(lambda t: _gap_at(field, band, x, t),
-                        y - span, y + span, iterations)
+    step = span = max(rect.width, rect.height)
+    for _ in range(2):
+        x = _golden_min(lambda t: _gap_at(field, band, t, y), x - span, x + span)
+        y = _golden_min(lambda t: _gap_at(field, band, x, t), y - span, y + span)
         span *= 1e-3
-    return _compass_min(field, band, x, y, max(rect.width, rect.height),
-                        gap_tol)
+    return _compass_min(field, band, x, y, step, gap_tol)
 
 
 def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
@@ -189,68 +221,41 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
               max_depth: int = 24) -> CIResult:
     """Find all degeneracies of `band` inside `rect` to `spatial_tol`.
 
-    Quadtree on the loop sign: cells are split unconditionally down to
-    `min_depth`, then only cells with sign -1 survive; a -1 cell whose
-    diameter is at most `spatial_tol` becomes a candidate and is polished by
-    golden-section gap minimization on each axis.  Candidates closer together
-    than the tolerance are merged (a degeneracy on a shared cell edge is
-    found through more than one cell).  Raises MaxDepthExceeded if a -1 cell
-    cannot be shrunk below tolerance within `max_depth` levels.
-    `cells_evaluated` counts the distinct cells whose loop sign was computed.
+    Quadtree on the loop sign, scored a level at a time from `min_depth` on:
+    cells that do not read +1 (sign -1, or a side through a degeneracy)
+    survive; a survivor whose diameter is at most `spatial_tol` is polished
+    by gap minimization, the others are split.  Points closer than the
+    tolerance are merged (a degeneracy on a shared edge is found through more
+    than one cell), and a point is dropped when the loop of half-side
+    `spatial_tol` around it reads +1, as around a cone of even winding.
+    Raises MaxDepthExceeded if a survivor is still wider than `spatial_tol`
+    at `max_depth` or at float resolution.  `cells_evaluated` counts the
+    cells whose loop sign was computed.
     """
-    cells_evaluated = 0
+    def signs(cells: list[SearchRect]) -> np.ndarray:
+        return _cell_signs(field, cells, band, samples_per_edge, gap_tol)[0]
+
     depth_histogram: dict[int, int] = {}
-
-    def cell_sign(cell: SearchRect, depth: int) -> int:
-        nonlocal cells_evaluated
-        probe = cell
-        last = None
-        for attempt, factor in enumerate((0.0,) + _BOUNDARY_RETRY_FACTORS):
-            if attempt > 0:
-                probe = cell.expanded(factor * max(cell.width, cell.height))
+    hits: list[SearchRect] = []
+    cells, depth = [rect], 0
+    while cells:
+        if depth >= min_depth:
+            depth_histogram[depth] = len(cells)
+            cells = [c for c, s in zip(cells, signs(cells)) if s != 1.0]
+            hits += [c for c in cells if c.diameter <= spatial_tol]
+            cells = [c for c in cells if c.diameter > spatial_tol]
+            if cells and depth >= max_depth:
+                raise MaxDepthExceeded(depth, cells[0])
+        split = []
+        for c in cells:
             try:
-                s = loop_sign(field, probe, band=band,
-                              samples_per_edge=samples_per_edge,
-                              gap_tol=gap_tol)
-            except DegeneracyOnBoundary as err:
-                last = err
-                continue
-            cells_evaluated += 1
-            depth_histogram[depth] = depth_histogram.get(depth, 0) + 1
-            return s
-        raise last
-
-    candidates: list[tuple[float, float]] = []
-    queue: list[tuple[SearchRect, int]] = [(rect, 0)]
-    # a deeper cell was queued by the split that scored it -1: each cell's
-    # loop sign is computed once
-    scored_on_pop = max(min_depth, 0)
-    while queue:
-        cell, depth = queue.pop()
-        if depth < min_depth:
-            queue.extend((q, depth + 1) for q in cell.quadrants())
-            continue
-        if depth == scored_on_pop and cell_sign(cell, depth) == 1:
-            continue
-        if cell.diameter <= spatial_tol:
-            candidates.append(_refine_minimum(field, band, cell, gap_tol))
-            continue
-        if depth >= max_depth:
-            raise MaxDepthExceeded(depth, cell)
-        children = cell.quadrants()
-        child_signs = [cell_sign(q, depth + 1) for q in children]
-        # Sign is multiplicative over a clean split, so a -1 parent must hand
-        # its parity to at least one child; if none claims it, the degeneracy
-        # sits on an internal edge in a way sampling cannot disambiguate.
-        if all(s == 1 for s in child_signs):
-            raise DegeneracyOnBoundary(cell, _gap_at(field, band, *cell.center),
-                                       gap_tol, parity_lost=True)
-        for q, s in zip(children, child_signs):
-            if s == -1:
-                queue.append((q, depth + 1))
+                split += c.quadrants()
+            except ValueError:  # float resolution: no point between the sides
+                raise MaxDepthExceeded(depth, c) from None
+        cells, depth = split, depth + 1
 
     # Merge duplicate candidates from adjacent cells; keep deterministic order.
-    candidates.sort()
+    candidates = sorted(_refine_minimum(field, band, c, gap_tol) for c in hits)
     merged: list[tuple[float, float]] = []
     for pt in candidates:
         if merged and math.hypot(pt[0] - merged[-1][0], pt[1] - merged[-1][1]) <= 4.0 * spatial_tol:
@@ -258,8 +263,11 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
                 merged[-1] = pt
             continue
         merged.append(pt)
+    boxes = [SearchRect(x - spatial_tol, x + spatial_tol,
+                        y - spatial_tol, y + spatial_tol) for x, y in merged]
+    merged = [pt for pt, s in zip(merged, signs(boxes)) if s != 1.0]
 
     gaps = tuple(_gap_at(field, band, x, y) for x, y in merged)
     return CIResult(points=tuple(merged), gaps=gaps,
-                    cells_evaluated=cells_evaluated,
-                    depth_histogram=dict(sorted(depth_histogram.items())))
+                    cells_evaluated=sum(depth_histogram.values()),
+                    depth_histogram=depth_histogram)

@@ -153,6 +153,10 @@ def _finite(s: str) -> float:
     return x
 
 
+# Points a START:STOP:STEP sweep may hold, checked before the sweep is built.
+_MAX_SWEEP_POINTS = 10_000
+
+
 def _to_range(s: str) -> tuple[float, ...]:
     """Either a single value or an inclusive start:stop:step sweep."""
     parts = s.split(":")
@@ -163,7 +167,10 @@ def _to_range(s: str) -> tuple[float, ...]:
     start, stop, step = map(_finite, parts)
     if step <= 0:
         raise ValueError(f"sweep step must be > 0, got {step!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    last = (stop - start) / step + 1e-9
+    if not last < _MAX_SWEEP_POINTS:  # also catches an infinite count
+        raise ValueError(f"sweep has more than {_MAX_SWEEP_POINTS} points: {s!r}")
+    count = int(math.floor(last)) + 1
     if count < 1:
         raise ValueError(f"empty sweep {s!r}")
     return tuple(start + j * step for j in range(count))
@@ -189,6 +196,10 @@ def _checked(conv: Callable[[str], object], ok: Callable[[object], bool],
 
 def _at_least(minimum: int) -> Callable[[str], object]:
     return _checked(int, lambda n: n >= minimum, f">= {minimum}")
+
+
+def _between(low: int, high: int) -> Callable[[str], object]:
+    return _checked(int, lambda n: low <= n <= high, f"{low} to {high}")
 
 
 _NONNEG = _checked(_finite, lambda x: x >= 0, ">= 0")
@@ -419,8 +430,10 @@ _LOCATE_OPTS = [
     Opt("band", _BAND, 0, "band index"),
     Opt("spatial-tol", _POSITIVE, 1e-3, "cell size at which a hit is accepted"),
     Opt("gap-tol", _POSITIVE, 1e-8, "gap treated as degenerate"),
-    Opt("samples-per-edge", _at_least(1), 32, "boundary samples per cell edge"),
-    Opt("min-depth", int, 4, "quadtree depth before pruning starts"),
+    # ceilings on the work of one quadtree level, which is scored at once
+    Opt("samples-per-edge", _between(1, 4096), 32,
+        "boundary samples per cell edge"),
+    Opt("min-depth", _between(0, 8), 4, "quadtree depth before pruning starts"),
     Opt("max-depth", int, 24, "quadtree depth limit"),
     Opt("out", str, "-", "JSON destination"),
 ]

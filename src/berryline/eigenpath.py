@@ -211,6 +211,25 @@ def first_index(mask: np.ndarray) -> int:
     return int(mask.argmax()) if mask.any() else len(mask)
 
 
+def band_steps(field: HamiltonianField, coords, band: int):
+    """Band `band` along (..., n, d) coordinate chains, in one batched solve.
+
+    Returns the validated matrices, the band's energies and gaps to its
+    neighbours, the raw band eigenvectors (signs as the eigensolver gives
+    them) and the step overlaps d_j = v_{j-1} . v_j along each chain.
+    """
+    dim = field.dimension
+    if not 0 <= band < dim:
+        raise ValueError(f"band {band} out of range for dimension {dim}")
+    matrices = field.evaluate(coords)
+    w, v = np.linalg.eigh(matrices)
+    raw = v[..., band]
+    # vecdot runs the 1-D dot kernel on each pair; einsum rounds differently
+    # and can move the first |d| < 0.5 off an overlap of exactly 0.5
+    steps = np.vecdot(raw[..., :-1, :], raw[..., 1:, :])
+    return matrices, w[..., band], band_gaps(w, band), raw, steps
+
+
 def track_branch(field: HamiltonianField, path: DiscretizedPath, band: int,
                  gap_tol: float = 1e-8) -> EigenBranch:
     """Track band `band` along `path` with sign continuity.
@@ -222,22 +241,11 @@ def track_branch(field: HamiltonianField, path: DiscretizedPath, band: int,
     below 0.5 in magnitude (under-resolved path); the first failure along
     the path wins, a degeneracy before an ambiguity at the same sample.
 
-    One field evaluation and one batched eigensolve cover the path; with raw
-    step overlaps d_j = v_{j-1} . v_j the sign of sample j is the running
-    product of sign(d_1) ... sign(d_j), the point-by-point flip rule exactly.
+    One band_steps call covers the path; with raw step overlaps
+    d_j = v_{j-1} . v_j the sign of sample j is the running product of
+    sign(d_1) ... sign(d_j), the point-by-point flip rule exactly.
     """
-    dim = field.dimension
-    if not 0 <= band < dim:
-        raise ValueError(f"band {band} out of range for dimension {dim}")
-
-    matrices = field.evaluate(path.coords)
-    w, v = np.linalg.eigh(matrices)
-    energies = w[:, band]
-    raw = v[:, :, band]
-    gaps = band_gaps(w, band)
-    # vecdot runs the 1-D dot kernel on each pair; einsum rounds differently
-    # and can move the first |d| < 0.5 off an overlap of exactly 0.5
-    steps = np.vecdot(raw[:-1], raw[1:])
+    matrices, energies, gaps, raw, steps = band_steps(field, path.coords, band)
     signs = np.concatenate(([1.0], np.cumprod(np.where(steps < 0.0, -1.0, 1.0))))
 
     j_gap = first_index(gaps <= gap_tol)

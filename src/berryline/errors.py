@@ -106,26 +106,17 @@ class OnDegeneracyCircle(BerrylineError):
 # --- cilocate ----------------------------------------------------------------
 
 class DegeneracyOnBoundary(BerrylineError):
-    """Search-cell boundary passes through a degeneracy.
+    """Search-cell boundary runs through a degeneracy: a sample with gap <=
+    gap_tol, or an unresolved step too short for float resolution to split.
+    gap is the smallest gap sampled on the boundary."""
 
-    With parity_lost, a cell of sign -1 split into four quadrants of sign
-    +1, so a degeneracy sits on a quadrant edge in a way the sampling cannot
-    resolve; gap is then the gap measured at the cell centre, not a
-    boundary sample's.
-    """
-
-    def __init__(self, rect, gap, gap_tol, parity_lost=False):
+    def __init__(self, rect, gap, gap_tol):
         self.rect = rect
         self.gap = gap
         self.gap_tol = gap_tol
-        self.parity_lost = parity_lost
-        if parity_lost:
-            what = (f"loop sign -1 of {rect} was lost on the split: all four "
-                    f"quadrants read +1 (gap at the cell centre {gap:.3e})")
-        else:
-            what = (f"boundary sample of {rect} has gap {gap:.3e} <= gap_tol "
-                    f"{gap_tol:.0e}")
-        super().__init__(what + "; perturb the rectangle and retry")
+        super().__init__(
+            f"boundary of {rect} runs through a degeneracy (smallest sampled "
+            f"gap {gap:.3e}, gap_tol {gap_tol:.0e}); perturb the rectangle")
 
 
 class MaxDepthExceeded(BerrylineError):

@@ -4,17 +4,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import berryline.cilocate as cilocate
 from berryline import (
+    AmbiguousContinuation,
     CIResult,
     DegeneracyOnBoundary,
+    DegeneracyOnPath,
     JTParams,
     MaxDepthExceeded,
     SearchRect,
+    degeneracy_points,
+    holonomy_sign,
     jt_field,
     locate_ci,
     loop_sign,
+    polygon_path,
+    track_branch,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -33,6 +41,39 @@ def gap_at(field, x, y):
     return float(w[1] - w[0])
 
 
+def reference_loop_sign(field, rect, band=0, samples_per_edge=32,
+                        gap_tol=1e-8, refines=4):
+    """The whole-loop sign: track the closed rectangle boundary as one path,
+    doubling the sampling while the continuation is ambiguous.  None when
+    the loop stays unresolved or a boundary sample is degenerate."""
+    vertices = [(rect.x_min, rect.y_min), (rect.x_max, rect.y_min),
+                (rect.x_max, rect.y_max), (rect.x_min, rect.y_max)]
+    n = samples_per_edge
+    for _ in range(refines + 1):
+        path = polygon_path(vertices, samples_per_edge=n)
+        try:
+            return holonomy_sign(track_branch(field, path, band=band,
+                                              gap_tol=gap_tol))
+        except DegeneracyOnPath:
+            return None
+        except AmbiguousContinuation:
+            n *= 2
+    return None
+
+
+couplings = st.tuples(st.floats(0.2, 1.5), st.floats(0.2, 1.5))
+
+
+@st.composite
+def rects(draw):
+    x0, x1 = sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=2,
+                                  max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=2,
+                                  max_size=2, unique=True)))
+    assume(x1 - x0 > 1e-3 and y1 - y0 > 1e-3)
+    return SearchRect(x0, x1, y0, y1)
+
+
 # ---------------------------------------------------------------------------
 # rectangles
 
@@ -42,8 +83,6 @@ def test_search_rect_geometry():
     assert r.width == 4.0 and r.height == 2.0
     assert r.center == (1.0, 1.0)
     assert r.diameter == pytest.approx(math.hypot(4.0, 2.0))
-    e = r.expanded(0.5)
-    assert (e.x_min, e.x_max, e.y_min, e.y_max) == (-1.5, 3.5, -0.5, 2.5)
     quads = r.quadrants()
     assert len(quads) == 4
     assert sum(q.width * q.height for q in quads) == pytest.approx(8.0)
@@ -86,6 +125,16 @@ def test_loop_sign_sampling_invariance(field):
         assert loop_sign(field, rect, samples_per_edge=n) == -1
 
 
+def test_loop_sign_side_grazing_a_cone(field):
+    # a side 1e-3 from the origin cone: a coarse step past it turns the
+    # eigenvector by more than 90 degrees and is re-sampled
+    for n in (2, 4, 8):
+        assert loop_sign(field, SearchRect(1e-3, 0.5, -1.0, 2.0),
+                         samples_per_edge=n) == 1
+        assert loop_sign(field, SearchRect(-0.5, 1e-3, -1.0, 2.0),
+                         samples_per_edge=n) == -1
+
+
 def test_loop_sign_upper_band(field):
     # a 2x2 crossing degenerates both bands at once
     assert loop_sign(field, SearchRect(-0.5, 0.5, -0.45, 0.55), band=1) == -1
@@ -101,6 +150,29 @@ def test_loop_sign_multiplicative_over_quadrants(field):
         for q in rect.quadrants():
             product *= loop_sign(field, q)
         assert parent == product
+
+
+@settings(max_examples=40, deadline=None)
+@given(couplings, rects(), st.sampled_from([4, 8, 32]))
+def test_loop_sign_matches_whole_loop_reference(kg, rect, n):
+    f = jt_field(JTParams(*kg), frame="cartesian")
+    want = reference_loop_sign(f, rect, samples_per_edge=n)
+    assume(want is not None)
+    assert loop_sign(f, rect, samples_per_edge=n) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(couplings, rects(), st.sampled_from([1, 4, 16]))
+def test_loop_sign_parent_is_product_of_quadrants(kg, rect, n):
+    # read at 2n samples a side, the parent samples its sides where the
+    # quadrants do at n; the quadrants' inner sides cancel
+    f = jt_field(JTParams(*kg), frame="cartesian")
+    try:
+        parent = loop_sign(f, rect, samples_per_edge=2 * n)
+        quads = [loop_sign(f, q, samples_per_edge=n) for q in rect.quadrants()]
+    except DegeneracyOnBoundary:
+        assume(False)
+    assert parent == math.prod(quads)
 
 
 def test_loop_sign_boundary_through_degeneracy(field):
@@ -149,19 +221,21 @@ def test_locate_ci_accounting(four_point_result):
 
 
 def test_locate_ci_scores_each_cell_once(field, monkeypatch):
-    # a -1 child read by its parent's split is not scored again when popped
-    scored = []
+    # a side shared by two cells, or scored for a cell's parent, is not
+    # tracked again
+    tracked = []
+    link_signs = cilocate._link_signs
 
-    def recording(*args, **kwargs):
-        sign = loop_sign(*args, **kwargs)
-        scored.append(args[1])
-        return sign
+    def recording(f, ends, *args):
+        tracked.extend(map(tuple, ends.reshape(-1, 4).tolist()))
+        return link_signs(f, ends, *args)
 
-    monkeypatch.setattr(cilocate, "loop_sign", recording)
+    monkeypatch.setattr(cilocate, "_link_signs", recording)
     res = locate_ci(field, SearchRect(-0.6, 0.5, -0.55, 0.5),
                     spatial_tol=1e-2, samples_per_edge=16, min_depth=2)
     assert len(res.points) == 1
-    assert len(scored) == len(set(scored)) == res.cells_evaluated
+    assert len(tracked) == len(set(tracked))
+    assert res.cells_evaluated == sum(res.depth_histogram.values())
 
 
 def test_locate_ci_origin_only(field):
@@ -184,8 +258,8 @@ def test_locate_ci_empty_region(field):
 
 def test_locate_ci_degeneracy_on_cell_corners(field):
     """A search box centered on the origin puts the degeneracy on cell
-    corners at every level; boundary expansion has to absorb that and the
-    duplicate candidates from the four surrounding cells must merge."""
+    corners at every level; the sides through it keep all four surrounding
+    cells, and their duplicate candidates must merge."""
     res = locate_ci(field, SearchRect(-0.8, 0.8, -0.8, 0.8),
                     spatial_tol=1e-2, samples_per_edge=16, min_depth=2)
     assert len(res.points) == 1
@@ -198,6 +272,20 @@ def test_locate_ci_max_depth(field):
                   spatial_tol=1e-9, samples_per_edge=16, min_depth=2,
                   max_depth=6)
     assert err.value.depth == 6
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.5, 2.0), st.floats(1.6, 2.4))
+def test_locate_ci_outer_degeneracies_anywhere(g, ratio):
+    # 2k/g in [1.6, 2.4] moves the three outer cones inside [-3, 3]^2
+    p = JTParams(0.5 * ratio * g, g)
+    res = locate_ci(jt_field(p, frame="cartesian"),
+                    SearchRect(-3.0, 3.0, -3.0, 3.0), samples_per_edge=8)
+    want = [d.cartesian() for d in degeneracy_points(p)]
+    assert len(res.points) == len(want) == 4
+    for wx, wy in want:
+        near = [q for q in res.points if math.hypot(q[0] - wx, q[1] - wy) < 1e-3]
+        assert len(near) == 1
 
 
 def test_locate_ci_deterministic(field):

@@ -12,6 +12,7 @@ from berryline import (
     JTParams,
     adiabaticity_ratio,
     comoving,
+    degeneracy_points,
     dynamical_phase,
     integrate_spin,
     jt_eigenvectors,
@@ -294,20 +295,49 @@ def test_locate_ci_rerun_is_byte_identical(capsys):
     assert a == b
 
 
+def found_degeneracies(doc, k, g, tol):
+    """Each known degeneracy of (k, g) has exactly one found point within tol."""
+    want = [d.cartesian() for d in degeneracy_points(JTParams(k, g))]
+    assert len(doc["points"]) == len(want)
+    for wx, wy in want:
+        assert sum(math.hypot(x - wx, y - wy) < tol
+                   for x, y in doc["points"]) == 1
+
+
 def test_locate_ci_parity_lost_on_split(capsys):
-    # near (1.05, 1.82) a -1 cell splits into four quadrants that all read
-    # +1; the message says so and gives the cell-centre gap, which is far
-    # above gap_tol, as a measurement
+    # a cone 8.3e-7 above a cell near (1.05, 1.82) once made the cell's
+    # sign, and then its parity on the split, come out wrong
     code, out, err = run(capsys, "locate-ci", "--k", "0.869859",
                          "--g", "0.827127", "--x-min", "-3", "--x-max", "3",
                          "--y-min", "-3", "--y-max", "3")
+    assert (code, err) == (0, "")
+    found_degeneracies(json.loads(out), 0.869859, 0.827127, 1e-3)
+
+
+def test_locate_ci_one_sample_per_edge(capsys):
+    # a side of one step still resolves, by re-sampling that step alone
+    code, out, err = run(capsys, "locate-ci", "--k", "1", "--g", "1",
+                         "--samples-per-edge", "1")
+    assert (code, err) == (0, "")
+    found_degeneracies(json.loads(out), 1.0, 1.0, 1e-3)
+
+
+def test_locate_ci_even_winding_cone_unreported(capsys):
+    # the winding-2 cone of pure quadratic coupling reads +1: no point
+    code, out, err = run(capsys, "locate-ci", "--k", "0", "--g", "1")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["points"] == [] and doc["gaps"] == []
+
+
+def test_locate_ci_float_resolution_exits_three(capsys):
+    # cells shrink to float resolution before reaching 1e-300
+    code, out, err = run(capsys, "locate-ci", "--k", "1", "--g", "1",
+                         "--spatial-tol", "1e-300", "--gap-tol", "1e-300",
+                         "--max-depth", "100")
     assert code == 3
     assert out == ""
-    assert err.startswith("error: DegeneracyOnBoundary: ")
-    assert err.count("\n") == 1
-    assert "was lost on the split" in err
-    assert "gap at the cell centre 8.338e-04" in err
-    assert "<= gap_tol" not in err
+    assert err.startswith("error: MaxDepthExceeded: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +555,16 @@ def test_sweep_matches_single_radius_runs(capsys):
      "bad value for x-max:"),
     (("nodal-map", "--k", "1", "--g", "1", "--r", "0.5:inf:0.5"),
      "bad value for r:"),
+    (("nodal-map", "--k", "1", "--g", "1", "--r", "0.5:1e308:1e-300"),
+     "bad value for r:"),
+    (("nodal-map", "--k", "1", "--g", "1", "--r", "0.5:1.5:1e-9"),
+     "bad value for r:"),
+    (("locate-ci", "--k", "1", "--g", "1", "--min-depth", "9"),
+     "bad value for min-depth:"),
+    (("locate-ci", "--k", "1", "--g", "1", "--min-depth", "-1"),
+     "bad value for min-depth:"),
+    (("locate-ci", "--k", "1", "--g", "1", "--samples-per-edge", "4097"),
+     "bad value for samples-per-edge:"),
 ])
 def test_bad_option_value_exits_two(capsys, argv, message):
     # out-of-range values are usage errors, caught where options are read
