@@ -70,6 +70,12 @@ EXTRA = [
     "locate-ci --k 1 --g 1 --samples-per-edge 4097",
     "nodal-map --k 1 --g 1 --r 0.5:1e308:1e-300",
     "nodal-map --k 1 --g 1 --r 0:1:0.00001",
+    # work-size ceilings
+    "berry --k 1 --g 1 --r 1 --theta-samples 2097153",
+    "nodal-map --k 1 --g 1 --r 1 --theta-samples 2097153",
+    "spectrum --flat --parity odd --grid 4097",
+    "spectrum --flat --parity odd --M 4097",
+    "spin --k 1 --g 1 --r 1 --period 20000 --steps 2097153",
 ]
 
 

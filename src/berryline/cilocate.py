@@ -147,72 +147,58 @@ class CIResult:
     depth_histogram: dict[int, int]
 
 
-def _gap_at(field: HamiltonianField, band: int, x: float, y: float) -> float:
-    w = np.linalg.eigh(field.evaluate(np.array([[x, y]])))[0]
-    return float(band_gaps(w, band)[0])
+def _gaps_at(field: HamiltonianField, band: int, pts: np.ndarray) -> np.ndarray:
+    """Gap from `band` to its nearest neighbour at each of the (n, 2) points."""
+    return band_gaps(np.linalg.eigh(field.evaluate(pts))[0], band)
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, lo: float, hi: float, iterations: int = 20) -> float:
-    """Golden-section minimizer with a fixed iteration budget."""
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iterations):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+# The compass's axis probes, then a diagonal one for the model's cross term.
+_POLL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
 
 
 def _compass_min(field: HamiltonianField, band: int, x: float, y: float,
-                 step: float, gap_tol: float) -> tuple[float, float]:
-    """Axis-probe pattern search with step halving.
+                 step: float, gap_tol: float) -> tuple[float, float, float]:
+    """Gap minimization by axis-probe pattern search with step halving.
 
-    Coordinate descent zigzags on an anisotropic conical gap and stalls well
-    above gap_tol; this stage keeps halving the probe step instead, which
-    converges on any continuous objective.  Stops once the gap is safely
-    below gap_tol or the step reaches rounding scale.
+    Seeded at a cell centre with a step of one cell side, so the first probes
+    land half a side beyond each side of the cell and a degeneracy sitting
+    exactly on the cell boundary is still inside the search.  A round probes
+    the four axis points and one diagonal point at `step`, then the minimum
+    of the quadratic through them and the centre, if it lies within one cell
+    side; it moves to its best probe, or halves the step when none beats the
+    centre.  The axis probes with step halving are the generating-set search
+    of Kolda, Lewis & Torczon (SIAM Rev. 45, 385, 2003), the model probe its
+    optional search step.  Near a cone the squared gap is close to that
+    quadratic (equal to it for a linear 2x2 field), so the model probe
+    reaches a cone whose gap valley runs off the axes, where axis probes gain
+    only once the step is below the valley's width and then crawl, at a cost
+    growing as the square of the cone's axis ratio.  Stops once the gap is
+    safely below gap_tol or the step reaches rounding scale, and returns the
+    point with the gap measured there.
     """
-    best = _gap_at(field, band, x, y)
+    at = np.array([x, y])
+    best = _gaps_at(field, band, at[None])[0]
+    side = step
     min_step = 1e-14 * max(1.0, abs(x), abs(y))
     while step > min_step and best > 0.25 * gap_tol:
-        moved = False
-        for dx, dy in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            g = _gap_at(field, band, x + dx, y + dy)
-            if g < best:
-                x, y, best = x + dx, y + dy, g
-                moved = True
-        if not moved:
+        pts = at + step * _POLL
+        gaps = _gaps_at(field, band, pts)
+        # squared gaps; the model's gradient and Hessian in units of step
+        c, (e, w, n, s, d) = best * best, gaps * gaps
+        gx, gy = 0.5 * (e - w), 0.5 * (n - s)
+        hxx, hyy, hxy = e - 2.0 * c + w, n - 2.0 * c + s, d - e - n + c
+        det = hxx * hyy - hxy * hxy
+        if hxx > 0.0 and det > 0.0:
+            move = step * np.array([hxy * gy - hyy * gx, hxy * gx - hxx * gy]) / det
+            if np.abs(move).max() <= side:
+                pts = np.vstack([pts, at + move])
+                gaps = np.append(gaps, _gaps_at(field, band, pts[-1:]))
+        j = int(np.argmin(gaps))
+        if gaps[j] < best:
+            at, best = pts[j], gaps[j]
+        else:
             step *= 0.5
-    return (x, y)
-
-
-def _refine_minimum(field: HamiltonianField, band: int, rect: SearchRect,
-                    gap_tol: float) -> tuple[float, float]:
-    """Gap minimization seeded at the cell center.
-
-    Golden-section coordinate descent does the bulk reduction; the first
-    bracket extends one full cell beyond the cell on each side, so a
-    degeneracy sitting exactly on the cell boundary is still interior to the
-    search interval.  A compass stage then polishes until the gap clears the
-    degeneracy tolerance.
-    """
-    x, y = rect.center
-    step = span = max(rect.width, rect.height)
-    for _ in range(2):
-        x = _golden_min(lambda t: _gap_at(field, band, t, y), x - span, x + span)
-        y = _golden_min(lambda t: _gap_at(field, band, x, t), y - span, y + span)
-        span *= 1e-3
-    return _compass_min(field, band, x, y, step, gap_tol)
+    return (float(at[0]), float(at[1]), float(best))
 
 
 def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
@@ -224,10 +210,12 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
     Quadtree on the loop sign, scored a level at a time from `min_depth` on:
     cells that do not read +1 (sign -1, or a side through a degeneracy)
     survive; a survivor whose diameter is at most `spatial_tol` is polished
-    by gap minimization, the others are split.  Points closer than the
-    tolerance are merged (a degeneracy on a shared edge is found through more
-    than one cell), and a point is dropped when the loop of half-side
+    by gap minimization, the others are split.  A degeneracy on a shared side
+    survives in more than one cell, so survivors within 4 `spatial_tol` of a
+    group's first cell (in centre order) join that group and each group is
+    polished once; a point is dropped when the loop of half-side
     `spatial_tol` around it reads +1, as around a cone of even winding.
+    `gaps` holds the gap the polish measured at each point.
     Raises MaxDepthExceeded if a survivor is still wider than `spatial_tol`
     at `max_depth` or at float resolution.  `cells_evaluated` counts the
     cells whose loop sign was computed.
@@ -254,20 +242,19 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
                 raise MaxDepthExceeded(depth, c) from None
         cells, depth = split, depth + 1
 
-    # Merge duplicate candidates from adjacent cells; keep deterministic order.
-    candidates = sorted(_refine_minimum(field, band, c, gap_tol) for c in hits)
-    merged: list[tuple[float, float]] = []
-    for pt in candidates:
-        if merged and math.hypot(pt[0] - merged[-1][0], pt[1] - merged[-1][1]) <= 4.0 * spatial_tol:
-            if _gap_at(field, band, *pt) < _gap_at(field, band, *merged[-1]):
-                merged[-1] = pt
-            continue
-        merged.append(pt)
+    # A degeneracy on a shared side survives in several cells: polish each
+    # group once, from its first cell; points come in that cell's centre order.
+    groups: list[SearchRect] = []
+    for c in sorted(hits, key=lambda c: c.center):
+        if not any(math.dist(c.center, g.center) <= 4.0 * spatial_tol
+                   for g in groups):
+            groups.append(c)
+    found = [_compass_min(field, band, *g.center, max(g.width, g.height),
+                          gap_tol) for g in groups]
     boxes = [SearchRect(x - spatial_tol, x + spatial_tol,
-                        y - spatial_tol, y + spatial_tol) for x, y in merged]
-    merged = [pt for pt, s in zip(merged, signs(boxes)) if s != 1.0]
-
-    gaps = tuple(_gap_at(field, band, x, y) for x, y in merged)
-    return CIResult(points=tuple(merged), gaps=gaps,
+                        y - spatial_tol, y + spatial_tol) for x, y, _ in found]
+    found = [pt for pt, s in zip(found, signs(boxes)) if s != 1.0]
+    return CIResult(points=tuple((x, y) for x, y, _ in found),
+                    gaps=tuple(gap for _, _, gap in found),
                     cells_evaluated=sum(depth_histogram.values()),
                     depth_histogram=depth_histogram)

@@ -291,7 +291,7 @@ _NODAL_OPTS = [
     Opt("k", _NONNEG, _REQUIRED, "linear coupling"),
     Opt("g", _NONNEG, _REQUIRED, "quadratic coupling"),
     Opt("r", _RADII, _REQUIRED, "radius or START:STOP:STEP sweep"),
-    Opt("theta-samples", _at_least(2), 2048, "loop samples per circle"),
+    Opt("theta-samples", _between(2, 1 << 21), 2048, "loop samples per circle"),
     Opt("band", _BAND, 0, "band index (0 lower, 1 upper)"),
     Opt("nodes-out", str, "-", "node CSV destination ('-' = stdout)"),
     Opt("degeneracies-out", str, "-", "degeneracy CSV destination"),
@@ -329,7 +329,7 @@ _BERRY_OPTS = [
     Opt("k", _NONNEG, _REQUIRED, "linear coupling"),
     Opt("g", _NONNEG, _REQUIRED, "quadratic coupling"),
     Opt("r", _NONNEG, _REQUIRED, "loop radius"),
-    Opt("theta-samples", _at_least(2), 2048, "loop samples"),
+    Opt("theta-samples", _between(2, 1 << 21), 2048, "loop samples"),
     Opt("band", _BAND, 0, "band index"),
     Opt("out", str, "-", "JSON destination"),
 ]
@@ -366,7 +366,7 @@ _SPECTRUM_OPTS = [
     Opt("band", _BAND, 0, "band index (model mode)"),
     Opt("parity", str, None, "seam parity even|odd (required with --flat)"),
     Opt("r0", _POSITIVE, 1.0, "ring radius"),
-    Opt("grid", _at_least(1), 1024, "grid points"),
+    Opt("grid", _between(1, 4096), 1024, "grid points"),
     Opt("levels", _at_least(1), 6, "number of levels"),
     Opt("barrier", _ARC, None, "impenetrable arc START:END (radians)"),
     Opt("out", str, "-", "destination"),
@@ -475,7 +475,7 @@ _SPIN_OPTS = [
     Opt("g", _NONNEG, _REQUIRED, "quadratic coupling"),
     Opt("r", _POSITIVE, _REQUIRED, "drive radius"),
     Opt("period", _POSITIVE, _REQUIRED, "drive period"),
-    Opt("steps", _at_least(2), 65536, "integration steps"),
+    Opt("steps", _between(2, 1 << 21), 65536, "integration steps"),
     Opt("revolutions", _POSITIVE, 1.0, "drive revolutions"),
     Opt("theta0", _finite, 0.0, "starting angle"),
     Opt("frame", str, "comoving", "propagation frame lab|comoving"),

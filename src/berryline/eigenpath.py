@@ -176,14 +176,15 @@ def eig_real_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def band_gaps(eigenvalues: np.ndarray, band: int) -> np.ndarray:
-    """Per-point gap from `band` to its nearest neighbouring band (last axis)."""
+    """Per-point gap from `band` to its nearest neighbouring band (last axis);
+    an exact zero comes out as +0.0."""
     w = np.asarray(eigenvalues)
     gap = np.full(w.shape[:-1], math.inf)
     if band > 0:
         gap = np.minimum(gap, w[..., band] - w[..., band - 1])
     if band < w.shape[-1] - 1:
         gap = np.minimum(gap, w[..., band + 1] - w[..., band])
-    return gap
+    return gap + 0.0
 
 
 @dataclass(eq=False)

@@ -126,8 +126,8 @@ class MaxDepthExceeded(BerrylineError):
         self.depth = depth
         self.rect = rect
         super().__init__(
-            f"negative-sign cell {rect} still wider than spatial_tol at "
-            f"depth {depth}"
+            f"surviving cell {rect} (sign -1, or a side through a "
+            f"degeneracy) still wider than spatial_tol at depth {depth}"
         )
 
 

@@ -13,6 +13,7 @@ from berryline import (
     CIResult,
     DegeneracyOnBoundary,
     DegeneracyOnPath,
+    HamiltonianField,
     JTParams,
     MaxDepthExceeded,
     SearchRect,
@@ -238,6 +239,65 @@ def test_locate_ci_scores_each_cell_once(field, monkeypatch):
     assert res.cells_evaluated == sum(res.depth_histogram.values())
 
 
+def test_locate_ci_polishes_once_per_degeneracy(field, monkeypatch):
+    # at the README window the origin cone lies on the corners of four
+    # surviving cells and (-2, 0) on a side of two: eight cells, four groups
+    polished = []
+    compass = cilocate._compass_min
+
+    def recording(*args):
+        polished.append(args)
+        return compass(*args)
+
+    monkeypatch.setattr(cilocate, "_compass_min", recording)
+    res = locate_ci(field, SearchRect(-3.0, 3.0, -3.0, 3.0))
+    assert len(polished) == len(res.points) == 4
+    for (gx, gy), (wx, wy) in zip(sorted(res.points), sorted(CI_POINTS)):
+        assert math.hypot(gx - wx, gy - wy) < 1e-6
+
+
+def test_locate_ci_gaps_measured_at_points(field, four_point_result):
+    # each reported gap is the one-point gap at its point, bit for bit
+    for (x, y), gap in zip(four_point_result.points, four_point_result.gaps):
+        one = float(cilocate._gaps_at(field, 0, np.array([[x, y]]))[0])
+        assert one.hex() == gap.hex()
+
+
+CONE = (0.3141, -0.2718)
+
+
+def linear_cone_field(size, ratio, skew):
+    """A linear cone at CONE with gap 2 |A (r - CONE)|, A = [[1, skew],
+    [0, 1 / ratio]]; at size 3 a third level at -5 lies below it, and a
+    fixed rotation mixes all three, so the cone is between bands 1 and 2."""
+    a = np.array([[1.0, skew], [0.0, 1.0 / ratio]])
+    rot = np.linalg.qr(np.random.default_rng(7).normal(size=(size, size)))[0]
+
+    def fn(coords):
+        u, v = np.moveaxis((coords - CONE) @ a.T, -1, 0)
+        m = np.zeros(coords.shape[:-1] + (size, size))
+        m[..., 0, 0], m[..., 1, 1] = u, -u
+        m[..., 0, 1] = m[..., 1, 0] = v
+        if size == 3:
+            m[..., 2, 2] = -5.0
+        return rot @ m @ rot.T
+
+    return HamiltonianField(dimension=size, matrix_fn=fn)
+
+
+@pytest.mark.parametrize("skew", [0.3, -2.0])
+@pytest.mark.parametrize("ratio", [1e2, 1e4])
+@pytest.mark.parametrize("size", [2, 3])
+def test_locate_ci_anisotropic_cone(size, ratio, skew):
+    # the gap's valley runs off the axes; axis probes alone would have to
+    # shrink to its width and crawl along it
+    res = locate_ci(linear_cone_field(size, ratio, skew),
+                    SearchRect(-1.0, 1.0, -1.0, 1.0), band=size - 2)
+    assert len(res.points) == 1
+    assert math.dist(res.points[0], CONE) <= 1e-3
+    assert 0.0 <= res.gaps[0] <= 1e-8
+
+
 def test_locate_ci_origin_only(field):
     res = locate_ci(field, SearchRect(-0.6, 0.5, -0.55, 0.5),
                     spatial_tol=1e-2, samples_per_edge=16, min_depth=2)
@@ -259,7 +319,7 @@ def test_locate_ci_empty_region(field):
 def test_locate_ci_degeneracy_on_cell_corners(field):
     """A search box centered on the origin puts the degeneracy on cell
     corners at every level; the sides through it keep all four surrounding
-    cells, and their duplicate candidates must merge."""
+    cells, which are grouped before polishing and give one point."""
     res = locate_ci(field, SearchRect(-0.8, 0.8, -0.8, 0.8),
                     spatial_tol=1e-2, samples_per_edge=16, min_depth=2)
     assert len(res.points) == 1
@@ -272,6 +332,8 @@ def test_locate_ci_max_depth(field):
                   spatial_tol=1e-9, samples_per_edge=16, min_depth=2,
                   max_depth=6)
     assert err.value.depth == 6
+    assert "surviving cell SearchRect(" in str(err.value)
+    assert "(sign -1, or a side through a degeneracy)" in str(err.value)
 
 
 @settings(max_examples=12, deadline=None)

@@ -304,6 +304,17 @@ def found_degeneracies(doc, k, g, tol):
                    for x, y in doc["points"]) == 1
 
 
+def test_locate_ci_readme_gaps_are_positive(capsys):
+    # a gap of exactly zero prints as 0, never -0
+    code, out, err = run(capsys, "locate-ci", "--k", "1", "--g", "1",
+                         "--x-min", "-3", "--x-max", "3", "--y-min", "-3",
+                         "--y-max", "3")
+    assert (code, err) == (0, "")
+    gaps = json.loads(out)["gaps"]
+    assert len(gaps) == 4
+    assert all(math.copysign(1.0, gap) == 1.0 and gap <= 2.5e-9 for gap in gaps)
+
+
 def test_locate_ci_parity_lost_on_split(capsys):
     # a cone 8.3e-7 above a cell near (1.05, 1.82) once made the cell's
     # sign, and then its parity on the split, come out wrong
@@ -565,6 +576,16 @@ def test_sweep_matches_single_radius_runs(capsys):
      "bad value for min-depth:"),
     (("locate-ci", "--k", "1", "--g", "1", "--samples-per-edge", "4097"),
      "bad value for samples-per-edge:"),
+    (("berry", "--k", "1", "--g", "1", "--r", "1", "--theta-samples",
+      "2097153"), "bad value for theta-samples:"),
+    (("nodal-map", "--k", "1", "--g", "1", "--r", "1", "--theta-samples",
+      "2097153"), "bad value for theta-samples:"),
+    (("spectrum", "--flat", "--parity", "odd", "--grid", "4097"),
+     "bad value for grid:"),
+    (("spectrum", "--flat", "--parity", "odd", "--M", "4097"),
+     "bad value for grid:"),
+    (("spin", "--k", "1", "--g", "1", "--r", "1", "--period", "20000",
+      "--steps", "2097153"), "bad value for steps:"),
 ])
 def test_bad_option_value_exits_two(capsys, argv, message):
     # out-of-range values are usage errors, caught where options are read

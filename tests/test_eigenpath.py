@@ -21,6 +21,7 @@ from berryline import (
     to_polar_path,
     track_branch,
 )
+from berryline.eigenpath import band_gaps
 from berryline.jahnteller import jt_field
 
 
@@ -197,6 +198,15 @@ def test_ambiguous_continuation_on_coarse_path(jt01):
     with pytest.raises(AmbiguousContinuation):
         track_branch(jt_field(jt01, frame="polar"), circle_path(1.0, 5),
                      band=0)
+
+
+def test_band_gaps_exact_zero_is_positive():
+    # -0.0 - 0.0 is -0.0; a degenerate pair reports +0.0 in either band
+    w = np.array([[0.0, -0.0], [-1.0, 2.0]])
+    for band in (0, 1):
+        gaps = band_gaps(w, band)
+        assert gaps.tolist() == [0.0, 3.0]
+        assert not np.signbit(gaps).any()
 
 
 def test_band_out_of_range(jt11):
