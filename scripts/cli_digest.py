@@ -76,6 +76,15 @@ EXTRA = [
     "spectrum --flat --parity odd --grid 4097",
     "spectrum --flat --parity odd --M 4097",
     "spin --k 1 --g 1 --r 1 --period 20000 --steps 2097153",
+    # the residual bound at large couplings, and ring radii and grids
+    # outside the option ranges
+    "berry --k 1e7 --g 1 --r 1",
+    "nodal-map --k 1e8 --g 1e8 --r 1",
+    "spectrum --k 1e8 --g 1 --r0 1 --grid 64 --levels 2",
+    "spectrum --k 1e300 --g 1 --r0 1 --grid 64 --levels 2",
+    "spectrum --flat --parity odd --r0 1e-170 --grid 64 --levels 2",
+    "spectrum --flat --parity odd --r0 1e160 --grid 64 --levels 2",
+    "spectrum --flat --parity odd --grid 63",
 ]
 
 

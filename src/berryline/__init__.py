@@ -30,7 +30,6 @@ from .comoving import (
     effective_fields,
     integrate_spin,
     pseudorotation_trajectory,
-    rotation_matrix,
     to_lab_frame,
 )
 from .eigenpath import (
@@ -78,6 +77,7 @@ from .jahnteller import (
     jt_point_data,
     nodal_map,
     node_angles_analytic,
+    rotation_matrix,
 )
 from .ringspectrum import (
     RingProblem,

@@ -21,16 +21,13 @@ import numpy as np
 
 from .berryphase import canonicalize_phase, classify_mab, open_path_berry_phase
 from .cilocate import CIResult, SearchRect, locate_ci
-from .comoving import (
-    ac_loop_phase,
-    integrate_spin,
-    pseudorotation_trajectory,
-    rotation_matrix,
-)
+from .comoving import ac_loop_phase, integrate_spin, pseudorotation_trajectory
 from .eigenpath import circle_path, holonomy_sign
 from .errors import BerrylineError, OnDegeneracyCircle
-from .jahnteller import JTParams, circle_nodes, jt_eigenvectors, nodal_map
-from .ringspectrum import flat_ring_problem, jt_ring_problem, spectrum
+from .jahnteller import (JTParams, circle_nodes, jt_eigenvectors, nodal_map,
+                         rotation_matrix)
+from .ringspectrum import (MIN_GRID_POINTS, flat_ring_problem, jt_ring_problem,
+                           spectrum)
 
 FORMAT_VERSION = 1
 
@@ -210,6 +207,9 @@ _ARC = _checked(_to_interval, lambda ab: 0 < ab[0] < ab[1] < 2.0 * math.pi,
                 "START:END with 0 < START < END < 2 pi")
 _POWER_OF_TWO = _checked(int, lambda n: n >= 1 and n & (n - 1) == 0,
                          "a power of two")
+# keeps the ring hopping 1/(2 r0^2 h^2) a finite nonzero float on every grid
+_RING_RADIUS = _checked(_finite, lambda x: 1e-150 <= x <= 1e150,
+                        "1e-150 to 1e150")
 
 
 _ALIASES = {"grid": ["--M"]}
@@ -365,8 +365,8 @@ _SPECTRUM_OPTS = [
     Opt("g", _NONNEG, None, "quadratic coupling (model mode)"),
     Opt("band", _BAND, 0, "band index (model mode)"),
     Opt("parity", str, None, "seam parity even|odd (required with --flat)"),
-    Opt("r0", _POSITIVE, 1.0, "ring radius"),
-    Opt("grid", _between(1, 4096), 1024, "grid points"),
+    Opt("r0", _RING_RADIUS, 1.0, "ring radius"),
+    Opt("grid", _between(MIN_GRID_POINTS, 4096), 1024, "grid points"),
     Opt("levels", _at_least(1), 6, "number of levels"),
     Opt("barrier", _ARC, None, "impenetrable arc START:END (radians)"),
     Opt("out", str, "-", "destination"),

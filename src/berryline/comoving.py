@@ -30,18 +30,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .berryphase import canonicalize_phase
-from .eigenpath import DiscretizedPath, first_index
+from .eigenpath import DiscretizedPath
 from .errors import (
-    AlphaUndefined,
     LoopThroughDegeneracy,
     OpenPath,
     StepTooLarge,
     TrajectoryThroughDegeneracy,
 )
-from .jahnteller import JTParams, coupling_terms
-
-# Gap magnitude treated as touching the degeneracy set.
-DEGENERACY_TOL = 1e-12
+from .jahnteller import (JTParams, coupling_field, jt_electronic_hamiltonian,
+                         jt_point_data, rotation_matrix)
 
 # A step must keep dt * max(2 Delta, |dalpha/dtheta * thetadot|) below this.
 STEP_RESOLUTION_LIMIT = 0.1
@@ -50,42 +47,16 @@ STEP_RESOLUTION_LIMIT = 0.1
 WINDING_STEP_LIMIT = 0.5 * math.pi
 
 
-def _field_values(p: JTParams, r, theta):
-    """Coupling field f and its log-derivative data, vectorized.
-
-    Returns (f, delta, dalpha) with delta = |f| and dalpha = d arg f /
-    d theta = Re[(k r e^{i theta} - g r^2 e^{-2 i theta}) / f].
-    """
-    linear, quadratic = coupling_terms(p, r, theta)
-    f = linear + quadratic
-    delta = np.abs(f)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dalpha = np.real((linear - 2.0 * quadratic) / f)
-    return f, delta, dalpha
-
-
-def _off_degeneracy(p: JTParams, r, theta, error=TrajectoryThroughDegeneracy):
-    """_field_values, raising `error` at the first sample on the degeneracy set."""
-    f, delta, dalpha = _field_values(p, r, theta)
-    j = first_index(delta <= DEGENERACY_TOL)
-    if j < len(delta):
-        raise error(j, float(r[j]), float(theta[j]))
-    return f, delta, dalpha
-
-
 def comoving_transform(p: JTParams, r: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Half-angle rotation U and the rotated electronic matrix U^T H U.
 
     The rotated matrix is Delta sigma_z with off-diagonal entries at the
     1e-12 level; both are returned so callers can check the residual.
     """
-    f, delta, _ = _field_values(p, r, theta)
-    if delta <= DEGENERACY_TOL:
-        raise AlphaUndefined(r, theta)
-    u = rotation_matrix(math.atan2(f.imag, f.real))
-    h_el = np.array([[f.real, f.imag], [f.imag, -f.real]])
-    h_rot = u.T @ h_el @ u
-    if abs(h_rot[0, 1]) > 1e-12 * max(1.0, float(delta)):
+    point = jt_point_data(p, r, theta)
+    u = rotation_matrix(point.alpha)
+    h_rot = u.T @ jt_electronic_hamiltonian(p, r, theta) @ u
+    if abs(h_rot[0, 1]) > 1e-12 * max(1.0, point.delta_E):
         raise RuntimeError(
             f"rotated matrix off-diagonal {h_rot[0, 1]:.3e} not negligible"
         )
@@ -105,9 +76,7 @@ def effective_fields(p: JTParams, r: float, theta: float,
     """B_eff = (0, -dalpha thetadot, 2 Delta) and E_radial = dalpha / (2 r)."""
     if r <= 0:
         raise ValueError(f"radius must be > 0, got {r!r}")
-    _, delta, dalpha = _field_values(p, r, theta)
-    if delta <= DEGENERACY_TOL:
-        raise AlphaUndefined(r, theta)
+    _, delta, dalpha = coupling_field(p, r, theta)
     b = (0.0, -float(dalpha) * theta_dot, 2.0 * float(delta))
     return EffectiveFields(b_eff=b, e_radial=float(dalpha) / (2.0 * r))
 
@@ -168,12 +137,14 @@ def _drive(p: JTParams, traj: NuclearTrajectory) -> _Drive:
     midpoint, on the degeneracy set.  The sample-side Delta and dalpha are
     dropped once the adiabaticity ratio is read from them.
     """
-    f_samples, delta, dalpha = _off_degeneracy(p, traj.r_of_t, traj.theta_of_t)
+    f_samples, delta, dalpha = coupling_field(
+        p, traj.r_of_t, traj.theta_of_t, error=TrajectoryThroughDegeneracy)
     ratio = float(np.max(np.abs(dalpha) * np.abs(traj.theta_dot()) / delta))
     del delta, dalpha
     r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
     th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
-    f_mid, delta, dalpha = _off_degeneracy(p, r_mid, th_mid)
+    f_mid, delta, dalpha = coupling_field(p, r_mid, th_mid,
+                                          error=TrajectoryThroughDegeneracy)
     gap_area = float(np.sum(delta * np.diff(traj.times)))
     return _Drive(f_samples, f_mid, delta, dalpha, gap_area, ratio)
 
@@ -334,12 +305,6 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
                          adiabaticity_ratio=ratio)
 
 
-def rotation_matrix(alpha: float) -> np.ndarray:
-    """exp(-i alpha sigma_y / 2) as a real 2x2 matrix."""
-    c, s = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
-    return np.array([[c, -s], [s, c]])
-
-
 def to_lab_frame(evolution: SpinEvolution) -> np.ndarray:
     """Rotate recorded co-moving states into the lab frame.
 
@@ -380,8 +345,8 @@ def ac_loop_phase(p: JTParams, loop: DiscretizedPath) -> float:
     if not loop.closed:
         raise OpenPath("the winding is defined for closed loops only")
     coords = loop.coords
-    f, _, _ = _off_degeneracy(p, coords[:, 0], coords[:, 1],
-                              error=LoopThroughDegeneracy)
+    f, _, _ = coupling_field(p, coords[:, 0], coords[:, 1],
+                             error=LoopThroughDegeneracy)
     alpha = np.angle(f)
     steps = np.angle(np.exp(1j * np.diff(alpha)))
     worst = int(np.argmax(np.abs(steps)))

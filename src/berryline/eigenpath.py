@@ -31,7 +31,9 @@ CONTINUATION_MIN_OVERLAP = 0.5
 # check on Hamiltonian matrices.
 MATRIX_TOL = 1e-12
 
-# Residual contract ||H v - E v|| for every point of a tracked branch.
+# Residual contract ||H v - E v|| <= RESIDUAL_TOL * max(1, max |H_ij|) for
+# every point of a tracked branch, the max over the whole path: the
+# eigensolver's error grows with ||H||.
 RESIDUAL_TOL = 1e-9
 
 
@@ -267,11 +269,16 @@ def track_branch(field: HamiltonianField, path: DiscretizedPath, band: int,
                 f"(mismatch {mismatch:.3e})"
             )
 
-    residuals = np.einsum("nij,nj->ni", matrices, raw) - energies[:, None] * raw
-    max_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
-    if max_residual > RESIDUAL_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.einsum("nij,nj->ni", matrices, raw) - energies[:, None] * raw
+        max_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
+    if not math.isfinite(max_residual):
+        raise NonFinite(f"eigensolver residual {max_residual} is not finite")
+    scale = max(1.0, float(np.max(np.abs(matrices))))
+    if max_residual > RESIDUAL_TOL * scale:
         raise RuntimeError(
-            f"eigensolver residual {max_residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
+            f"eigensolver residual {max_residual:.3e} exceeds "
+            f"{RESIDUAL_TOL:.0e} * {scale:.3e}"
         )
 
     return EigenBranch(field=field, path=path, band=band, energies=energies,

@@ -40,8 +40,9 @@ from .eigenpath import (
 )
 from .errors import AlphaUndefined, OnDegeneracyCircle, SampleOnNode
 
-# Gap threshold below which the mixing angle is treated as undefined.
-ALPHA_GAP_TOL = 1e-14
+# Half-gap at or below which a point counts as on the degeneracy set, where
+# the mixing angle has no value.
+DEGENERACY_TOL = 1e-12
 
 # Radii closer than this to 2k/g count as lying on the degeneracy circle.
 DEGENERACY_CIRCLE_TOL = 1e-10
@@ -78,19 +79,25 @@ def coupling_terms(p: JTParams, r, theta) -> tuple[np.ndarray, np.ndarray]:
             0.5 * p.g * r * r * np.exp(-2j * theta))
 
 
-def half_gap(p: JTParams, r, theta) -> tuple[np.ndarray, np.ndarray]:
-    """f and Delta = |f| elementwise; AlphaUndefined where Delta vanishes.
+def coupling_field(p: JTParams, r, theta, error=None):
+    """f, Delta = |f| and d alpha/d theta elementwise, off the degeneracy set.
 
-    np.hypot matches abs(complex) bitwise; np.abs does not.
+    d alpha/d theta = d arg f/d theta = Re[(k r e^{i theta}
+    - g r^2 e^{-2 i theta}) / f].  At the first point with Delta <=
+    DEGENERACY_TOL this raises error(index, r_j, theta_j), or
+    AlphaUndefined(r_j, theta_j) when no error class is given.
     """
     linear, quadratic = coupling_terms(p, r, theta)
     f = linear + quadratic
-    delta = np.hypot(f.real, f.imag)
-    j = first_index(np.ravel(delta <= ALPHA_GAP_TOL))
+    delta = np.abs(f)
+    j = first_index(np.ravel(delta <= DEGENERACY_TOL))
     if j < delta.size:
         r_b, theta_b = np.broadcast_arrays(r, theta)
-        raise AlphaUndefined(float(r_b.flat[j]), float(theta_b.flat[j]))
-    return f, delta
+        r_j, theta_j = float(r_b.flat[j]), float(theta_b.flat[j])
+        raise (error(j, r_j, theta_j) if error else AlphaUndefined(r_j, theta_j))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dalpha = np.real((linear - 2.0 * quadratic) / f)
+    return f, delta, dalpha
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,7 @@ def jt_point_data(p: JTParams, r: float, theta: float) -> JTPointData:
     alpha is the principal argument in (-pi, pi].  Raises AlphaUndefined on
     the degeneracy set, where the angle has no value.
     """
-    f, delta = half_gap(p, r, theta)
+    f, delta, _ = coupling_field(p, r, theta)
     f, delta = complex(f), float(delta)
     alpha = math.atan2(f.imag, f.real)
     if alpha <= -math.pi:
@@ -138,14 +145,21 @@ def jt_electronic_hamiltonian(p: JTParams, r, theta) -> np.ndarray:
     return m
 
 
+def rotation_matrix(alpha: float) -> np.ndarray:
+    """exp(-i alpha sigma_y / 2) as a real 2x2 matrix; its columns are the
+    upper and the lower adiabatic state at mixing angle alpha."""
+    c, s = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
+    return np.array([[c, -s], [s, c]])
+
+
 def jt_eigenvectors(p: JTParams, r: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form adiabatic pair (lower, upper) in the diabatic basis.
 
-    lower = (-sin alpha/2, cos alpha/2), upper = (cos alpha/2, sin alpha/2).
+    lower = (-sin alpha/2, cos alpha/2), upper = (cos alpha/2, sin alpha/2):
+    the second and the first column of rotation_matrix(alpha).
     """
-    alpha = jt_point_data(p, r, theta).alpha
-    c, s = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
-    return np.array([-s, c]), np.array([c, s])
+    u = rotation_matrix(jt_point_data(p, r, theta).alpha)
+    return u[:, 1], u[:, 0]
 
 
 def jt_field(p: JTParams, frame: str = "polar") -> HamiltonianField:

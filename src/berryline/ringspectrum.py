@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigenpath import circle_path, holonomy_sign, track_branch
 from .errors import BarrierTooWide, GridTooCoarse
-from .jahnteller import JTParams, circle_nodes, half_gap
+from .jahnteller import JTParams, coupling_field, jt_field
 
 MIN_GRID_POINTS = 64
 
@@ -182,7 +183,7 @@ def flat_ring_problem(flux_parity: str, grid_size: int = 1024,
                        barrier=barrier)
 
 
-# Sampling used to count overlap nodes when deriving the seam parity.
+# Steps of the circle (anchored at theta = 0) whose holonomy sets the parity.
 _PARITY_LOOP_SAMPLES = 1024
 
 
@@ -192,16 +193,16 @@ def jt_ring_problem(p: JTParams, radius: float, grid_size: int = 1024,
     """Ring problem for one adiabatic band of the E x e model at fixed radius.
 
     The potential is the band energy sampled on the grid; the seam parity is
-    derived from the node count of the band's anchor overlap around the same
-    circle (odd count -> antiperiodic).
+    the band's holonomy sign around the same circle (a sign flip, i.e. an
+    odd node count of the anchor overlap -> antiperiodic).
     """
     if band not in (0, 1):
         raise ValueError(f"band must be 0 (lower) or 1 (upper), got {band!r}")
-    _, _, nodes = circle_nodes(p, radius, n_samples=_PARITY_LOOP_SAMPLES,
-                               band=band)
-    parity = "odd" if nodes.parity else "even"
+    branch = track_branch(jt_field(p, frame="polar"),
+                          circle_path(radius, _PARITY_LOOP_SAMPLES), band=band)
+    parity = "odd" if holonomy_sign(branch) < 0 else "even"
     h = 2.0 * math.pi / grid_size
-    _, delta = half_gap(p, radius, np.arange(grid_size) * h)
+    _, delta, _ = coupling_field(p, radius, np.arange(grid_size) * h)
     trap = 0.5 * radius * radius
     pot = trap + delta if band else trap - delta
     return RingProblem(radius=radius, grid_size=grid_size, potential=pot,

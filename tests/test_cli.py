@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from berryline import (
     JTParams,
     adiabaticity_ratio,
-    comoving,
     degeneracy_points,
     dynamical_phase,
     integrate_spin,
+    jahnteller,
     jt_eigenvectors,
     pseudorotation_trajectory,
     to_lab_frame,
@@ -431,15 +431,17 @@ def test_spin_summary_matches_library_bitwise(capsys, frame, initial, steps,
 
 def test_spin_evaluates_the_coupling_twice(capsys, monkeypatch):
     # once at the 16385 trajectory samples, once at the 16384 step
-    # midpoints; the 4096-segment loop of ac_loop_phase is shorter
+    # midpoints; the 4096-segment loop of ac_loop_phase is shorter.  Every
+    # caller reaches the coupling through jahnteller.coupling_field, so the
+    # count is taken where that helper reads it
     sizes = []
-    original = comoving.coupling_terms
+    original = jahnteller.coupling_terms
 
     def counting(p, r, theta):
         sizes.append(np.broadcast(r, theta).size)
         return original(p, r, theta)
 
-    monkeypatch.setattr(comoving, "coupling_terms", counting)
+    monkeypatch.setattr(jahnteller, "coupling_terms", counting)
     code, _, _ = run(capsys, *SPIN_ARGS)
     assert code == 0
     assert sorted(n for n in sizes if n >= 16384) == [16384, 16385]
@@ -586,6 +588,12 @@ def test_sweep_matches_single_radius_runs(capsys):
      "bad value for grid:"),
     (("spin", "--k", "1", "--g", "1", "--r", "1", "--period", "20000",
       "--steps", "2097153"), "bad value for steps:"),
+    (("spectrum", "--flat", "--parity", "odd", "--r0", "1e-170", "--grid",
+      "64", "--levels", "2"), "bad value for r0:"),
+    (("spectrum", "--flat", "--parity", "odd", "--r0", "1e160", "--grid",
+      "64", "--levels", "2"), "bad value for r0:"),
+    (("spectrum", "--flat", "--parity", "odd", "--grid", "63"),
+     "bad value for grid:"),
 ])
 def test_bad_option_value_exits_two(capsys, argv, message):
     # out-of-range values are usage errors, caught where options are read
@@ -594,3 +602,33 @@ def test_bad_option_value_exits_two(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("berry", "--k", "1e7", "--g", "1", "--r", "1"),
+    ("nodal-map", "--k", "1e8", "--g", "1e8", "--r", "1"),
+    ("spectrum", "--k", "1e8", "--g", "1", "--r0", "1", "--grid", "64",
+     "--levels", "2"),
+])
+def test_large_couplings_pass_the_residual_check(capsys, argv):
+    # the residual bound scales with the matrix entries, so an eigensolve
+    # accurate to eps * ||H|| passes at ||H|| ~ 1e8; each circle has r = 1,
+    # inside 2k/g, where the lower band's one node sits at pi
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if argv[0] == "berry":
+        assert json.loads(out)["node_angles"] == [pytest.approx(math.pi)]
+    elif argv[0] == "nodal-map":
+        numeric = [line for line in out.splitlines() if line.endswith("numeric")]
+        assert len(numeric) == 1
+        assert float(numeric[0].split(",")[1]) == pytest.approx(math.pi)
+    else:
+        assert json.loads(out.splitlines()[0][2:])["flux_parity"] == "odd"
+
+
+def test_non_finite_residual_exits_three(capsys):
+    code, out, err = run(capsys, "spectrum", "--k", "1e300", "--g", "1",
+                         "--r0", "1", "--grid", "64", "--levels", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: NonFinite:") and err.count("\n") == 1

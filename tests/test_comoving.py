@@ -264,6 +264,21 @@ def test_trajectory_through_degeneracy(jt11):
         adiabaticity_ratio(jt11, traj)
 
 
+def test_one_degeneracy_rule(jt11):
+    # near the origin Delta ~ k r: at r = 5e-13 the half-gap lies above the
+    # 1e-14 the point data once used and at or below the 1e-12 the spin
+    # used, so both must now read the point as a degeneracy
+    r, theta = 5e-13, 0.3
+    linear, quadratic = coupling_terms(jt11, r, theta)
+    assert 1e-14 < abs(linear + quadratic) <= 1e-12
+    with pytest.raises(AlphaUndefined):
+        jt_point_data(jt11, r, theta)
+    traj = pseudorotation_trajectory(r, 1000.0, 64, theta0=theta)
+    with pytest.raises(TrajectoryThroughDegeneracy) as err:
+        integrate_spin(jt11, traj, PSI_LOWER)
+    assert err.value.index == 0
+
+
 def test_store_stride_consistency(jt11):
     traj = pseudorotation_trajectory(1.0, 50.0, 2048)
     full = integrate_spin(jt11, traj, PSI_LOWER)

@@ -21,7 +21,10 @@ from berryline import (
     jt_point_data,
     nodal_map,
     node_angles_analytic,
+    rotation_matrix,
 )
+from berryline.errors import TrajectoryThroughDegeneracy
+from berryline.jahnteller import coupling_field
 
 
 def coupling(p, r, theta):
@@ -186,6 +189,33 @@ def test_eigenvectors_satisfy_eigenproblem(jt11):
         assert abs(lower @ lower - 1.0) < 1e-14
         assert abs(upper @ upper - 1.0) < 1e-14
         assert abs(lower @ upper) < 1e-14
+
+
+def test_eigenvectors_are_rotation_columns(jt11):
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        r = rng.uniform(0.1, 4.0)
+        theta = rng.uniform(-math.pi, math.pi)
+        u = rotation_matrix(jt_point_data(jt11, r, theta).alpha)
+        lower, upper = jt_eigenvectors(jt11, r, theta)
+        assert lower.tobytes() == u[:, 1].tobytes()
+        assert upper.tobytes() == u[:, 0].tobytes()
+
+
+def test_coupling_field_names_the_first_degenerate_point(jt11):
+    # (2, pi/3) and (2, pi) are outer intersections; the first one counts
+    r = np.array([1.0, 2.0, 2.0])
+    theta = np.array([0.0, math.pi / 3.0, math.pi])
+    with pytest.raises(AlphaUndefined) as err:
+        coupling_field(jt11, r, theta)
+    assert (err.value.r, err.value.theta) == (2.0, math.pi / 3.0)
+    with pytest.raises(TrajectoryThroughDegeneracy) as err:
+        coupling_field(jt11, r, theta, error=TrajectoryThroughDegeneracy)
+    assert err.value.index == 1
+    f, delta, dalpha = coupling_field(jt11, r[:1], theta[:1])
+    assert delta.tolist() == np.abs(f).tolist() == [1.5]
+    # d alpha/d theta = Re[(k r - g r^2) / f] = (1 - 1) / 1.5 at theta = 0
+    assert dalpha.tolist() == [0.0]
 
 
 def test_anchor_overlap_is_cos_half_alpha():
