@@ -85,6 +85,22 @@ EXTRA = [
     "spectrum --flat --parity odd --r0 1e-170 --grid 64 --levels 2",
     "spectrum --flat --parity odd --r0 1e160 --grid 64 --levels 2",
     "spectrum --flat --parity odd --grid 63",
+    # unwritable destinations, and one output on stdout with the other in
+    # a file
+    "berry --k 1 --g 1 --r 1 --out missing/berry.json",
+    "spectrum --flat --parity odd --grid 64 --levels 2 --out .",
+    "nodal-map --k 1 --g 1 --r 1 --degeneracies-out missing/cis.csv",
+    "spin --k 1 --g 1 --r 1 --period 200 --steps 16384 --summary-out .",
+    "nodal-map --k 1 --g 1 --r 1 --degeneracies-out cis.csv",
+    # couplings past the float range, a quadtree that prunes nothing, and
+    # the residual at large ||H||
+    "spin --k 1 --g 1 --r 1e200 --period 1 --steps 64",
+    "spin --k 1 --g 1 --r 1e160 --period 1e300 --steps 64",
+    "locate-ci --k 1e300 --g 1e300 --samples-per-edge 2",
+    "locate-ci --k 1e-9 --g 1e-9 --samples-per-edge 1",
+    "berry --k 1e300 --g 1e300 --r 1",
+    "spectrum --k 1 --g 1 --r0 1e100 --grid 64 --levels 2",
+    "spectrum --k 1 --g 1 --r0 1e150 --grid 64 --levels 2",
 ]
 
 

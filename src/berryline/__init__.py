@@ -48,6 +48,7 @@ from .errors import (
     AmbiguousContinuation,
     BarrierTooWide,
     BerrylineError,
+    CellLimitExceeded,
     DegeneracyOnBoundary,
     DegeneracyOnPath,
     GridTooCoarse,

@@ -19,11 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenpath import CONTINUATION_MIN_OVERLAP, HamiltonianField, band_gaps, band_steps
-from .errors import DegeneracyOnBoundary, MaxDepthExceeded
+from .errors import CellLimitExceeded, DegeneracyOnBoundary, MaxDepthExceeded
 
 # Sample points per field call when links are scored, which bounds the memory
 # a quadtree level takes whatever its number of cells.
 _CHUNK_POINTS = 1 << 16
+
+# Cells a quadtree level may hold: the 4^8 of a full level at the deepest
+# minimum depth the command line allows.
+MAX_LEVEL_CELLS = 4 ** 8
 
 
 @dataclass(frozen=True)
@@ -183,16 +187,20 @@ def _compass_min(field: HamiltonianField, band: int, x: float, y: float,
     while step > min_step and best > 0.25 * gap_tol:
         pts = at + step * _POLL
         gaps = _gaps_at(field, band, pts)
-        # squared gaps; the model's gradient and Hessian in units of step
-        c, (e, w, n, s, d) = best * best, gaps * gaps
-        gx, gy = 0.5 * (e - w), 0.5 * (n - s)
-        hxx, hyy, hxy = e - 2.0 * c + w, n - 2.0 * c + s, d - e - n + c
-        det = hxx * hyy - hxy * hxy
-        if hxx > 0.0 and det > 0.0:
-            move = step * np.array([hxy * gy - hyy * gx, hxy * gx - hxx * gy]) / det
-            if np.abs(move).max() <= side:
-                pts = np.vstack([pts, at + move])
-                gaps = np.append(gaps, _gaps_at(field, band, pts[-1:]))
+        # squared gaps; the model's gradient and Hessian in units of step.
+        # Past gaps of 1e154 the squares overflow, and a model or move that
+        # reads inf or NaN fails its test and is skipped.
+        with np.errstate(over="ignore", invalid="ignore"):
+            c, (e, w, n, s, d) = best * best, gaps * gaps
+            gx, gy = 0.5 * (e - w), 0.5 * (n - s)
+            hxx, hyy, hxy = e - 2.0 * c + w, n - 2.0 * c + s, d - e - n + c
+            det = hxx * hyy - hxy * hxy
+            if hxx > 0.0 and det > 0.0:
+                move = step * np.array([hxy * gy - hyy * gx,
+                                        hxy * gx - hxx * gy]) / det
+                if np.abs(move).max() <= side:
+                    pts = np.vstack([pts, at + move])
+                    gaps = np.append(gaps, _gaps_at(field, band, pts[-1:]))
         j = int(np.argmin(gaps))
         if gaps[j] < best:
             at, best = pts[j], gaps[j]
@@ -217,7 +225,8 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
     `spatial_tol` around it reads +1, as around a cone of even winding.
     `gaps` holds the gap the polish measured at each point.
     Raises MaxDepthExceeded if a survivor is still wider than `spatial_tol`
-    at `max_depth` or at float resolution.  `cells_evaluated` counts the
+    at `max_depth` or at float resolution, and CellLimitExceeded if a level
+    would hold more than MAX_LEVEL_CELLS cells.  `cells_evaluated` counts the
     cells whose loop sign was computed.
     """
     def signs(cells: list[SearchRect]) -> np.ndarray:
@@ -234,6 +243,8 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
             cells = [c for c in cells if c.diameter > spatial_tol]
             if cells and depth >= max_depth:
                 raise MaxDepthExceeded(depth, cells[0])
+        if 4 * len(cells) > MAX_LEVEL_CELLS:
+            raise CellLimitExceeded(depth, len(cells), gap_tol)
         split = []
         for c in cells:
             try:

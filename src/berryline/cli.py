@@ -4,9 +4,10 @@ Subcommands: nodal-map, berry, spectrum, locate-ci, spin.  Every option can
 also be supplied through a flat key=value config file (--config); explicit
 flags win over the file, the file wins over built-in defaults.  All numeric
 output is printed with 17 significant digits so reruns are byte-identical
-and JSON re-reads reproduce the floats exactly.  Exit codes: 0 success,
-2 usage or config problem, 3 domain error (the message names the error class
-and offending values).
+and JSON re-reads reproduce the floats exactly.  Each command returns its
+outputs as (destination, text) pairs and main writes them.  Exit codes: 0
+success, 2 usage or config problem or an unwritable destination, 3 domain
+error (the message names the error class and offending values).
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ FORMAT_VERSION = 1
 
 
 class ConfigError(Exception):
-    """Bad config file or missing required setting (exit code 2)."""
+    """Bad config file, missing required setting or unwritable destination
+    (exit code 2)."""
 
 
 def fmt(x: float) -> str:
@@ -77,19 +79,25 @@ def emit_json_compact(obj: dict) -> str:
     return "{" + items + "}"
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
+def write_outputs(outputs: list[tuple[str, str]]) -> None:
+    """Write each (destination, text) pair in order; "-" is stdout.
 
-
-def write_text(path: str, text: str) -> None:
-    stream, owned = _open_out(path)
-    try:
-        stream.write(text)
-    finally:
-        if owned:
-            stream.close()
+    When every destination is stdout the texts are joined by one blank line.
+    A file that cannot be opened or written is a ConfigError.
+    """
+    if all(dest == "-" for dest, _ in outputs):
+        sys.stdout.write("\n".join(text for _, text in outputs))
+        return
+    for dest, text in outputs:
+        if dest == "-":
+            sys.stdout.write(text)
+            continue
+        try:
+            with open(dest, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ConfigError(
+                f"cannot write {dest}: {err.strerror or err}") from err
 
 
 def _csv_cell(cell) -> str:
@@ -298,7 +306,7 @@ _NODAL_OPTS = [
 ]
 
 
-def cmd_nodal_map(values: dict) -> int:
+def cmd_nodal_map(values: dict) -> list[tuple[str, str]]:
     p = _jt_params(values)
     m = nodal_map(p, values["r"], theta_samples=values["theta_samples"],
                   band=values["band"])
@@ -317,12 +325,8 @@ def cmd_nodal_map(values: dict) -> int:
     if not rows:
         raise OnDegeneracyCircle(m.skipped_radii[0], p.degeneracy_radius)
 
-    if values["nodes_out"] == "-" and values["degeneracies_out"] == "-":
-        sys.stdout.write(node_csv + "\n" + deg_csv)
-    else:
-        write_text(values["nodes_out"], node_csv)
-        write_text(values["degeneracies_out"], deg_csv)
-    return 0
+    return [(values["nodes_out"], node_csv),
+            (values["degeneracies_out"], deg_csv)]
 
 
 _BERRY_OPTS = [
@@ -335,7 +339,7 @@ _BERRY_OPTS = [
 ]
 
 
-def cmd_berry(values: dict) -> int:
+def cmd_berry(values: dict) -> list[tuple[str, str]]:
     p = _jt_params(values)
     branch, _, nodes = circle_nodes(p, values["r"],
                                     n_samples=values["theta_samples"],
@@ -354,8 +358,7 @@ def cmd_berry(values: dict) -> int:
         "holonomy_sign": holonomy_sign(branch),
         "mab_class": classify_mab(nodes).value,
     }
-    write_text(values["out"], emit_json(result))
-    return 0
+    return [(values["out"], emit_json(result))]
 
 
 _SPECTRUM_OPTS = [
@@ -373,7 +376,7 @@ _SPECTRUM_OPTS = [
 ]
 
 
-def cmd_spectrum(values: dict) -> int:
+def cmd_spectrum(values: dict) -> list[tuple[str, str]]:
     barrier = values["barrier"]
     if barrier is not None:
         barrier = (barrier[0], barrier[1] - barrier[0])
@@ -416,8 +419,7 @@ def cmd_spectrum(values: dict) -> int:
         for i, (e, flag) in enumerate(zip(result.levels, result.degeneracy_flags))
     ]
     lines += csv_lines(["index", "energy", "degeneracy_flag", "parity"], rows)
-    write_text(values["out"], lines)
-    return 0
+    return [(values["out"], lines)]
 
 
 _LOCATE_OPTS = [
@@ -439,7 +441,7 @@ _LOCATE_OPTS = [
 ]
 
 
-def cmd_locate_ci(values: dict) -> int:
+def cmd_locate_ci(values: dict) -> list[tuple[str, str]]:
     from .jahnteller import jt_field
 
     p = _jt_params(values)
@@ -466,8 +468,7 @@ def cmd_locate_ci(values: dict) -> int:
         "cells_evaluated": res.cells_evaluated,
         "depth_histogram": {str(d): c for d, c in res.depth_histogram.items()},
     }
-    write_text(values["out"], emit_json(result))
-    return 0
+    return [(values["out"], emit_json(result))]
 
 
 _SPIN_OPTS = [
@@ -487,7 +488,7 @@ _SPIN_OPTS = [
 ]
 
 
-def cmd_spin(values: dict) -> int:
+def cmd_spin(values: dict) -> list[tuple[str, str]]:
     p = _jt_params(values)
     traj = pseudorotation_trajectory(values["r"], values["period"],
                                      values["steps"], theta0=values["theta0"],
@@ -544,12 +545,8 @@ def cmd_spin(values: dict) -> int:
         "final_norm": float(ev.norms[-1]),
         "ac_loop_phase": ac,
     }
-    if values["series_out"] == "-" and values["summary_out"] == "-":
-        sys.stdout.write(series + "\n" + emit_json(summary))
-    else:
-        write_text(values["series_out"], series)
-        write_text(values["summary_out"], emit_json(summary))
-    return 0
+    return [(values["series_out"], series),
+            (values["summary_out"], emit_json(summary))]
 
 
 # --- driver ------------------------------------------------------------------
@@ -587,13 +584,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         values = resolve_options(args, args._options)
-        return args._func(values)
+        write_outputs(args._func(values))
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BerrylineError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -269,12 +269,17 @@ def track_branch(field: HamiltonianField, path: DiscretizedPath, band: int,
                 f"(mismatch {mismatch:.3e})"
             )
 
+    # formed on H / scale, whose entries are at most 1, so no square
+    # overflows.  It is still not finite where H or the energies are not:
+    # symmetrizing overflows entries past half the float range, and eigh
+    # overflows eigenvalues past the range.
+    scale = max(1.0, float(np.max(np.abs(matrices))))
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals = np.einsum("nij,nj->ni", matrices, raw) - energies[:, None] * raw
-        max_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
+        residuals = (np.einsum("nij,nj->ni", matrices / scale, raw)
+                     - (energies / scale)[:, None] * raw)
+        max_residual = scale * float(np.max(np.linalg.norm(residuals, axis=1)))
     if not math.isfinite(max_residual):
         raise NonFinite(f"eigensolver residual {max_residual} is not finite")
-    scale = max(1.0, float(np.max(np.abs(matrices))))
     if max_residual > RESIDUAL_TOL * scale:
         raise RuntimeError(
             f"eigensolver residual {max_residual:.3e} exceeds "

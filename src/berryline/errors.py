@@ -131,6 +131,21 @@ class MaxDepthExceeded(BerrylineError):
         )
 
 
+class CellLimitExceeded(BerrylineError):
+    """Quadtree level would hold more cells than the locator scores at once:
+    too few cells read +1 to be pruned, as when gap_tol is not small against
+    the gap over the search window."""
+
+    def __init__(self, depth, survivors, gap_tol):
+        self.depth = depth
+        self.survivors = survivors
+        self.gap_tol = gap_tol
+        super().__init__(
+            f"{survivors} surviving cells at depth {depth} would split into "
+            f"{4 * survivors}, more than a level may hold; gap_tol "
+            f"{gap_tol:.3e} may not be small against the gap in the window")
+
+
 # --- ringspectrum ------------------------------------------------------------
 
 class BarrierTooWide(BerrylineError):

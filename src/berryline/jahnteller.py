@@ -38,7 +38,7 @@ from .eigenpath import (
     polar_samples,
     track_branch,
 )
-from .errors import AlphaUndefined, OnDegeneracyCircle, SampleOnNode
+from .errors import AlphaUndefined, NonFinite, OnDegeneracyCircle, SampleOnNode
 
 # Half-gap at or below which a point counts as on the degeneracy set, where
 # the mixing angle has no value.
@@ -85,15 +85,21 @@ def coupling_field(p: JTParams, r, theta, error=None):
     d alpha/d theta = d arg f/d theta = Re[(k r e^{i theta}
     - g r^2 e^{-2 i theta}) / f].  At the first point with Delta <=
     DEGENERACY_TOL this raises error(index, r_j, theta_j), or
-    AlphaUndefined(r_j, theta_j) when no error class is given.
+    AlphaUndefined(r_j, theta_j) when no error class is given; at the first
+    point where Delta overflows or is NaN, NonFinite.
     """
-    linear, quadratic = coupling_terms(p, r, theta)
-    f = linear + quadratic
-    delta = np.abs(f)
-    j = first_index(np.ravel(delta <= DEGENERACY_TOL))
+    with np.errstate(over="ignore", invalid="ignore"):
+        linear, quadratic = coupling_terms(p, r, theta)
+        f = linear + quadratic
+        delta = np.abs(f)
+    # the first point outside DEGENERACY_TOL < Delta < inf; NaN is outside
+    j = first_index(np.ravel(~((delta > DEGENERACY_TOL) & (delta < math.inf))))
     if j < delta.size:
         r_b, theta_b = np.broadcast_arrays(r, theta)
         r_j, theta_j = float(r_b.flat[j]), float(theta_b.flat[j])
+        if not math.isfinite(np.ravel(delta)[j]):
+            raise NonFinite(f"coupling at point {j} (r={r_j!r}, "
+                            f"theta={theta_j!r}) is not finite")
         raise (error(j, r_j, theta_j) if error else AlphaUndefined(r_j, theta_j))
     with np.errstate(divide="ignore", invalid="ignore"):
         dalpha = np.real((linear - 2.0 * quadratic) / f)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import berryline.cilocate as cilocate
 from berryline import (
     AmbiguousContinuation,
+    CellLimitExceeded,
     CIResult,
     DegeneracyOnBoundary,
     DegeneracyOnPath,
@@ -334,6 +335,17 @@ def test_locate_ci_max_depth(field):
     assert err.value.depth == 6
     assert "surviving cell SearchRect(" in str(err.value)
     assert "(sign -1, or a side through a degeneracy)" in str(err.value)
+
+
+def test_locate_ci_cell_limit(field, monkeypatch):
+    # with gap_tol above every gap no cell is pruned: the 256 cells of depth
+    # 4 split to 1024, whose 4096 children pass a limit of 4^5
+    monkeypatch.setattr(cilocate, "MAX_LEVEL_CELLS", 4 ** 5)
+    with pytest.raises(CellLimitExceeded) as err:
+        locate_ci(field, SearchRect(-3.0, 3.0, -3.0, 3.0), gap_tol=1e300,
+                  samples_per_edge=1)
+    assert (err.value.depth, err.value.survivors, err.value.gap_tol) == (
+        5, 1024, 1e300)
 
 
 @settings(max_examples=12, deadline=None)

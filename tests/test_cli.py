@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -609,11 +610,15 @@ def test_bad_option_value_exits_two(capsys, argv, message):
     ("nodal-map", "--k", "1e8", "--g", "1e8", "--r", "1"),
     ("spectrum", "--k", "1e8", "--g", "1", "--r0", "1", "--grid", "64",
      "--levels", "2"),
+    ("spectrum", "--k", "1e300", "--g", "1", "--r0", "1", "--grid", "64",
+     "--levels", "2"),
+    ("berry", "--k", "1e300", "--g", "1e300", "--r", "1"),
 ])
 def test_large_couplings_pass_the_residual_check(capsys, argv):
     # the residual bound scales with the matrix entries, so an eigensolve
-    # accurate to eps * ||H|| passes at ||H|| ~ 1e8; each circle has r = 1,
-    # inside 2k/g, where the lower band's one node sits at pi
+    # accurate to eps * ||H|| passes at ||H|| ~ 1e8, and the residual is
+    # formed on H / max |H_ij|, so its squares stay finite at 1e300; each
+    # circle has r = 1, inside 2k/g, where the lower band's one node sits at pi
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     if argv[0] == "berry":
@@ -623,12 +628,103 @@ def test_large_couplings_pass_the_residual_check(capsys, argv):
         assert len(numeric) == 1
         assert float(numeric[0].split(",")[1]) == pytest.approx(math.pi)
     else:
-        assert json.loads(out.splitlines()[0][2:])["flux_parity"] == "odd"
+        header, rows = parse_spectrum(out)
+        assert header["flux_parity"] == "odd"
+        assert all(math.isfinite(float(row[1])) for row in rows)
 
 
-def test_non_finite_residual_exits_three(capsys):
-    code, out, err = run(capsys, "spectrum", "--k", "1e300", "--g", "1",
-                         "--r0", "1", "--grid", "64", "--levels", "2")
+# ---------------------------------------------------------------------------
+# output destinations
+
+
+# a short call of each command, to which a test adds output options
+OUTPUT_ARGS = {
+    "berry": ("berry", "--k", "1", "--g", "1", "--r", "0.5",
+              "--theta-samples", "512"),
+    "spectrum": ("spectrum", "--flat", "--parity", "odd", "--grid", "64",
+                 "--levels", "2"),
+    "locate-ci": ("locate-ci", "--k", "1", "--g", "1", "--samples-per-edge",
+                  "2", "--x-min", "-0.5", "--x-max", "0.6", "--y-min", "-0.5",
+                  "--y-max", "0.55"),
+    "nodal-map": ("nodal-map", "--k", "1", "--g", "1", "--r", "1",
+                  "--theta-samples", "512"),
+    "spin": SPIN_ARGS,
+}
+
+
+@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command, option", [
+    ("berry", "--out"), ("spectrum", "--out"), ("locate-ci", "--out"),
+    ("nodal-map", "--nodes-out"), ("nodal-map", "--degeneracies-out"),
+    ("spin", "--series-out"), ("spin", "--summary-out"),
+])
+def test_unwritable_destination_exits_two(tmp_path, capsys, command, option,
+                                          kind):
+    dest = tmp_path
+    if kind == "missing-directory":
+        dest = tmp_path / "missing" / "out"
+    code, _, err = run(capsys, *OUTPUT_ARGS[command], option, str(dest))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {dest}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, option, index", [
+    ("nodal-map", "--nodes-out", 0), ("nodal-map", "--degeneracies-out", 1),
+    ("spin", "--series-out", 0), ("spin", "--summary-out", 1),
+])
+def test_stdout_and_file_destinations(tmp_path, capsys, command, option, index):
+    # both outputs on stdout are joined by one blank line; with one of them
+    # in a file, stdout holds the other alone, with nothing added
+    code, joined, _ = run(capsys, *OUTPUT_ARGS[command])
+    assert code == 0
+    first, second = joined.split("\n\n")
+    texts = [first + "\n", second]
+    target = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *OUTPUT_ARGS[command], option, str(target))
+    assert code == 0
+    assert target.read_text() == texts[index]
+    assert out == texts[1 - index]
+
+
+# ---------------------------------------------------------------------------
+# inputs past the float range
+
+
+@pytest.mark.parametrize("argv", [
+    ("spin", "--k", "1", "--g", "1", "--r", "1e200", "--period", "1",
+     "--steps", "64"),
+    ("spin", "--k", "1", "--g", "1", "--r", "1e160", "--period", "1e300",
+     "--steps", "64"),
+])
+def test_non_finite_coupling_exits_three(capsys, argv):
+    # r^2 overflows, so f is not finite from the first sample on; the
+    # overflow is reported once, without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
-    assert err.startswith("error: NonFinite:") and err.count("\n") == 1
+    assert err.startswith("error: NonFinite: coupling at point 0 ")
+    assert err.count("\n") == 1
+
+
+def test_locate_ci_huge_couplings_do_not_warn(capsys):
+    # the squared gaps of the polish's quadratic model overflow at gaps past
+    # 1e154; the model is skipped there, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "locate-ci", "--k", "1e300",
+                             "--g", "1e300", "--samples-per-edge", "2")
+    assert (code, err) == (0, "")
+    found_degeneracies(json.loads(out), 1e300, 1e300, 1e-3)
+
+
+def test_locate_ci_cell_limit_exits_three(capsys):
+    # at k = g = 1e-9 the whole window has gaps below gap_tol 1e-8, so no
+    # cell is pruned and the levels would grow 4x without end
+    code, out, err = run(capsys, "locate-ci", "--k", "1e-9", "--g", "1e-9",
+                         "--samples-per-edge", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: CellLimitExceeded: ") and err.count("\n") == 1

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from berryline import (
     node_angles_analytic,
     rotation_matrix,
 )
-from berryline.errors import TrajectoryThroughDegeneracy
+from berryline.errors import NonFinite, TrajectoryThroughDegeneracy
 from berryline.jahnteller import coupling_field
 
 
@@ -216,6 +217,16 @@ def test_coupling_field_names_the_first_degenerate_point(jt11):
     assert delta.tolist() == np.abs(f).tolist() == [1.5]
     # d alpha/d theta = Re[(k r - g r^2) / f] = (1 - 1) / 1.5 at theta = 0
     assert dalpha.tolist() == [0.0]
+
+
+def test_coupling_field_names_the_first_non_finite_point(jt11):
+    # r^2 overflows at r = 1e200; f = inf + nan i, so Delta is not finite
+    r = np.array([1.0, 1e200, 2.0])
+    theta = np.array([0.0, 0.5, math.pi / 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=r"point 1 \(r=1e\+200, theta=0.5\)"):
+            coupling_field(jt11, r, theta)
 
 
 def test_anchor_overlap_is_cos_half_alpha():
