@@ -101,6 +101,17 @@ EXTRA = [
     "berry --k 1e300 --g 1e300 --r 1",
     "spectrum --k 1 --g 1 --r0 1e100 --grid 64 --levels 2",
     "spectrum --k 1 --g 1 --r0 1e150 --grid 64 --levels 2",
+    # node angles that disagree with the closed form, drives that cannot be
+    # sampled, entries near the end of the float range, and negative values
+    # in exponent form
+    "nodal-map --k 0 --g 7 --r 0.123 --theta-samples 2",
+    "nodal-map --k 1e16 --g 1e16 --r 1e16 --theta-samples 16",
+    "spin --k 1 --g 1 --r 1 --period 1e-300 --steps 64 --revolutions 1e-300",
+    "spin --k 1 --g 1 --r 1 --period 1 --steps 64 --theta0 1e16",
+    "berry --k 1.7e308 --g 0 --r 1",
+    "berry --k 1e308 --g 1e308 --r 1",
+    "spin --k 1 --g 1 --r 1 --period 200 --steps 16384 --theta0 -1e-3",
+    "locate-ci --k 1 --g 1 --x-min -1e3 --samples-per-edge 2 --min-depth 2",
 ]
 
 

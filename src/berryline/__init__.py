@@ -54,6 +54,7 @@ from .errors import (
     GridTooCoarse,
     LoopThroughDegeneracy,
     MaxDepthExceeded,
+    NodeMismatch,
     NonFinite,
     NonSymmetric,
     OnDegeneracyCircle,

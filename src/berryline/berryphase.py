@@ -31,6 +31,9 @@ from .errors import (
 # Below this magnitude an overlap is treated as an exact zero.
 OVERLAP_ZERO_TOL = 1e-12
 
+# Bracket width in radians at which refine_nodes stops bisecting a node.
+NODE_BISECTION_TOL = 1e-10
+
 # Canonical phase interval is (-pi, pi]; values this close to -pi are
 # reported as +pi so that the two representations of the antipodal phase
 # never flip under rounding.
@@ -84,45 +87,44 @@ class NodeSet:
         return self.count % 2
 
 
-def _trace_angles(trace: OverlapTrace, angles=None) -> np.ndarray:
-    if angles is None:
-        return trace.branch.path.coords[:, -1]
-    arr = np.asarray(angles, dtype=float)
-    if arr.shape != trace.values.shape:
-        raise ValueError("explicit angles must match the trace length")
-    return arr
+def _sign_changes(values: np.ndarray) -> np.ndarray:
+    """Indices j at which the trace changes sign between samples j and j + 1
+    (Longuet-Higgins' test).  A sample within OVERLAP_ZERO_TOL of zero raises
+    SampleOnNode; a touching zero without a sign change is not a node."""
+    j = first_index(np.abs(values) <= OVERLAP_ZERO_TOL)
+    if j < len(values):
+        raise SampleOnNode(j, float(values[j]))
+    return np.nonzero(values[:-1] * values[1:] < 0.0)[0]
 
 
-def detect_nodes(trace: OverlapTrace, zero_tol: float = OVERLAP_ZERO_TOL,
-                 angles=None) -> NodeSet:
+def detect_nodes(trace: OverlapTrace, angles=None) -> NodeSet:
     """Locate sign changes of the trace by linear interpolation.
 
-    Every sample must clear `zero_tol` in magnitude; a sample that sits on a
-    node raises SampleOnNode, and the caller is expected to shift the grid by
-    half a step and resample.  A touching zero without a sign change is not a
-    node.  `angles` defaults to the last coordinate of each path point (the
-    polar angle for ring paths); pass an explicit parameter array for paths
-    that are not angle-parameterized.
+    A sample on a node raises SampleOnNode; the caller shifts the grid and
+    resamples.  `angles` defaults to the last coordinate of each path point
+    (the polar angle for ring paths); pass an explicit parameter array for
+    paths that are not angle-parameterized.
     """
     values = trace.values
-    j = first_index(np.abs(values) <= zero_tol)
-    if j < len(values):
-        raise SampleOnNode(j, float(values[j]), zero_tol)
-
-    theta = _trace_angles(trace, angles)
-    j = np.nonzero(values[:-1] * values[1:] < 0.0)[0]
+    j = _sign_changes(values)
+    if angles is None:
+        theta = trace.branch.path.coords[:, -1]
+    else:
+        theta = np.asarray(angles, dtype=float)
+        if theta.shape != values.shape:
+            raise ValueError("explicit angles must match the trace length")
     a, b = values[j], values[j + 1]
     found = np.sort(theta[j] + a / (a - b) * (theta[j + 1] - theta[j]))
     return NodeSet(angles=tuple(found.tolist()))
 
 
-def refine_nodes(trace: OverlapTrace, nodes: NodeSet,
-                 tol: float = 1e-6) -> NodeSet:
-    """Sharpen node angles by bisection on the continuous overlap.
+def refine_nodes(trace: OverlapTrace) -> NodeSet:
+    """Node angles of the trace, bisected on the continuous overlap.
 
     Requires a fixed-radius polar path (the branch field is re-evaluated at
-    intermediate angles).  Each node is bisected inside its bracketing sample
-    interval until the bracket is narrower than `tol` radians.
+    intermediate angles).  Each sign change of the trace is bisected inside
+    its sample interval down to NODE_BISECTION_TOL; a sample on a node
+    raises SampleOnNode.
     """
     branch = trace.branch
     radii, theta = branch.path.coords[:, 0], branch.path.coords[:, 1]
@@ -142,11 +144,11 @@ def refine_nodes(trace: OverlapTrace, nodes: NodeSet,
         return float(anchor_vec @ vec)
 
     refined = []
-    for j in np.nonzero(values[:-1] * values[1:] < 0.0)[0]:
+    for j in _sign_changes(values):
         lo, hi = float(theta[j]), float(theta[j + 1])
         f_lo = float(values[j])
         near = branch.vectors[j]
-        while hi - lo > tol:
+        while hi - lo > NODE_BISECTION_TOL:
             mid = 0.5 * (lo + hi)
             f_mid = overlap_at(mid, near)
             if f_lo * f_mid < 0.0:
@@ -154,8 +156,6 @@ def refine_nodes(trace: OverlapTrace, nodes: NodeSet,
             else:
                 lo, f_lo = mid, f_mid
         refined.append(0.5 * (lo + hi))
-    if len(refined) != nodes.count:
-        raise ValueError("node set inconsistent with the trace sign changes")
     return NodeSet(angles=tuple(sorted(refined)))
 
 
@@ -219,7 +219,7 @@ def gauge_aligned_states(states: np.ndarray, anchor_index: int = 0) -> np.ndarra
     small = np.abs(overlaps) <= OVERLAP_ZERO_TOL
     if np.any(small):
         j = int(np.argmax(small))
-        raise SampleOnNode(j, complex(overlaps[j]), OVERLAP_ZERO_TOL)
+        raise SampleOnNode(j, complex(overlaps[j]))
     if np.isrealobj(arr):
         return np.sign(overlaps)[:, None] * arr
     return np.exp(-1j * np.angle(overlaps))[:, None] * arr

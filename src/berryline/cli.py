@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -490,9 +491,16 @@ _SPIN_OPTS = [
 
 def cmd_spin(values: dict) -> list[tuple[str, str]]:
     p = _jt_params(values)
-    traj = pseudorotation_trajectory(values["r"], values["period"],
-                                     values["steps"], theta0=values["theta0"],
-                                     revolutions=values["revolutions"])
+    r, theta0, rev = values["r"], values["theta0"], values["revolutions"]
+    try:  # sampled times or loop angles that collapse or overflow
+        traj = pseudorotation_trajectory(r, values["period"], values["steps"],
+                                         theta0=theta0, revolutions=rev)
+        loop = None
+        if abs(rev - round(rev)) < 1e-12 and round(rev) != 0:
+            loop = circle_path(r, 4096, theta0=theta0,
+                               revolutions=float(round(rev)))
+    except ValueError as err:
+        raise ConfigError(f"cannot sample the drive: {err}") from err
     band = {"lower": 0, "upper": 1}.get(values["initial"])
     if band is None:
         raise ConfigError("--initial must be lower or upper")
@@ -516,12 +524,7 @@ def cmd_spin(values: dict) -> list[tuple[str, str]]:
     dyn = ev.gap_area if band == 0 else -ev.gap_area  # = dynamical_phase
     geo = canonicalize_phase(total - dyn)
 
-    ac = None
-    rev = values["revolutions"]
-    if abs(rev - round(rev)) < 1e-12 and round(rev) != 0:
-        loop = circle_path(values["r"], 4096, theta0=values["theta0"],
-                           revolutions=float(round(rev)))
-        ac = ac_loop_phase(p, loop)
+    ac = None if loop is None else ac_loop_phase(p, loop)
 
     series = csv_lines(
         ["t", "sigma_x", "sigma_y", "sigma_z", "norm"],
@@ -574,6 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (options, func, help_text) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
+        # a token like -1e3 is a value, not an option name (argparse's own
+        # rule knows only -1 and -1.5); no option here starts with -digit
+        sub._negative_number_matcher = re.compile(r"-\.?\d")
         _add_options(sub, options)
         sub.set_defaults(_options=options, _func=func)
     return parser

@@ -111,9 +111,10 @@ class NuclearTrajectory:
 def pseudorotation_trajectory(r: float, period: float, n_steps: int,
                               theta0: float = 0.0,
                               revolutions: float = 1.0) -> NuclearTrajectory:
-    """Uniform circular drive at fixed radius."""
-    t = np.linspace(0.0, period * revolutions, n_steps + 1)
-    theta = theta0 + 2.0 * math.pi * revolutions * np.linspace(0.0, 1.0, n_steps + 1)
+    """Uniform circular drive at fixed radius (overflow fails as non-finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.linspace(0.0, period * revolutions, n_steps + 1)
+        theta = theta0 + 2.0 * math.pi * revolutions * np.linspace(0.0, 1.0, n_steps + 1)
     return NuclearTrajectory(times=t, r_of_t=np.full(n_steps + 1, float(r)),
                              theta_of_t=theta)
 

@@ -158,7 +158,9 @@ def _validated_symmetric(m: np.ndarray) -> np.ndarray:
         j = int(np.argmax(bad))
         raise NonSymmetric(f"asymmetry {asym.flat[j]:.3e} exceeds "
                            f"{MATRIX_TOL:.0e} * {scale.flat[j]:.3e}")
-    return 0.5 * (m + mt)
+    if not asym.any():  # exactly symmetric, as the model's fields are
+        return m.copy()
+    return 0.5 * m + 0.5 * mt  # unlike 0.5 * (m + mt), cannot overflow
 
 
 def eig_real_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,10 +184,11 @@ def band_gaps(eigenvalues: np.ndarray, band: int) -> np.ndarray:
     an exact zero comes out as +0.0."""
     w = np.asarray(eigenvalues)
     gap = np.full(w.shape[:-1], math.inf)
-    if band > 0:
-        gap = np.minimum(gap, w[..., band] - w[..., band - 1])
-    if band < w.shape[-1] - 1:
-        gap = np.minimum(gap, w[..., band + 1] - w[..., band])
+    with np.errstate(over="ignore"):  # a gap past the float range is inf
+        if band > 0:
+            gap = np.minimum(gap, w[..., band] - w[..., band - 1])
+        if band < w.shape[-1] - 1:
+            gap = np.minimum(gap, w[..., band + 1] - w[..., band])
     return gap + 0.0
 
 
@@ -270,9 +273,8 @@ def track_branch(field: HamiltonianField, path: DiscretizedPath, band: int,
             )
 
     # formed on H / scale, whose entries are at most 1, so no square
-    # overflows.  It is still not finite where H or the energies are not:
-    # symmetrizing overflows entries past half the float range, and eigh
-    # overflows eigenvalues past the range.
+    # overflows.  It is still not finite where the energies are not: eigh
+    # overflows eigenvalues past the float range.
     scale = max(1.0, float(np.max(np.abs(matrices))))
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = (np.einsum("nij,nj->ni", matrices / scale, raw)

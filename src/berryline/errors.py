@@ -53,13 +53,12 @@ class OpenPath(BerrylineError):
 class SampleOnNode(BerrylineError):
     """An overlap sample sits on a node; shift the grid and resample."""
 
-    def __init__(self, index, value, zero_tol):
+    def __init__(self, index, value):
         self.index = index
         self.value = value
-        self.zero_tol = zero_tol
         super().__init__(
-            f"|overlap| = {abs(value):.3e} <= zero_tol {zero_tol:.0e} at "
-            f"sample {index}; node sits on the sampling grid"
+            f"|overlap| = {abs(value):.3e} counts as zero at sample {index}; "
+            "node sits on the sampling grid"
         )
 
 
@@ -101,6 +100,15 @@ class OnDegeneracyCircle(BerrylineError):
         super().__init__(
             f"r = {r!r} lies on the degeneracy circle r = 2k/g = {r_circle!r}"
         )
+
+
+class NodeMismatch(BerrylineError):
+    """Pipeline node angles on a circle disagree with the closed form."""
+
+    def __init__(self, r, numeric, analytic):
+        self.r, self.numeric, self.analytic = r, numeric, analytic
+        super().__init__(f"r={r!r}: pipeline node angles {list(numeric)} "
+                         f"disagree with the closed form {list(analytic)}")
 
 
 # --- cilocate ----------------------------------------------------------------

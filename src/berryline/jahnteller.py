@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .berryphase import detect_nodes, overlap_trace, refine_nodes, NodeSet
+from .berryphase import overlap_trace, refine_nodes
 from .eigenpath import (
     DiscretizedPath,
     HamiltonianField,
@@ -38,7 +38,8 @@ from .eigenpath import (
     polar_samples,
     track_branch,
 )
-from .errors import AlphaUndefined, NonFinite, OnDegeneracyCircle, SampleOnNode
+from .errors import (AlphaUndefined, NodeMismatch, NonFinite, OnDegeneracyCircle,
+                     SampleOnNode)
 
 # Half-gap at or below which a point counts as on the degeneracy set, where
 # the mixing angle has no value.
@@ -229,17 +230,12 @@ def node_angles_analytic(p: JTParams, r: float) -> tuple[float, ...]:
     return (a, 2.0 * math.pi - a)
 
 
-# Deterministic grid offsets (in units of the step) tried when a node lands
-# exactly on a sample.
-_GRID_OFFSETS = (0.0, 0.5, 0.25, 0.75, 0.125, 0.375)
-
-
 def _anchored_circle(r: float, n_samples: int, offset: float) -> DiscretizedPath:
     """Closed circle grid that keeps theta = 0 as its first point.
 
     With offset > 0 the interior samples shift by offset * h while the anchor
     and the closure point stay at 0 and 2 pi, so the anchor convention
-    alpha_0 = alpha(r, 0) survives resampling retries.
+    alpha_0 = alpha(r, 0) survives the shifted grid.
     """
     h = 2.0 * math.pi / n_samples
     if offset == 0.0:
@@ -250,30 +246,27 @@ def _anchored_circle(r: float, n_samples: int, offset: float) -> DiscretizedPath
     return DiscretizedPath(polar_samples(r, thetas), closed=True)
 
 
-def circle_nodes(p: JTParams, r: float, n_samples: int = 2048, band: int = 0,
-                 refine_tol: float = 1e-10):
-    """Numeric node pipeline on one circle: track, trace, detect, refine.
+def circle_nodes(p: JTParams, r: float, n_samples: int = 2048, band: int = 0):
+    """Numeric node pipeline on one circle: track, trace, refine.
 
-    When a node sits on the sampling grid the grid is shifted by deterministic
-    fractions of a step (half step first) and the pipeline reruns; the anchor
-    stays pinned at theta = 0 throughout.  Returns (branch, trace, nodes)
-    with node angles folded into [0, 2 pi).
+    Tracks on theta_j = j h and, if a sample sits on a node, once more on the
+    half-step grid (anchor still at 0); SampleOnNode there propagates.  As
+    f(r, -theta) = conj f(r, theta), the nodes are {pi}, {pi/2, 3 pi/2} or
+    {a, 2 pi - a}: both on one kind of grid, h/2 off the other.  Returns
+    (branch, trace, nodes), node angles inside (0, 2 pi).
     """
     field = jt_field(p, frame="polar")
-    last_error = None
-    for offset in _GRID_OFFSETS:
-        path = _anchored_circle(r, n_samples, offset)
-        branch = track_branch(field, path, band=band)
+
+    def pipeline(offset):
+        branch = track_branch(field, _anchored_circle(r, n_samples, offset),
+                              band=band)
         trace = overlap_trace(branch, anchor_index=0)
-        try:
-            nodes = detect_nodes(trace)
-        except SampleOnNode as err:
-            last_error = err
-            continue
-        nodes = refine_nodes(trace, nodes, tol=refine_tol)
-        folded = sorted(a % (2.0 * math.pi) for a in nodes.angles)
-        return branch, trace, NodeSet(angles=tuple(folded))
-    raise last_error
+        return branch, trace, refine_nodes(trace)
+
+    try:
+        return pipeline(0.0)
+    except SampleOnNode:
+        return pipeline(0.5)
 
 
 @dataclass(frozen=True)
@@ -291,8 +284,6 @@ class NodalMapRow:
 class NodalMap:
     """Node lines over a radius sweep, numeric against closed form."""
 
-    params: JTParams
-    theta_samples: int
     rows: tuple[NodalMapRow, ...]
     skipped_radii: tuple[float, ...]
     degeneracies: tuple[DegeneracyPoint, ...]
@@ -308,7 +299,7 @@ def nodal_map(p: JTParams, r_values, theta_samples: int = 2048,
 
     Radii on the degeneracy circle are skipped (the circle itself belongs to
     the degeneracy list, not the node map).  A disagreement beyond 1e-4
-    between pipeline and closed form is a hard failure.
+    between pipeline and closed form raises NodeMismatch.
     """
     rows = []
     skipped = []
@@ -320,21 +311,11 @@ def nodal_map(p: JTParams, r_values, theta_samples: int = 2048,
             skipped.append(r)
             continue
         _, _, nodes = circle_nodes(p, r, n_samples=theta_samples, band=band)
-        if nodes.count != len(analytic):
-            raise RuntimeError(
-                f"r={r!r}: pipeline found {nodes.count} nodes, closed form "
-                f"has {len(analytic)}"
-            )
-        worst = max(
-            abs(math.remainder(a - b, 2.0 * math.pi))
-            for a, b in zip(nodes.angles, analytic)
-        )
-        if worst > NODAL_MAP_TOL:
-            raise RuntimeError(
-                f"r={r!r}: node angles differ from closed form by {worst:.3e}"
-            )
+        if nodes.count != len(analytic) or any(
+                abs(math.remainder(a - b, 2.0 * math.pi)) > NODAL_MAP_TOL
+                for a, b in zip(nodes.angles, analytic)):
+            raise NodeMismatch(r, nodes.angles, analytic)
         rows.append(NodalMapRow(r=r, numeric_angles=nodes.angles,
                                 analytic_angles=analytic))
-    return NodalMap(params=p, theta_samples=theta_samples, rows=tuple(rows),
-                    skipped_radii=tuple(skipped),
+    return NodalMap(rows=tuple(rows), skipped_radii=tuple(skipped),
                     degeneracies=degeneracy_points(p))

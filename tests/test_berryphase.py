@@ -132,12 +132,14 @@ def test_outer_loop_two_nodes(jt11):
 
 def test_sample_exactly_on_node_raises(jt11):
     # the 1024-segment grid puts a sample exactly at theta = pi, where the
-    # overlap vanishes
+    # overlap vanishes; both node finders refuse the trace
     branch = track_branch(jt_field(jt11, frame="polar"),
                           circle_path(1.0, 1024), band=0)
-    with pytest.raises(SampleOnNode) as err:
-        detect_nodes(overlap_trace(branch))
-    assert err.value.index == 512
+    trace = overlap_trace(branch)
+    for find in (detect_nodes, refine_nodes):
+        with pytest.raises(SampleOnNode) as err:
+            find(trace)
+        assert err.value.index == 512
 
 
 def test_touching_zero_is_not_a_node():
@@ -161,7 +163,7 @@ def test_refine_nodes_sharpens_to_analytic(jt11):
     branch = track_branch(jt_field(jt11, frame="polar"),
                           circle_path(3.0, 1024), band=0)
     trace = overlap_trace(branch)
-    nodes = refine_nodes(trace, detect_nodes(trace), tol=1e-10)
+    nodes = refine_nodes(trace)
     expected = math.acos(1.0 / 3.0)
     assert abs(nodes.angles[0] - expected) <= 1e-9
     assert abs(nodes.angles[1] - (2 * math.pi - expected)) <= 1e-9
@@ -173,10 +175,8 @@ def test_refine_nodes_requires_fixed_radius(jt11):
     path = to_polar_path(polygon_path([(1.2, 1.2), (-1.2, 1.2),
                                        (-1.2, -1.2), (1.2, -1.2)]))
     branch = track_branch(jt_field(jt11, frame="polar"), path, band=0)
-    trace = overlap_trace(branch)
-    nodes = detect_nodes(trace, angles=np.arange(float(len(path))))
     with pytest.raises(ValueError):
-        refine_nodes(trace, nodes)
+        refine_nodes(overlap_trace(branch))
 
 
 @pytest.mark.parametrize("kwargs", [

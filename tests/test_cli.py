@@ -595,6 +595,13 @@ def test_sweep_matches_single_radius_runs(capsys):
       "64", "--levels", "2"), "bad value for r0:"),
     (("spectrum", "--flat", "--parity", "odd", "--grid", "63"),
      "bad value for grid:"),
+    # drives whose sampled times or loop angles collapse or overflow
+    (("spin", "--k", "1", "--g", "1", "--r", "1", "--period", "1e-300",
+      "--steps", "64", "--revolutions", "1e-300"), "cannot sample the drive:"),
+    (("spin", "--k", "1", "--g", "1", "--r", "1", "--period", "1", "--steps",
+      "64", "--theta0", "1e16"), "cannot sample the drive:"),
+    (("spin", "--k", "1", "--g", "1", "--r", "1", "--period", "1e300",
+      "--steps", "64", "--revolutions", "1e300"), "cannot sample the drive:"),
 ])
 def test_bad_option_value_exits_two(capsys, argv, message):
     # out-of-range values are usage errors, caught where options are read
@@ -613,13 +620,19 @@ def test_bad_option_value_exits_two(capsys, argv, message):
     ("spectrum", "--k", "1e300", "--g", "1", "--r0", "1", "--grid", "64",
      "--levels", "2"),
     ("berry", "--k", "1e300", "--g", "1e300", "--r", "1"),
+    ("berry", "--k", "1.7e308", "--g", "0", "--r", "1"),
+    ("berry", "--k", "1e308", "--g", "1e308", "--r", "1"),
 ])
 def test_large_couplings_pass_the_residual_check(capsys, argv):
     # the residual bound scales with the matrix entries, so an eigensolve
     # accurate to eps * ||H|| passes at ||H|| ~ 1e8, and the residual is
     # formed on H / max |H_ij|, so its squares stay finite at 1e300; each
-    # circle has r = 1, inside 2k/g, where the lower band's one node sits at pi
-    code, out, err = run(capsys, *argv)
+    # circle has r = 1, inside 2k/g, where the lower band's one node sits at
+    # pi.  Symmetrizing keeps entries near the float range finite, and a gap
+    # past the range is inf without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
     assert code == 0, err
     if argv[0] == "berry":
         assert json.loads(out)["node_angles"] == [pytest.approx(math.pi)]
@@ -631,6 +644,34 @@ def test_large_couplings_pass_the_residual_check(capsys, argv):
         header, rows = parse_spectrum(out)
         assert header["flux_parity"] == "odd"
         assert all(math.isfinite(float(row[1])) for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    # two samples alias the pure quadratic model's two nodes away
+    ("nodal-map", "--k", "0", "--g", "7", "--r", "0.123", "--theta-samples",
+     "2"),
+    # k / (g r) = 1e-16: the linear term drowns in the quadratic one's rounding
+    ("nodal-map", "--k", "1e16", "--g", "1e16", "--r", "1e16",
+     "--theta-samples", "16"),
+])
+def test_nodal_map_disagreement_exits_three(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: NodeMismatch: r=") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (SPIN_ARGS, "--theta0", "-1e-3"),
+    (("locate-ci", "--k", "1", "--g", "1", "--samples-per-edge", "2",
+      "--min-depth", "2"), "--x-min", "-1e3"),
+])
+def test_negative_value_in_exponent_form(capsys, argv, option, value):
+    # argparse would take -1e-3 for an option name; both forms read the value
+    attached = run(capsys, *argv, f"{option}={value}")
+    assert attached[0] == 0, attached[2]
+    assert run(capsys, *argv, option, value) == attached
+    assert run(capsys, *argv)[1] != attached[1]
 
 
 # ---------------------------------------------------------------------------

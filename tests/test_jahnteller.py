@@ -3,19 +3,24 @@
 import cmath
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from berryline import (
     AlphaUndefined,
+    AmbiguousContinuation,
+    DegeneracyOnPath,
     DegeneracyPoint,
     JTParams,
+    NodeMismatch,
     OnDegeneracyCircle,
     circle_nodes,
     degeneracy_points,
+    jahnteller,
     jt_electronic_hamiltonian,
     jt_eigenvectors,
     jt_field,
@@ -23,9 +28,10 @@ from berryline import (
     nodal_map,
     node_angles_analytic,
     rotation_matrix,
+    track_branch,
 )
 from berryline.errors import NonFinite, TrajectoryThroughDegeneracy
-from berryline.jahnteller import coupling_field
+from berryline.jahnteller import NODAL_MAP_TOL, coupling_field
 
 
 def coupling(p, r, theta):
@@ -376,6 +382,39 @@ def test_circle_nodes_pure_quadratic(jt01):
     assert abs(nodes.angles[1] - 1.5 * math.pi) < 1e-9
 
 
+# Couplings are 0 or within four decades of each other and of r.  Where
+# k / (g r) nears 1e-16 the linear term drowns in the rounding of the
+# quadratic one and pipeline and closed form part; nodal_map then raises
+# NodeMismatch (tests/test_cli.py).
+_COUPLING = st.one_of(st.just(0.0), st.floats(1e-2, 1e2))
+
+
+@settings(deadline=None, max_examples=80)
+@example(k=0.0, g=1.0, r=1.0, n=2048, band=0)   # nodes on the integer grid
+@example(k=1.0, g=0.0, r=0.5, n=1024, band=1)
+@example(k=1.0, g=1.0, r=1.0, n=4095, band=0)   # node between samples
+@given(k=_COUPLING, g=_COUPLING, r=st.floats(1e-2, 1e2),
+       n=st.integers(3, 4096), band=st.sampled_from([0, 1]))
+def test_circle_nodes_tracks_at_most_twice(k, g, r, n, band):
+    assume(k > 0 or g > 0)
+    p = JTParams(k, g)
+    try:
+        analytic = node_angles_analytic(p, r)
+    except OnDegeneracyCircle:
+        assume(False)
+    with mock.patch.object(jahnteller, "track_branch",
+                           wraps=track_branch) as tracked:
+        try:
+            _, _, nodes = circle_nodes(p, r, n_samples=n, band=band)
+        except (AmbiguousContinuation, DegeneracyOnPath):
+            nodes = None
+    assert 1 <= tracked.call_count <= 2
+    if nodes is not None:
+        assert nodes.count == len(analytic)
+        for got, want in zip(nodes.angles, analytic):
+            assert abs(got - want) <= NODAL_MAP_TOL
+
+
 # ---------------------------------------------------------------------------
 # nodal map
 
@@ -385,11 +424,20 @@ def test_nodal_map_counts_and_agreement(jt11):
     assert [row.count for row in m.rows] == [1, 1, 2]
     assert m.skipped_radii == ()
     assert len(m.degeneracies) == 4
-    assert m.theta_samples == 1024
     for row in m.rows:
         assert len(row.numeric_angles) == len(row.analytic_angles) == row.count
         for a, b in zip(row.numeric_angles, row.analytic_angles):
             assert abs(math.remainder(a - b, 2.0 * math.pi)) < 1e-4
+
+
+def test_nodal_map_mismatch_carries_both_angle_sets():
+    # two samples per circle alias the pure quadratic model's two nodes away
+    p = JTParams(0.0, 7.0)
+    with pytest.raises(NodeMismatch) as err:
+        nodal_map(p, [0.123], theta_samples=2)
+    assert err.value.r == 0.123
+    assert err.value.numeric == ()
+    assert err.value.analytic == node_angles_analytic(p, 0.123)
 
 
 def test_nodal_map_overlap_residual(jt11):
