@@ -112,6 +112,22 @@ EXTRA = [
     "berry --k 1e308 --g 1e308 --r 1",
     "spin --k 1 --g 1 --r 1 --period 200 --steps 16384 --theta0 -1e-3",
     "locate-ci --k 1 --g 1 --x-min -1e3 --samples-per-edge 2 --min-depth 2",
+    # a bisection probe whose overlap is exactly zero, berry's closed-form
+    # check, search windows past the window limit or overflowing inside it,
+    # and the depth limit's range
+    "berry --k 1e16 --g 1e16 --r 1e16 --theta-samples 16",
+    "berry --k 0 --g 7 --r 0.123 --theta-samples 2",
+    "locate-ci --k 1 --g 1 --x-min -1.7e308 --x-max 1.7e308 "
+    "--samples-per-edge 1 --min-depth 0",
+    "locate-ci --k 1 --g 1 --x-min 1e308 --x-max 1.7e308 --y-min 1e308 "
+    "--y-max 1.7e308 --samples-per-edge 1 --min-depth 0",
+    "locate-ci --k 1 --g 1 --x-min 2e307 --x-max 1.7e308 --y-min 2e307 "
+    "--y-max 1.7e308",
+    "locate-ci --k 1 --g 1 --x-min -8.9e307 --x-max 8.9e307 "
+    "--samples-per-edge 1 --min-depth 0",
+    "locate-ci --k 1 --g 1 --spatial-tol 1e308",
+    "locate-ci --k 1 --g 1 --max-depth -3",
+    "locate-ci --k 1 --g 1 --min-depth 4 --max-depth 3",
 ]
 
 

@@ -123,8 +123,8 @@ def refine_nodes(trace: OverlapTrace) -> NodeSet:
 
     Requires a fixed-radius polar path (the branch field is re-evaluated at
     intermediate angles).  Each sign change of the trace is bisected inside
-    its sample interval down to NODE_BISECTION_TOL; a sample on a node
-    raises SampleOnNode.
+    its sample interval down to NODE_BISECTION_TOL, or to a probe that reads
+    exactly zero; a sample on a node raises SampleOnNode.
     """
     branch = trace.branch
     radii, theta = branch.path.coords[:, 0], branch.path.coords[:, 1]
@@ -151,7 +151,9 @@ def refine_nodes(trace: OverlapTrace) -> NodeSet:
         while hi - lo > NODE_BISECTION_TOL:
             mid = 0.5 * (lo + hi)
             f_mid = overlap_at(mid, near)
-            if f_lo * f_mid < 0.0:
+            if f_mid == 0.0:  # on the node: bisecting on would walk lo to hi
+                lo = hi = mid
+            elif f_lo * f_mid < 0.0:
                 hi = mid
             else:
                 lo, f_lo = mid, f_mid

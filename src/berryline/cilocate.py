@@ -14,6 +14,7 @@ and cells below the spatial tolerance are polished by gap minimization.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,14 @@ _CHUNK_POINTS = 1 << 16
 # minimum depth the command line allows.
 MAX_LEVEL_CELLS = 4 ** 8
 
+# Largest bound magnitude of a search rectangle: every cell's width and
+# centre then stay finite at every depth.
+MAX_RECT_BOUND = sys.float_info.max / 2
+
 
 @dataclass(frozen=True)
 class SearchRect:
-    """Axis-aligned Cartesian search rectangle."""
+    """Axis-aligned Cartesian search rectangle, bounds within MAX_RECT_BOUND."""
 
     x_min: float
     x_max: float
@@ -42,6 +47,10 @@ class SearchRect:
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"degenerate rectangle {self}")
+        if not all(abs(v) <= MAX_RECT_BOUND
+                   for v in (self.x_min, self.x_max, self.y_min, self.y_max)):
+            raise ValueError(f"rectangle bounds must be within "
+                             f"+-{MAX_RECT_BOUND!r}, got {self}")
 
     @property
     def width(self) -> float:

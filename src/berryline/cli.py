@@ -26,8 +26,8 @@ from .cilocate import CIResult, SearchRect, locate_ci
 from .comoving import ac_loop_phase, integrate_spin, pseudorotation_trajectory
 from .eigenpath import circle_path, holonomy_sign
 from .errors import BerrylineError, OnDegeneracyCircle
-from .jahnteller import (JTParams, circle_nodes, jt_eigenvectors, nodal_map,
-                         rotation_matrix)
+from .jahnteller import (JTParams, check_nodes, circle_nodes, jt_eigenvectors,
+                         nodal_map, node_angles_analytic, rotation_matrix)
 from .ringspectrum import (MIN_GRID_POINTS, flat_ring_problem, jt_ring_problem,
                            spectrum)
 
@@ -345,6 +345,7 @@ def cmd_berry(values: dict) -> list[tuple[str, str]]:
     branch, _, nodes = circle_nodes(p, values["r"],
                                     n_samples=values["theta_samples"],
                                     band=values["band"])
+    check_nodes(values["r"], nodes, node_angles_analytic(p, values["r"]))
     phase = open_path_berry_phase(branch.vectors)
     result = {
         "format_version": FORMAT_VERSION,
@@ -431,13 +432,17 @@ _LOCATE_OPTS = [
     Opt("y-min", _finite, -3.0, "search window"),
     Opt("y-max", _finite, 3.0, "search window"),
     Opt("band", _BAND, 0, "band index"),
-    Opt("spatial-tol", _POSITIVE, 1e-3, "cell size at which a hit is accepted"),
+    # keeps the confirmation box of half-side spatial-tol around a point a
+    # valid search window
+    Opt("spatial-tol", _checked(_finite, lambda x: 0 < x <= 1e300,
+                                "> 0 and <= 1e300"), 1e-3,
+        "cell size at which a hit is accepted"),
     Opt("gap-tol", _POSITIVE, 1e-8, "gap treated as degenerate"),
     # ceilings on the work of one quadtree level, which is scored at once
     Opt("samples-per-edge", _between(1, 4096), 32,
         "boundary samples per cell edge"),
     Opt("min-depth", _between(0, 8), 4, "quadtree depth before pruning starts"),
-    Opt("max-depth", int, 24, "quadtree depth limit"),
+    Opt("max-depth", _at_least(0), 24, "quadtree depth limit (>= min-depth)"),
     Opt("out", str, "-", "JSON destination"),
 ]
 
@@ -449,8 +454,14 @@ def cmd_locate_ci(values: dict) -> list[tuple[str, str]]:
     if not (values["x_min"] < values["x_max"] and values["y_min"] < values["y_max"]):
         raise ConfigError("the search window needs --x-min < --x-max and "
                           "--y-min < --y-max")
-    rect = SearchRect(values["x_min"], values["x_max"],
-                      values["y_min"], values["y_max"])
+    if values["max_depth"] < values["min_depth"]:
+        raise ConfigError(f"bad value for max-depth: must be >= min-depth "
+                          f"{values['min_depth']}, got {values['max_depth']}")
+    try:
+        rect = SearchRect(values["x_min"], values["x_max"],
+                          values["y_min"], values["y_max"])
+    except ValueError as err:
+        raise ConfigError(f"bad search window: {err}") from err
     res: CIResult = locate_ci(jt_field(p, frame="cartesian"), rect,
                               band=values["band"],
                               spatial_tol=values["spatial_tol"],

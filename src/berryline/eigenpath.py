@@ -101,22 +101,11 @@ def polygon_path(vertices: Sequence[tuple[float, float]],
                            closed=True)
 
 
-def polar_coordinates(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """(r, theta) of Cartesian points, elementwise, by math.hypot and math.atan2.
-
-    numpy's hypot and arctan2 pick kernels by CPU feature and can differ from
-    these in the last bit; math keeps the matrices the same on every host.
-    """
-    xs, ys, shape = np.ravel(x).tolist(), np.ravel(y).tolist(), np.shape(x)
-    r = np.fromiter(map(math.hypot, xs, ys), float, len(xs))
-    theta = np.fromiter(map(math.atan2, ys, xs), float, len(xs))
-    return r.reshape(shape), theta.reshape(shape)
-
-
 def to_polar_path(path: DiscretizedPath) -> DiscretizedPath:
     """Reinterpret a Cartesian path as polar points (r, theta), pointwise."""
-    r, theta = polar_coordinates(path.coords[:, 0], path.coords[:, 1])
-    return DiscretizedPath(np.column_stack((r, theta)), closed=path.closed)
+    x, y = path.coords[:, 0], path.coords[:, 1]
+    return DiscretizedPath(np.column_stack((np.hypot(x, y), np.arctan2(y, x))),
+                           closed=path.closed)
 
 
 @dataclass(frozen=True)

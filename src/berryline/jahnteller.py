@@ -29,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .berryphase import overlap_trace, refine_nodes
+from .berryphase import NodeSet, overlap_trace, refine_nodes
 from .eigenpath import (
     DiscretizedPath,
     HamiltonianField,
     first_index,
-    polar_coordinates,
     polar_samples,
     track_branch,
 )
@@ -136,6 +135,15 @@ def jt_point_data(p: JTParams, r: float, theta: float) -> JTPointData:
                        energies=(trap - delta, trap + delta))
 
 
+def _coupling_matrix(re_f, im_f) -> np.ndarray:
+    """Re f on the diagonal, Im f off it: (..., 2, 2) from (...) arrays."""
+    m = np.empty(np.shape(re_f) + (2, 2))
+    m[..., 0, 0] = re_f
+    m[..., 0, 1] = m[..., 1, 0] = im_f
+    m[..., 1, 1] = -re_f
+    return m
+
+
 def jt_electronic_hamiltonian(p: JTParams, r, theta) -> np.ndarray:
     """2x2 diabatic electronic matrix: Re f on the diagonal, Im f off it.
 
@@ -145,11 +153,7 @@ def jt_electronic_hamiltonian(p: JTParams, r, theta) -> np.ndarray:
     """
     linear, quadratic = coupling_terms(p, r, theta)
     f = linear + quadratic
-    m = np.empty(f.shape + (2, 2))
-    m[..., 0, 0] = f.real
-    m[..., 0, 1] = m[..., 1, 0] = f.imag
-    m[..., 1, 1] = -f.real
-    return m
+    return _coupling_matrix(f.real, f.imag)
 
 
 def rotation_matrix(alpha: float) -> np.ndarray:
@@ -170,16 +174,22 @@ def jt_eigenvectors(p: JTParams, r: float, theta: float) -> tuple[np.ndarray, np
 
 
 def jt_field(p: JTParams, frame: str = "polar") -> HamiltonianField:
-    """The model as a HamiltonianField over polar (r, theta) or Cartesian (x, y)."""
+    """The model as a HamiltonianField over polar (r, theta) or Cartesian (x, y).
+
+    At z = x + i y, f = k z + (g/2) conj(z)^2 takes + and x alone; an
+    overflow leaves inf or NaN entries, which evaluate reports as NonFinite.
+    """
     if frame not in ("polar", "cartesian"):
         raise ValueError(f"frame must be 'polar' or 'cartesian', got {frame!r}")
 
     def fn(coords) -> np.ndarray:
         c = np.asarray(coords, dtype=float)
         a, b = c[..., 0], c[..., 1]
-        if frame == "cartesian":
-            a, b = polar_coordinates(a, b)
-        return jt_electronic_hamiltonian(p, a, b)
+        if frame == "polar":
+            return jt_electronic_hamiltonian(p, a, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _coupling_matrix(p.k * a + 0.5 * p.g * (a - b) * (a + b),
+                                    b * (p.k - p.g * a))
 
     return HamiltonianField(dimension=2, matrix_fn=fn)
 
@@ -293,6 +303,15 @@ class NodalMap:
 NODAL_MAP_TOL = 1e-4
 
 
+def check_nodes(r: float, nodes: NodeSet, analytic: tuple[float, ...]) -> None:
+    """Raise NodeMismatch unless the pipeline's nodes at radius r have the
+    closed form's count and each lies within NODAL_MAP_TOL of its angle."""
+    if nodes.count != len(analytic) or any(
+            abs(math.remainder(a - b, 2.0 * math.pi)) > NODAL_MAP_TOL
+            for a, b in zip(nodes.angles, analytic)):
+        raise NodeMismatch(r, nodes.angles, analytic)
+
+
 def nodal_map(p: JTParams, r_values, theta_samples: int = 2048,
               band: int = 0) -> NodalMap:
     """Numeric node angles for each radius, verified against the closed form.
@@ -311,10 +330,7 @@ def nodal_map(p: JTParams, r_values, theta_samples: int = 2048,
             skipped.append(r)
             continue
         _, _, nodes = circle_nodes(p, r, n_samples=theta_samples, band=band)
-        if nodes.count != len(analytic) or any(
-                abs(math.remainder(a - b, 2.0 * math.pi)) > NODAL_MAP_TOL
-                for a, b in zip(nodes.angles, analytic)):
-            raise NodeMismatch(r, nodes.angles, analytic)
+        check_nodes(r, nodes, analytic)
         rows.append(NodalMapRow(r=r, numeric_angles=nodes.angles,
                                 analytic_angles=analytic))
     return NodalMap(rows=tuple(rows), skipped_radii=tuple(skipped),

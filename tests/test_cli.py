@@ -30,6 +30,7 @@ from berryline.cli import (
     fmt,
     main,
 )
+from berryline.jahnteller import NODAL_MAP_TOL
 
 
 def run(capsys, *argv):
@@ -602,6 +603,24 @@ def test_sweep_matches_single_radius_runs(capsys):
       "64", "--theta0", "1e16"), "cannot sample the drive:"),
     (("spin", "--k", "1", "--g", "1", "--r", "1", "--period", "1e300",
       "--steps", "64", "--revolutions", "1e300"), "cannot sample the drive:"),
+    # quadtree depth limits below 0 or below the minimum depth
+    (("locate-ci", "--k", "1", "--g", "1", "--max-depth", "-3"),
+     "bad value for max-depth:"),
+    (("locate-ci", "--k", "1", "--g", "1", "--min-depth", "4",
+      "--max-depth", "3"), "bad value for max-depth:"),
+    # search windows whose cells' widths or centres would overflow, and a
+    # confirmation box that would leave the window limit
+    (("locate-ci", "--k", "1", "--g", "1", "--x-min", "-1.7e308", "--x-max",
+      "1.7e308", "--samples-per-edge", "1", "--min-depth", "0"),
+     "bad search window:"),
+    (("locate-ci", "--k", "1", "--g", "1", "--x-min", "1e308", "--x-max",
+      "1.7e308", "--y-min", "1e308", "--y-max", "1.7e308",
+      "--samples-per-edge", "1", "--min-depth", "0"), "bad search window:"),
+    (("locate-ci", "--k", "1", "--g", "1", "--x-min", "2e307", "--x-max",
+      "1.7e308", "--y-min", "2e307", "--y-max", "1.7e308"),
+     "bad search window:"),
+    (("locate-ci", "--k", "1", "--g", "1", "--spatial-tol", "1e308"),
+     "bad value for spatial-tol:"),
 ])
 def test_bad_option_value_exits_two(capsys, argv, message):
     # out-of-range values are usage errors, caught where options are read
@@ -650,15 +669,37 @@ def test_large_couplings_pass_the_residual_check(capsys, argv):
     # two samples alias the pure quadratic model's two nodes away
     ("nodal-map", "--k", "0", "--g", "7", "--r", "0.123", "--theta-samples",
      "2"),
-    # k / (g r) = 1e-16: the linear term drowns in the quadratic one's rounding
-    ("nodal-map", "--k", "1e16", "--g", "1e16", "--r", "1e16",
-     "--theta-samples", "16"),
 ])
 def test_nodal_map_disagreement_exits_three(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("error: NodeMismatch: r=") and err.count("\n") == 1
+
+
+def test_berry_checks_nodes_against_the_closed_form(capsys):
+    # the aliased grid above: berry read K = 0 and exited 0 without the check
+    code, out, err = run(capsys, "berry", "--k", "0", "--g", "7", "--r",
+                         "0.123", "--theta-samples", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: NodeMismatch: r=") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["berry", "nodal-map"])
+def test_exact_zero_probe_ends_the_bisection(capsys, command):
+    # k / (g r) = 1e-16: the first bisection probe lands on pi/2, where the
+    # eigenvector comes out as (1, 0) exactly and the overlap reads 0.0
+    code, out, err = run(capsys, command, "--k", "1e16", "--g", "1e16",
+                         "--r", "1e16", "--theta-samples", "16")
+    assert code == 0, err
+    if command == "berry":
+        angles = json.loads(out)["node_angles"]
+    else:
+        angles = [float(line.split(",")[1]) for line in out.splitlines()
+                  if line.endswith("numeric")]
+    assert angles == [pytest.approx(0.5 * math.pi, abs=NODAL_MAP_TOL),
+                      pytest.approx(1.5 * math.pi, abs=NODAL_MAP_TOL)]
 
 
 @pytest.mark.parametrize("argv, option, value", [

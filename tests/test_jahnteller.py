@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -382,18 +383,16 @@ def test_circle_nodes_pure_quadratic(jt01):
     assert abs(nodes.angles[1] - 1.5 * math.pi) < 1e-9
 
 
-# Couplings are 0 or within four decades of each other and of r.  Where
-# k / (g r) nears 1e-16 the linear term drowns in the rounding of the
-# quadratic one and pipeline and closed form part; nodal_map then raises
-# NodeMismatch (tests/test_cli.py).
-_COUPLING = st.one_of(st.just(0.0), st.floats(1e-2, 1e2))
+# Couplings over sixteen decades: near k / (g r) = 1e-16 a bisection probe
+# can read an overlap of exactly 0.0, which ends the bisection there.
+_COUPLING = st.one_of(st.just(0.0), st.floats(1e-8, 1e8))
 
 
 @settings(deadline=None, max_examples=80)
 @example(k=0.0, g=1.0, r=1.0, n=2048, band=0)   # nodes on the integer grid
 @example(k=1.0, g=0.0, r=0.5, n=1024, band=1)
 @example(k=1.0, g=1.0, r=1.0, n=4095, band=0)   # node between samples
-@given(k=_COUPLING, g=_COUPLING, r=st.floats(1e-2, 1e2),
+@given(k=_COUPLING, g=_COUPLING, r=st.floats(1e-4, 1e8),
        n=st.integers(3, 4096), band=st.sampled_from([0, 1]))
 def test_circle_nodes_tracks_at_most_twice(k, g, r, n, band):
     assume(k > 0 or g > 0)
@@ -459,17 +458,33 @@ def test_nodal_map_skips_degeneracy_circle(jt11):
 # field wrappers
 
 
-def test_jt_field_frames_agree(jt11):
-    polar = jt_field(jt11, frame="polar")
-    cart = jt_field(jt11, frame="cartesian")
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        r = rng.uniform(0.1, 3.0)
-        theta = rng.uniform(-math.pi, math.pi)
-        a = polar.matrix_fn(np.array([r, theta]))
-        b = cart.matrix_fn(np.array([r * math.cos(theta),
-                                     r * math.sin(theta)]))
-        assert np.max(np.abs(a - b)) < 1e-12
+# 0 or 1e-100 to 1e100 in magnitude: a subnormal coordinate would round
+# r = hypot(x, y) itself, and the polar side with it
+_WIDE = st.one_of(st.just(0.0), st.floats(1e-100, 1e100),
+                  st.floats(-1e100, -1e-100))
+_WIDE_COUPLING = st.one_of(st.just(0.0), st.floats(1e-100, 1e100))
+
+
+@settings(deadline=None, max_examples=300)
+@given(x=_WIDE, y=_WIDE, k=_WIDE_COUPLING, g=_WIDE_COUPLING)
+def test_jt_field_frames_agree(x, y, k, g):
+    # the Cartesian polynomial against the polar exponentials at the same
+    # point, to rounding relative to the sizes of the two terms; results
+    # below the normal range round in absolute terms
+    assume(k > 0 or g > 0)
+    p = JTParams(k, g)
+    r, theta = math.hypot(x, y), math.atan2(y, x)
+    a = jt_field(p, frame="polar").evaluate(np.array([r, theta]))
+    b = jt_field(p, frame="cartesian").evaluate(np.array([x, y]))
+    tol = 1e-14 * (k * r + g * r * r) + sys.float_info.min
+    assert np.max(np.abs(a - b)) <= tol
+
+
+def test_cartesian_overflow_is_nonfinite_without_a_warning(jt11):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            jt_field(jt11, frame="cartesian").evaluate(np.array([1e200, 1e200]))
 
 
 def test_jt_field_rejects_unknown_frame(jt11):
