@@ -128,6 +128,23 @@ EXTRA = [
     "locate-ci --k 1 --g 1 --spatial-tol 1e308",
     "locate-ci --k 1 --g 1 --max-depth -3",
     "locate-ci --k 1 --g 1 --min-depth 4 --max-depth 3",
+    # polar couplings and d alpha/d theta past the float range, a drive
+    # sample on a degeneracy, drive steps near the ends of the float range
+    # and a step field that squares past it, outer degeneracy radii 2k/g
+    # that overflow or underflow, and a window whose gaps all lie below
+    # gap_tol
+    "berry --k 1 --g 1 --r 1e300",
+    "nodal-map --k 1e308 --g 1 --r 2",
+    "spectrum --k 1.7e308 --g 1 --r0 1e150 --grid 64 --levels 2",
+    "spectrum --k 1.7e308 --g 1 --r0 1 --grid 64 --levels 2",
+    "spin --k 1 --g 1 --r 2 --period 20000 --steps 65536",
+    "spin --k 1 --g 1 --r 1 --period 1 --steps 64 --revolutions 1e-300",
+    "spin --k 1 --g 1 --r 1 --period 1e300 --steps 64",
+    "spin --k 1 --g 0 --r 1 --period 1e-154 --steps 4096",
+    "nodal-map --k 1 --g 1e-320 --r 1",
+    "nodal-map --k 1e-320 --g 1e300 --r 1",
+    "locate-ci --k 1.01983e-07 --g 0 --x-min -0.0419356 --x-max 0.0272725 "
+    "--y-min -0.0419356 --y-max 0.0419356 --samples-per-edge 4 --min-depth 2",
 ]
 
 

@@ -46,13 +46,11 @@ from .eigenpath import (
 from .errors import (
     AlphaUndefined,
     AmbiguousContinuation,
-    BarrierTooWide,
     BerrylineError,
     CellLimitExceeded,
     DegeneracyOnBoundary,
     DegeneracyOnPath,
     GridTooCoarse,
-    LoopThroughDegeneracy,
     MaxDepthExceeded,
     NodeMismatch,
     NonFinite,
@@ -62,7 +60,6 @@ from .errors import (
     OrthogonalEndpoints,
     SampleOnNode,
     StepTooLarge,
-    TrajectoryThroughDegeneracy,
     VanishingStepOverlap,
 )
 from .jahnteller import (

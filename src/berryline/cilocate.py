@@ -234,12 +234,14 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
     `spatial_tol` around it reads +1, as around a cone of even winding.
     `gaps` holds the gap the polish measured at each point.
     Raises MaxDepthExceeded if a survivor is still wider than `spatial_tol`
-    at `max_depth` or at float resolution, and CellLimitExceeded if a level
-    would hold more than MAX_LEVEL_CELLS cells.  `cells_evaluated` counts the
+    at `max_depth` or at float resolution, CellLimitExceeded if a level
+    would hold more than MAX_LEVEL_CELLS cells, and DegeneracyOnBoundary if
+    the loop around a point runs through a degeneracy, as where the gap is
+    below `gap_tol` over a whole region.  `cells_evaluated` counts the
     cells whose loop sign was computed.
     """
-    def signs(cells: list[SearchRect]) -> np.ndarray:
-        return _cell_signs(field, cells, band, samples_per_edge, gap_tol)[0]
+    def signs(cells: list[SearchRect]) -> tuple[np.ndarray, np.ndarray]:
+        return _cell_signs(field, cells, band, samples_per_edge, gap_tol)
 
     depth_histogram: dict[int, int] = {}
     hits: list[SearchRect] = []
@@ -247,7 +249,7 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
     while cells:
         if depth >= min_depth:
             depth_histogram[depth] = len(cells)
-            cells = [c for c, s in zip(cells, signs(cells)) if s != 1.0]
+            cells = [c for c, s in zip(cells, signs(cells)[0]) if s != 1.0]
             hits += [c for c in cells if c.diameter <= spatial_tol]
             cells = [c for c in cells if c.diameter > spatial_tol]
             if cells and depth >= max_depth:
@@ -273,7 +275,11 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
                           gap_tol) for g in groups]
     boxes = [SearchRect(x - spatial_tol, x + spatial_tol,
                         y - spatial_tol, y + spatial_tol) for x, y, _ in found]
-    found = [pt for pt, s in zip(found, signs(boxes)) if s != 1.0]
+    box_signs, box_gaps = signs(boxes)
+    if (box_signs == 0.0).any():
+        j = int(np.argmax(box_signs == 0.0))
+        raise DegeneracyOnBoundary(boxes[j], float(box_gaps[j]), gap_tol)
+    found = [pt for pt, s in zip(found, box_signs) if s == -1.0]
     return CIResult(points=tuple((x, y) for x, y, _ in found),
                     gaps=tuple(gap for _, _, gap in found),
                     cells_evaluated=sum(depth_histogram.values()),

@@ -31,12 +31,7 @@ import numpy as np
 
 from .berryphase import canonicalize_phase
 from .eigenpath import DiscretizedPath
-from .errors import (
-    LoopThroughDegeneracy,
-    OpenPath,
-    StepTooLarge,
-    TrajectoryThroughDegeneracy,
-)
+from .errors import NonFinite, OpenPath, StepTooLarge
 from .jahnteller import (JTParams, coupling_field, jt_electronic_hamiltonian,
                          jt_point_data, rotation_matrix)
 
@@ -104,8 +99,11 @@ class NuclearTrajectory:
         self.times, self.r_of_t, self.theta_of_t = t, r, th
 
     def theta_dot(self) -> np.ndarray:
-        """Angular velocity at the samples by central differences."""
-        return np.gradient(self.theta_of_t, self.times)
+        """Angular velocity at the samples by central differences; inf or NaN
+        where time steps near the ends of the float range overflow or
+        underflow its terms."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return np.gradient(self.theta_of_t, self.times)
 
 
 def pseudorotation_trajectory(r: float, period: float, n_steps: int,
@@ -134,19 +132,25 @@ class _Drive(NamedTuple):
 def _drive(p: JTParams, traj: NuclearTrajectory) -> _Drive:
     """Evaluate the coupling at the samples, then at the step midpoints.
 
-    Raises TrajectoryThroughDegeneracy at the first sample, then the first
-    midpoint, on the degeneracy set.  The sample-side Delta and dalpha are
-    dropped once the adiabaticity ratio is read from them.
+    coupling_field raises AlphaUndefined at the first sample, then the first
+    midpoint, on the degeneracy set; an adiabaticity ratio that is not
+    finite raises NonFinite.  The sample-side Delta and dalpha are dropped
+    once the ratio is read from them.
     """
-    f_samples, delta, dalpha = coupling_field(
-        p, traj.r_of_t, traj.theta_of_t, error=TrajectoryThroughDegeneracy)
-    ratio = float(np.max(np.abs(dalpha) * np.abs(traj.theta_dot()) / delta))
-    del delta, dalpha
-    r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
-    th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
-    f_mid, delta, dalpha = coupling_field(p, r_mid, th_mid,
-                                          error=TrajectoryThroughDegeneracy)
-    gap_area = float(np.sum(delta * np.diff(traj.times)))
+    f_samples, delta, dalpha = coupling_field(p, traj.r_of_t, traj.theta_of_t)
+    # past the float range the products and midpoints are inf or NaN: a
+    # ratio that is not finite raises here, a midpoint the coupling reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = float(np.max(np.abs(dalpha) * np.abs(traj.theta_dot()) / delta))
+        if not math.isfinite(ratio):
+            raise NonFinite(f"adiabaticity ratio {ratio!r} is not finite: "
+                            "the angular velocity or d alpha/d theta leaves "
+                            "the float range")
+        del delta, dalpha
+        r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
+        th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
+        f_mid, delta, dalpha = coupling_field(p, r_mid, th_mid)
+        gap_area = float(np.sum(delta * np.diff(traj.times)))
     return _Drive(f_samples, f_mid, delta, dalpha, gap_area, ratio)
 
 
@@ -155,8 +159,8 @@ def adiabaticity_ratio(p: JTParams, traj: NuclearTrajectory) -> float:
 
     thetadot is the central-difference angular velocity at the samples.  The
     value is the one integrate_spin records as `adiabaticity_ratio`; like
-    integrate_spin, this raises TrajectoryThroughDegeneracy if a sample or a
-    step midpoint lies on the degeneracy set.
+    integrate_spin, this raises AlphaUndefined if a sample or a step midpoint
+    lies on the degeneracy set, and NonFinite if the value is not finite.
     """
     return _drive(p, traj).ratio
 
@@ -240,7 +244,9 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     States are recorded every `store_stride` steps (power of two), plus the
     final state; recorded states are renormalized.  The returned `alphas`
     are the unwrapped mixing angles at the recorded times, which is what a
-    frame conversion needs after the angle has wound around.
+    frame conversion needs after the angle has wound around.  Raises
+    StepTooLarge for a step that under-resolves the gap or the drive, and
+    NonFinite where the ratio or the step field leaves the float range.
     """
     if frame not in ("lab", "comoving"):
         raise ValueError(f"frame must be 'lab' or 'comoving', got {frame!r}")
@@ -259,26 +265,30 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
 
     f_samples, f_mid, delta, dalpha, gap_area, ratio = _drive(p, traj)
 
-    th_dot = np.diff(traj.theta_of_t) / dt
-    drive = dalpha * th_dot
-    resolution = dt * np.maximum(2.0 * delta, np.abs(drive))
-    if np.any(resolution >= STEP_RESOLUTION_LIMIT):
-        j = int(np.argmax(resolution >= STEP_RESOLUTION_LIMIT))
-        raise StepTooLarge(j, float(resolution[j]), STEP_RESOLUTION_LIMIT)
+    # past the float range the products are inf or NaN: an unresolved step
+    # raises here, and a step field whose squared norm overflows (|h| past
+    # 1e154) makes a NaN step, caught in the last state
+    with np.errstate(over="ignore", invalid="ignore"):
+        drive = dalpha * (np.diff(traj.theta_of_t) / dt)
+        resolution = dt * np.maximum(2.0 * delta, np.abs(drive))
+        resolved = resolution < STEP_RESOLUTION_LIMIT  # NaN is unresolved
+        if not resolved.all():
+            j = int(np.argmin(resolved))
+            raise StepTooLarge(j, float(resolution[j]), STEP_RESOLUTION_LIMIT)
 
-    if frame == "lab":
-        hx, hy, hz = np.imag(f_mid), np.zeros(n_steps), np.real(f_mid)
-    else:
-        hx, hy, hz = np.zeros(n_steps), -0.5 * drive, delta
-    omega = np.sqrt(hx * hx + hy * hy + hz * hz)
-    phase = omega * dt
-    cos_p = np.cos(phase)
-    sinc = np.sin(phase) / omega
-    # U = cos(w dt) - i sin(w dt)/w (hx sx + hy sy + hz sz), componentwise
-    ua = cos_p - 1j * sinc * hz
-    ub = -sinc * hy - 1j * sinc * hx
-    uc = sinc * hy - 1j * sinc * hx
-    ud = cos_p + 1j * sinc * hz
+        if frame == "lab":
+            hx, hy, hz = np.imag(f_mid), np.zeros(n_steps), np.real(f_mid)
+        else:
+            hx, hy, hz = np.zeros(n_steps), -0.5 * drive, delta
+        omega = np.sqrt(hx * hx + hy * hy + hz * hz)
+        phase = omega * dt
+        cos_p = np.cos(phase)
+        sinc = np.sin(phase) / omega
+        # U = cos(w dt) - i sin(w dt)/w (hx sx + hy sy + hz sz), componentwise
+        ua = cos_p - 1j * sinc * hz
+        ub = -sinc * hy - 1j * sinc * hx
+        uc = sinc * hy - 1j * sinc * hx
+        ud = cos_p + 1j * sinc * hz
 
     # pad to a whole number of blocks with identity steps
     block = store_stride
@@ -291,12 +301,16 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     ba, bb, bc, bd = _reduce_blocks(ua, ub, uc, ud, block)
 
     recorded = [psi]
-    for k in range(len(ba)):
-        psi = np.array([ba[k] * psi[0] + bb[k] * psi[1],
-                        bc[k] * psi[0] + bd[k] * psi[1]])
-        # the two dot products np.linalg.norm takes on a complex vector
-        psi = psi / np.sqrt(psi.real.dot(psi.real) + psi.imag.dot(psi.imag))
-        recorded.append(psi)
+    with np.errstate(invalid="ignore"):  # a NaN step reaches the last state
+        for k in range(len(ba)):
+            psi = np.array([ba[k] * psi[0] + bb[k] * psi[1],
+                            bc[k] * psi[0] + bd[k] * psi[1]])
+            # the two dot products np.linalg.norm takes on a complex vector
+            psi = psi / np.sqrt(psi.real.dot(psi.real) + psi.imag.dot(psi.imag))
+            recorded.append(psi)
+    if not np.isfinite(psi).all():
+        raise NonFinite("spin state is not finite: the step field's squared "
+                        "norm overflows")
 
     idx = np.minimum(np.arange(len(recorded)) * block, n_steps)
     states = np.array(recorded)
@@ -346,8 +360,7 @@ def ac_loop_phase(p: JTParams, loop: DiscretizedPath) -> float:
     if not loop.closed:
         raise OpenPath("the winding is defined for closed loops only")
     coords = loop.coords
-    f, _, _ = coupling_field(p, coords[:, 0], coords[:, 1],
-                             error=LoopThroughDegeneracy)
+    f, _, _ = coupling_field(p, coords[:, 0], coords[:, 1])
     alpha = np.angle(f)
     steps = np.angle(np.exp(1j * np.diff(alpha)))
     worst = int(np.argmax(np.abs(steps)))

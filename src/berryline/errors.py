@@ -81,13 +81,16 @@ class VanishingStepOverlap(BerrylineError):
 # --- jahnteller --------------------------------------------------------------
 
 class AlphaUndefined(BerrylineError):
-    """Mixing angle requested at a degeneracy where it has no value."""
+    """Mixing angle requested on the degeneracy set, where it has no value;
+    index is the point's position in the evaluated array (0 for one point)."""
 
-    def __init__(self, r, theta):
+    def __init__(self, index, r, theta):
+        self.index = index
         self.r = r
         self.theta = theta
         super().__init__(
-            f"gap vanishes at (r={r!r}, theta={theta!r}); mixing angle undefined"
+            f"gap vanishes at point {index} (r={r!r}, theta={theta!r}); "
+            "mixing angle undefined"
         )
 
 
@@ -156,10 +159,6 @@ class CellLimitExceeded(BerrylineError):
 
 # --- ringspectrum ------------------------------------------------------------
 
-class BarrierTooWide(BerrylineError):
-    """Barrier interval covers the whole ring."""
-
-
 class GridTooCoarse(BerrylineError):
     """Ring grid too coarse for the requested problem."""
 
@@ -178,28 +177,3 @@ class StepTooLarge(BerrylineError):
             "use a finer time or angle grid"
         )
 
-
-class TrajectoryThroughDegeneracy(BerrylineError):
-    """Nuclear trajectory touches the degeneracy set."""
-
-    def __init__(self, index, r, theta):
-        self.index = index
-        self.r = r
-        self.theta = theta
-        super().__init__(
-            f"trajectory sample {index} at (r={r!r}, theta={theta!r}) sits on "
-            "the degeneracy set"
-        )
-
-
-class LoopThroughDegeneracy(BerrylineError):
-    """Closed loop touches the degeneracy set."""
-
-    def __init__(self, index, r, theta):
-        self.index = index
-        self.r = r
-        self.theta = theta
-        super().__init__(
-            f"loop sample {index} at (r={r!r}, theta={theta!r}) sits on the "
-            "degeneracy set"
-        )

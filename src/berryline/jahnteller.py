@@ -69,29 +69,33 @@ class JTParams:
         return None
 
 
-def coupling_terms(p: JTParams, r, theta) -> tuple[np.ndarray, np.ndarray]:
-    """(k r e^{i theta}, (g/2) r^2 e^{-2 i theta}) elementwise; f is their sum."""
+def coupling_terms(p: JTParams, r, theta) -> tuple[np.ndarray, np.ndarray,
+                                                   np.ndarray]:
+    """k r e^{i theta}, (g/2) r^2 e^{-2 i theta} and their sum f, elementwise.
+
+    Past the float range the entries are inf or NaN, without a warning.
+    """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if (r < 0).any():
         raise ValueError(f"radius must be >= 0, got {float(np.min(r))!r}")
-    return (p.k * r * np.exp(1j * theta),
-            0.5 * p.g * r * r * np.exp(-2j * theta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        linear = p.k * r * np.exp(1j * theta)
+        quadratic = 0.5 * p.g * r * r * np.exp(-2j * theta)
+        return linear, quadratic, linear + quadratic
 
 
-def coupling_field(p: JTParams, r, theta, error=None):
+def coupling_field(p: JTParams, r, theta):
     """f, Delta = |f| and d alpha/d theta elementwise, off the degeneracy set.
 
     d alpha/d theta = d arg f/d theta = Re[(k r e^{i theta}
-    - g r^2 e^{-2 i theta}) / f].  At the first point with Delta <=
-    DEGENERACY_TOL this raises error(index, r_j, theta_j), or
-    AlphaUndefined(r_j, theta_j) when no error class is given; at the first
-    point where Delta overflows or is NaN, NonFinite.
+    - g r^2 e^{-2 i theta}) / f], inf or NaN where that overflows.  At the
+    first point with Delta <= DEGENERACY_TOL this raises AlphaUndefined, at
+    the first point where Delta overflows or is NaN, NonFinite; both name
+    the point's index.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        linear, quadratic = coupling_terms(p, r, theta)
-        f = linear + quadratic
-        delta = np.abs(f)
+    linear, quadratic, f = coupling_terms(p, r, theta)
+    delta = np.abs(f)
     # the first point outside DEGENERACY_TOL < Delta < inf; NaN is outside
     j = first_index(np.ravel(~((delta > DEGENERACY_TOL) & (delta < math.inf))))
     if j < delta.size:
@@ -100,8 +104,8 @@ def coupling_field(p: JTParams, r, theta, error=None):
         if not math.isfinite(np.ravel(delta)[j]):
             raise NonFinite(f"coupling at point {j} (r={r_j!r}, "
                             f"theta={theta_j!r}) is not finite")
-        raise (error(j, r_j, theta_j) if error else AlphaUndefined(r_j, theta_j))
-    with np.errstate(divide="ignore", invalid="ignore"):
+        raise AlphaUndefined(j, r_j, theta_j)
+    with np.errstate(over="ignore", invalid="ignore"):
         dalpha = np.real((linear - 2.0 * quadratic) / f)
     return f, delta, dalpha
 
@@ -151,8 +155,7 @@ def jt_electronic_hamiltonian(p: JTParams, r, theta) -> np.ndarray:
     eigenvalues +-Delta.  Well defined on the degeneracy set, where it is the
     zero matrix.  Elementwise over array r, theta: shape (..., 2, 2).
     """
-    linear, quadratic = coupling_terms(p, r, theta)
-    f = linear + quadratic
+    f = coupling_terms(p, r, theta)[2]
     return _coupling_matrix(f.real, f.imag)
 
 
@@ -176,8 +179,9 @@ def jt_eigenvectors(p: JTParams, r: float, theta: float) -> tuple[np.ndarray, np
 def jt_field(p: JTParams, frame: str = "polar") -> HamiltonianField:
     """The model as a HamiltonianField over polar (r, theta) or Cartesian (x, y).
 
-    At z = x + i y, f = k z + (g/2) conj(z)^2 takes + and x alone; an
-    overflow leaves inf or NaN entries, which evaluate reports as NonFinite.
+    At z = x + i y, f = k z + (g/2) conj(z)^2 takes + and x alone.  In both
+    frames an overflow leaves inf or NaN entries, which evaluate reports as
+    NonFinite.
     """
     if frame not in ("polar", "cartesian"):
         raise ValueError(f"frame must be 'polar' or 'cartesian', got {frame!r}")
@@ -208,10 +212,12 @@ class DegeneracyPoint:
 
 
 def degeneracy_points(p: JTParams) -> tuple[DegeneracyPoint, ...]:
-    """All conical intersections: the origin, plus three on r = 2k/g if k, g > 0."""
+    """All conical intersections: the origin, plus three on r = 2k/g if that
+    radius is a positive float (k, g > 0, and 2k/g neither overflows nor
+    underflows)."""
     pts = [DegeneracyPoint(0.0, None)]
     rc = p.degeneracy_radius
-    if rc is not None:
+    if rc is not None and 0.0 < rc < math.inf:
         for t in (math.pi / 3.0, math.pi, 5.0 * math.pi / 3.0):
             pts.append(DegeneracyPoint(rc, t))
     return tuple(pts)

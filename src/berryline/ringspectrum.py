@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenpath import circle_path, holonomy_sign, track_branch
-from .errors import BarrierTooWide, GridTooCoarse
+from .errors import GridTooCoarse
 from .jahnteller import JTParams, coupling_field, jt_field
 
 MIN_GRID_POINTS = 64
@@ -58,12 +58,9 @@ class RingProblem:
             )
         if self.barrier is not None:
             start, width = (float(x) for x in self.barrier)
-            if width >= 2.0 * math.pi:
-                raise BarrierTooWide(
-                    f"barrier width {width!r} covers the whole ring"
-                )
             if width <= 0:
                 raise ValueError(f"barrier width must be > 0, got {width!r}")
+            # with start > 0 this also refuses a width of 2 pi or more
             if start <= 0 or start + width >= 2.0 * math.pi:
                 raise ValueError(
                     f"barrier [{start!r}, {start + width!r}] must lie inside (0, 2 pi)"

@@ -362,6 +362,19 @@ def test_locate_ci_outer_degeneracies_anywhere(g, ratio):
         assert len(near) == 1
 
 
+def test_locate_ci_refuses_a_point_in_a_low_gap_region():
+    # with g = 0 the gap is 2 k r, below gap_tol 1e-8 out to r = 0.049 at
+    # k = 1.02e-7: every cell of the window survives, and so would a cloud
+    # of points, each boxed by a loop whose sides read sign 0
+    p = JTParams(1.01983e-07, 0.0)
+    with pytest.raises(DegeneracyOnBoundary) as err:
+        locate_ci(jt_field(p, frame="cartesian"),
+                  SearchRect(-0.0419356, 0.0272725, -0.0419356, 0.0419356),
+                  spatial_tol=1e-2, samples_per_edge=4, min_depth=2)
+    assert err.value.gap <= err.value.gap_tol == 1e-8
+    assert err.value.rect.width == pytest.approx(2e-2)
+
+
 def test_locate_ci_deterministic(field):
     rect = SearchRect(-0.6, 0.5, -0.55, 0.5)
     a = locate_ci(field, rect, spatial_tol=1e-2, samples_per_edge=16,

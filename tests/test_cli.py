@@ -1,12 +1,14 @@
 """End-to-end tests of the berryline command line."""
 
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from berryline import (
@@ -810,3 +812,148 @@ def test_locate_ci_cell_limit_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: CellLimitExceeded: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over edge values
+
+
+@pytest.mark.parametrize("argv, message", [
+    # polar couplings past the float range
+    ("berry --k 1 --g 1 --r 1e300", "NonFinite: "),
+    ("nodal-map --k 1e308 --g 1 --r 2", "NonFinite: "),
+    ("spectrum --k 1.7e308 --g 1 --r0 1e150 --grid 64 --levels 2",
+     "NonFinite: "),
+    # a drive sample on the outer intersection (2, pi)
+    ("spin --k 1 --g 1 --r 2 --period 20000 --steps 65536",
+     "AlphaUndefined: gap vanishes at point 32768 (r=2.0, "),
+    # time steps whose products underflow in the angular velocity, and
+    # steps too long for the gap frequency
+    ("spin --k 1 --g 1 --r 1 --period 1 --steps 64 --revolutions 1e-300",
+     "NonFinite: adiabaticity ratio nan "),
+    ("spin --k 1 --g 1 --r 1 --period 1e300 --steps 64", "StepTooLarge: "),
+    # resolved steps whose field, the drive rate 6e154, squares past the
+    # float range
+    ("spin --k 1 --g 0 --r 1 --period 1e-154 --steps 4096",
+     "NonFinite: spin state is not finite"),
+])
+def test_float_range_inputs_exit_three_in_one_line(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (3, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+# Values each option accepts, then values it refuses; a call draws a refused
+# value for an option one time in eight, so that most calls get past the
+# option checks and reach the library.
+_FLOATS = (["0", "5e-324", "1e-320", "2e-308", "1e-300", "1e-16", "1e-9",
+            "0.5", "1", "2", "3.141592653589793", "6.283185307179586", "1e9",
+            "1e16", "1e150", "1e300", "1.7e308"], ["nan", "inf", "-inf", "-1"])
+_SIGNED = (_FLOATS[0] + ["-0", "-1e-300", "-1", "-2", "-1e300", "-1.7e308"],
+           ["nan", "inf", "-inf"])
+_BAND = (["0", "1"], ["2", "-1"])
+_SAMPLES = (["2", "3", "16", "256"], ["1", "2.5"])
+
+# (option, values, always given) per command; the work-size options are
+# always drawn so that no call falls back to a large default
+_CONTRACT_OPTIONS = {
+    "berry": [("k", _FLOATS, True), ("g", _FLOATS, True),
+              ("r", _FLOATS, True), ("theta-samples", _SAMPLES, True),
+              ("band", _BAND, False)],
+    "nodal-map": [("k", _FLOATS, True), ("g", _FLOATS, True),
+                  ("r", (_FLOATS[0][1:] + ["0.5:3.5:0.5", "1:2:0.25"],
+                         ["0", "2:1:1", "0:1:0.5", "0.5:1e308:1e-300"]), True),
+                  ("theta-samples", _SAMPLES, True), ("band", _BAND, False)],
+    "spectrum": [("flat", ([None], []), False), ("k", _FLOATS, True),
+                 ("g", _FLOATS, True), ("band", _BAND, False),
+                 ("parity", (["even", "odd"], ["none"]), False),
+                 ("r0", (["1e-150", "1e-9", "0.5", "1", "2", "1e9", "1e150"],
+                         ["0", "1e-300", "1e300", "nan"]), False),
+                 ("grid", (["64", "100", "128"], ["63"]), True),
+                 ("levels", (["1", "2", "6"], ["0", "200"]), True),
+                 ("barrier", (["0.5:1.2", "0.1:6.2", "3:3.0000001"],
+                              ["0:1", "1:7", "3:3", "nan:1"]), False)],
+    "locate-ci": [("k", _FLOATS, True), ("g", _FLOATS, True),
+                  ("x-min", _SIGNED, False), ("x-max", _SIGNED, False),
+                  ("y-min", _SIGNED, False), ("y-max", _SIGNED, False),
+                  ("band", _BAND, False),
+                  ("spatial-tol", (_FLOATS[0][1:-1], ["0", "1.7e308"]), False),
+                  ("gap-tol", (_FLOATS[0][1:], ["0", "nan"]), False),
+                  ("samples-per-edge", (["1", "2", "4"], ["0"]), True),
+                  ("min-depth", (["0", "1", "2"], ["-1"]), True),
+                  ("max-depth", (["2", "24"], ["-3", "0"]), False)],
+    "spin": [("k", _FLOATS, True), ("g", _FLOATS, True),
+             ("r", (_FLOATS[0][1:], ["0"] + _FLOATS[1]), True),
+             ("period", (_FLOATS[0][1:], ["0"] + _FLOATS[1]), True),
+             ("steps", (["2", "3", "64", "4096"], ["1"]), True),
+             ("revolutions", (_FLOATS[0][1:], ["0"] + _FLOATS[1]), False),
+             ("theta0", _SIGNED, False),
+             ("frame", (["lab", "comoving"], ["rotating"]), False),
+             ("initial", (["lower", "upper"], ["middle"]), False),
+             ("store-stride", (["1", "64", "8192"], ["0", "3"]), False)],
+}
+
+
+@st.composite
+def contract_argv(draw):
+    command = draw(st.sampled_from(sorted(_CONTRACT_OPTIONS)))
+    argv = [command]
+    for name, (accepted, refused), always in _CONTRACT_OPTIONS[command]:
+        if always or draw(st.booleans()):
+            refuse = bool(refused) and draw(st.sampled_from([False] * 7 + [True]))
+            value = draw(st.sampled_from(refused if refuse else accepted))
+            # "--x=-inf": a value that starts with "-" cannot pass for an option
+            argv.append(f"--{name}" if value is None else f"--{name}={value}")
+    return argv
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def check_output(out: str) -> None:
+    """Parse every JSON block or header strictly; no CSV cell is nan or inf."""
+    for block in out.split("\n\n"):
+        if block.startswith("{"):
+            json.loads(block, parse_constant=_refuse)
+            continue
+        for line in block.splitlines():
+            if line.startswith("# "):
+                json.loads(line[2:], parse_constant=_refuse)
+            else:
+                cells = {cell.lower() for cell in line.split(",")}
+                assert not cells & {"nan", "inf", "-inf"}, line
+
+
+@settings(max_examples=100, deadline=None)
+@given(contract_argv())
+@example("berry --k 1 --g 1 --r 1e300".split())
+@example("nodal-map --k 1e308 --g 1 --r 2".split())
+@example("spectrum --k 1.7e308 --g 1 --r0 1e150 --grid 64 --levels 2".split())
+@example("spectrum --k 1.7e308 --g 1 --r0 1 --grid 64 --levels 2".split())
+@example("spin --k 1 --g 1 --r 2 --period 20000 --steps 65536".split())
+@example("spin --k 1 --g 1 --r 1 --period 1 --steps 64 "
+         "--revolutions 1e-300".split())
+@example("spin --k 1 --g 1 --r 1 --period 1e300 --steps 64".split())
+@example("spin --k 1 --g 0 --r 1 --period 1e-154 --steps 4096".split())
+@example("nodal-map --k 1 --g 1e-320 --r 1".split())
+@example("nodal-map --k 1e-320 --g 1e300 --r 1".split())
+@example("locate-ci --k 1.01983e-07 --g 0 --x-min -0.0419356 "
+         "--x-max 0.0272725 --y-min -0.0419356 --y-max 0.0419356 "
+         "--samples-per-edge 4 --min-depth 2".split())
+def test_every_input_ends_in_exit_0_2_or_3(argv):
+    # stdout and stderr are captured by hand: hypothesis reruns the body,
+    # which a function-scoped capsys would not reset
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3)
+    assert all(line.startswith(("note: ", "error: ")) for line in lines), lines
+    assert sum(line.startswith("error: ") for line in lines) == (code != 0)
+    if code == 0:
+        check_output(out.getvalue())

@@ -1,6 +1,7 @@
 """Tests for driven spin dynamics in the lab and co-moving frames."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,10 @@ from berryline import (
     DiscretizedPath,
     EffectiveFields,
     JTParams,
-    LoopThroughDegeneracy,
+    NonFinite,
     NuclearTrajectory,
     OpenPath,
     StepTooLarge,
-    TrajectoryThroughDegeneracy,
     ac_loop_phase,
     adiabaticity_ratio,
     circle_path,
@@ -254,14 +254,16 @@ def test_step_resolution_guard(jt11):
 
 
 def test_trajectory_through_degeneracy(jt11):
-    # n divisible by 6 puts a sample exactly on the outer intersection
+    # n divisible by 6 puts a sample exactly on the outer intersection:
+    # sample 16, at theta = pi/3
     traj = pseudorotation_trajectory(2.0, 1000.0, 96)
-    with pytest.raises(TrajectoryThroughDegeneracy):
-        integrate_spin(jt11, traj, PSI_LOWER)
-    with pytest.raises(TrajectoryThroughDegeneracy):
-        dynamical_phase(jt11, traj)
-    with pytest.raises(TrajectoryThroughDegeneracy):
-        adiabaticity_ratio(jt11, traj)
+    for call in (lambda: integrate_spin(jt11, traj, PSI_LOWER),
+                 lambda: dynamical_phase(jt11, traj),
+                 lambda: adiabaticity_ratio(jt11, traj)):
+        with pytest.raises(AlphaUndefined) as err:
+            call()
+        assert err.value.index == 16
+        assert (err.value.r, err.value.theta) == (2.0, traj.theta_of_t[16])
 
 
 def test_one_degeneracy_rule(jt11):
@@ -269,14 +271,28 @@ def test_one_degeneracy_rule(jt11):
     # 1e-14 the point data once used and at or below the 1e-12 the spin
     # used, so both must now read the point as a degeneracy
     r, theta = 5e-13, 0.3
-    linear, quadratic = coupling_terms(jt11, r, theta)
+    linear, quadratic, _ = coupling_terms(jt11, r, theta)
     assert 1e-14 < abs(linear + quadratic) <= 1e-12
-    with pytest.raises(AlphaUndefined):
+    with pytest.raises(AlphaUndefined) as err:
         jt_point_data(jt11, r, theta)
+    assert (err.value.index, err.value.r, err.value.theta) == (0, r, theta)
     traj = pseudorotation_trajectory(r, 1000.0, 64, theta0=theta)
-    with pytest.raises(TrajectoryThroughDegeneracy) as err:
+    with pytest.raises(AlphaUndefined) as err:
         integrate_spin(jt11, traj, PSI_LOWER)
-    assert err.value.index == 0
+    assert (err.value.index, err.value.r, err.value.theta) == (0, r, theta)
+
+
+def test_drive_with_a_non_finite_ratio_is_refused(jt11):
+    # 1e-300 revolutions in unit time: the products of time steps in the
+    # central differences underflow to 0, so thetadot and the ratio are NaN
+    traj = pseudorotation_trajectory(1.0, 1.0, 64, revolutions=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: integrate_spin(jt11, traj, PSI_LOWER),
+                     lambda: dynamical_phase(jt11, traj),
+                     lambda: adiabaticity_ratio(jt11, traj)):
+            with pytest.raises(NonFinite, match="adiabaticity ratio nan"):
+                call()
 
 
 def test_store_stride_consistency(jt11):
@@ -361,12 +377,12 @@ def test_recorded_phase_terms_match_direct_formulas(jt11):
     dt = np.diff(traj.times)
     r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
     th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
-    linear, quadratic = coupling_terms(jt11, r_mid, th_mid)
+    linear, quadratic, _ = coupling_terms(jt11, r_mid, th_mid)
     delta = np.abs(linear + quadratic)
     assert ev.gap_area == float(-np.sum(-delta * dt))
     assert dynamical_phase(jt11, traj) == ev.gap_area
     assert dynamical_phase(jt11, traj, band=1) == float(-np.sum(delta * dt))
-    linear, quadratic = coupling_terms(jt11, traj.r_of_t, traj.theta_of_t)
+    linear, quadratic, _ = coupling_terms(jt11, traj.r_of_t, traj.theta_of_t)
     f = linear + quadratic
     dalpha = np.real((linear - 2.0 * quadratic) / f)
     ratio = float(np.max(np.abs(dalpha) * np.abs(traj.theta_dot()) / np.abs(f)))
@@ -434,8 +450,10 @@ def test_ac_phase_open_path_rejected(jt11):
 
 
 def test_ac_phase_sample_on_degeneracy(jt11):
-    with pytest.raises(LoopThroughDegeneracy):
+    with pytest.raises(AlphaUndefined) as err:
         ac_loop_phase(jt11, circle_path(2.0, 2048, theta0=math.pi / 3.0))
+    assert (err.value.index, err.value.r, err.value.theta) == (
+        0, 2.0, math.pi / 3.0)
 
 
 def test_ac_phase_underresolved_crossing(jt11):

@@ -31,7 +31,7 @@ from berryline import (
     rotation_matrix,
     track_branch,
 )
-from berryline.errors import NonFinite, TrajectoryThroughDegeneracy
+from berryline.errors import NonFinite
 from berryline.jahnteller import NODAL_MAP_TOL, coupling_field
 
 
@@ -214,12 +214,10 @@ def test_coupling_field_names_the_first_degenerate_point(jt11):
     # (2, pi/3) and (2, pi) are outer intersections; the first one counts
     r = np.array([1.0, 2.0, 2.0])
     theta = np.array([0.0, math.pi / 3.0, math.pi])
-    with pytest.raises(AlphaUndefined) as err:
+    with pytest.raises(AlphaUndefined, match=r"at point 1 \(r=2.0, ") as err:
         coupling_field(jt11, r, theta)
-    assert (err.value.r, err.value.theta) == (2.0, math.pi / 3.0)
-    with pytest.raises(TrajectoryThroughDegeneracy) as err:
-        coupling_field(jt11, r, theta, error=TrajectoryThroughDegeneracy)
-    assert err.value.index == 1
+    assert (err.value.index, err.value.r, err.value.theta) == (
+        1, 2.0, math.pi / 3.0)
     f, delta, dalpha = coupling_field(jt11, r[:1], theta[:1])
     assert delta.tolist() == np.abs(f).tolist() == [1.5]
     # d alpha/d theta = Re[(k r - g r^2) / f] = (1 - 1) / 1.5 at theta = 0
@@ -272,6 +270,13 @@ def test_degeneracy_points_pure_couplings(jt10, jt01):
     assert degeneracy_points(jt01) == (DegeneracyPoint(0.0, None),)
     pts = degeneracy_points(JTParams(2.0, 1.0))
     assert len(pts) == 4 and all(pt.r == 4.0 for pt in pts[1:])
+
+
+@pytest.mark.parametrize("k, g", [(1.0, 1e-320), (1e-320, 1e300)])
+def test_degeneracy_points_past_the_float_range(k, g):
+    # 2k/g overflows to inf or underflows to 0, where the outer three would
+    # repeat the origin; neither is a circle of positive float radius
+    assert degeneracy_points(JTParams(k, g)) == (DegeneracyPoint(0.0, None),)
 
 
 def test_field_vanishes_at_every_degeneracy(jt11):
@@ -485,6 +490,19 @@ def test_cartesian_overflow_is_nonfinite_without_a_warning(jt11):
         warnings.simplefilter("error")
         with pytest.raises(NonFinite):
             jt_field(jt11, frame="cartesian").evaluate(np.array([1e200, 1e200]))
+
+
+@pytest.mark.parametrize("k, r", [(1.0, 1e300), (1e308, 2.0)])
+def test_polar_overflow_is_nonfinite_without_a_warning(k, r):
+    # r^2 overflows, or k r does; inf times the zero imaginary part of
+    # e^{i theta} at theta = 0 is NaN
+    p = JTParams(k, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            jt_field(p, frame="polar").evaluate(np.array([r, 0.0]))
+        with pytest.raises(NonFinite, match=r"at point 0 "):
+            coupling_field(p, r, 0.0)
 
 
 def test_jt_field_rejects_unknown_frame(jt11):
