@@ -145,6 +145,15 @@ EXTRA = [
     "nodal-map --k 1e-320 --g 1e300 --r 1",
     "locate-ci --k 1.01983e-07 --g 0 --x-min -0.0419356 --x-max 0.0272725 "
     "--y-min -0.0419356 --y-max 0.0419356 --samples-per-edge 4 --min-depth 2",
+    # word options outside their choices, an empty sweep, and a radius
+    # outside a degeneracy circle smaller than 1e-10
+    "spectrum --k 1 --g 1 --r0 1 --grid 64 --levels 2 --parity foo",
+    "spectrum --flat --parity foo --grid 64 --levels 2",
+    "spin --k 1 --g 1 --r 1 --period 200 --steps 64 --frame rotating",
+    "spin --k 1 --g 1 --r 1 --period 200 --steps 64 --initial middle",
+    "nodal-map --k 1 --g 1 --r 3:1:0.5",
+    "nodal-map --k 1e3 --g 1e14 --r 1e-10",
+    "berry --k 1e3 --g 1e14 --r 1e-10",
 ]
 
 

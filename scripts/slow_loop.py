@@ -17,10 +17,8 @@ import numpy as np
 from berryline import (
     JTParams,
     ac_loop_phase,
-    adiabaticity_ratio,
     canonicalize_phase,
     circle_path,
-    dynamical_phase,
     integrate_spin,
     pseudorotation_trajectory,
     to_lab_frame,
@@ -35,8 +33,9 @@ def one_run(p, r, period, steps):
                         frame="comoving", store_stride=stride)
     lab = to_lab_frame(ev)
     total = float(np.angle(np.vdot(lab[0], lab[-1])))
-    geo = canonicalize_phase(total - dynamical_phase(p, traj, band=0))
-    return geo, adiabaticity_ratio(p, traj), float(ev.norms[-1])
+    # the lower band's dynamical phase is +gap_area
+    geo = canonicalize_phase(total - ev.gap_area)
+    return geo, ev.adiabaticity_ratio, float(ev.norms[-1])
 
 
 def main(argv=None):

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .eigenpath import DiscretizedPath, EigenBranch, first_index
+from .eigenpath import DiscretizedPath, EigenBranch, band_steps, first_index
 from .errors import (
     OrthogonalEndpoints,
     SampleOnNode,
@@ -136,9 +136,8 @@ def refine_nodes(trace: OverlapTrace) -> NodeSet:
     values = trace.values
 
     def overlap_at(th, near_vec):
-        m = branch.field.evaluate(np.array([[r, th]]))
-        _, v = np.linalg.eigh(m)
-        vec = v[0, :, branch.band]
+        _, _, _, raw, _ = band_steps(branch.field, np.array([[r, th]]), branch.band)
+        vec = raw[0]
         if float(near_vec @ vec) < 0.0:
             vec = -vec
         return float(anchor_vec @ vec)
@@ -241,7 +240,7 @@ def reference_section(branch: EigenBranch, nodes: NodeSet,
     # Alignment cancels any per-point phase dressing of the input, so the
     # section's discontinuities appear as reversals between consecutive
     # aligned vectors; the branch itself varies continuously step to step.
-    steps = np.real(np.einsum("ij,ij->i", np.conj(aligned[:-1]), aligned[1:]))
+    steps = np.real(np.vecdot(aligned[:-1], aligned[1:]))
 
     theta = branch.path.coords[:, -1]
     flips = np.nonzero(steps < 0.0)[0]
@@ -290,7 +289,7 @@ def open_path_berry_phase(states: np.ndarray) -> BerryPhaseResult:
             f"|<psi_0|psi_end>| = {abs(end_overlap):.3e} <= {OVERLAP_ZERO_TOL:.0e}"
         )
 
-    step_overlaps = np.sum(np.conj(arr[:-1]) * arr[1:], axis=1)
+    step_overlaps = np.vecdot(arr[:-1], arr[1:])
     small = np.abs(step_overlaps) <= OVERLAP_ZERO_TOL
     if np.any(small):
         j = int(np.argmax(small))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenpath import CONTINUATION_MIN_OVERLAP, HamiltonianField, band_gaps, band_steps
+from .eigenpath import CONTINUATION_MIN_OVERLAP, HamiltonianField, band_steps
 from .errors import CellLimitExceeded, DegeneracyOnBoundary, MaxDepthExceeded
 
 # Sample points per field call when links are scored, which bounds the memory
@@ -160,11 +160,6 @@ class CIResult:
     depth_histogram: dict[int, int]
 
 
-def _gaps_at(field: HamiltonianField, band: int, pts: np.ndarray) -> np.ndarray:
-    """Gap from `band` to its nearest neighbour at each of the (n, 2) points."""
-    return band_gaps(np.linalg.eigh(field.evaluate(pts))[0], band)
-
-
 # The compass's axis probes, then a diagonal one for the model's cross term.
 _POLL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
 
@@ -189,13 +184,16 @@ def _compass_min(field: HamiltonianField, band: int, x: float, y: float,
     safely below gap_tol or the step reaches rounding scale, and returns the
     point with the gap measured there.
     """
+    def gaps_at(pts):  # each probe a chain of one point: no overlaps formed
+        return band_steps(field, pts[:, None], band)[2][:, 0]
+
     at = np.array([x, y])
-    best = _gaps_at(field, band, at[None])[0]
+    best = gaps_at(at[None])[0]
     side = step
     min_step = 1e-14 * max(1.0, abs(x), abs(y))
     while step > min_step and best > 0.25 * gap_tol:
         pts = at + step * _POLL
-        gaps = _gaps_at(field, band, pts)
+        gaps = gaps_at(pts)
         # squared gaps; the model's gradient and Hessian in units of step.
         # Past gaps of 1e154 the squares overflow, and a model or move that
         # reads inf or NaN fails its test and is skipped.
@@ -209,7 +207,7 @@ def _compass_min(field: HamiltonianField, band: int, x: float, y: float,
                                         hxy * gx - hxx * gy]) / det
                 if np.abs(move).max() <= side:
                     pts = np.vstack([pts, at + move])
-                    gaps = np.append(gaps, _gaps_at(field, band, pts[-1:]))
+                    gaps = np.append(gaps, gaps_at(pts[-1:]))
         j = int(np.argmin(gaps))
         if gaps[j] < best:
             at, best = pts[j], gaps[j]

@@ -211,6 +211,9 @@ def _between(low: int, high: int) -> Callable[[str], object]:
 _NONNEG = _checked(_finite, lambda x: x >= 0, ">= 0")
 _POSITIVE = _checked(_finite, lambda x: x > 0, "> 0")
 _BAND = _checked(int, lambda b: b in (0, 1), "0 (lower) or 1 (upper)")
+_PARITY = _checked(str, lambda s: s in ("even", "odd"), "even or odd")
+_FRAME = _checked(str, lambda s: s in ("lab", "comoving"), "lab or comoving")
+_INITIAL = _checked(str, lambda s: s in ("lower", "upper"), "lower or upper")
 _RADII = _checked(_to_range, lambda radii: min(radii) > 0, "radii > 0")
 _ARC = _checked(_to_interval, lambda ab: 0 < ab[0] < ab[1] < 2.0 * math.pi,
                 "START:END with 0 < START < END < 2 pi")
@@ -369,7 +372,7 @@ _SPECTRUM_OPTS = [
     Opt("k", _NONNEG, None, "linear coupling (model mode)"),
     Opt("g", _NONNEG, None, "quadratic coupling (model mode)"),
     Opt("band", _BAND, 0, "band index (model mode)"),
-    Opt("parity", str, None, "seam parity even|odd (required with --flat)"),
+    Opt("parity", _PARITY, None, "seam parity even|odd (required with --flat)"),
     Opt("r0", _RING_RADIUS, 1.0, "ring radius"),
     Opt("grid", _between(MIN_GRID_POINTS, 4096), 1024, "grid points"),
     Opt("levels", _at_least(1), 6, "number of levels"),
@@ -383,7 +386,7 @@ def cmd_spectrum(values: dict) -> list[tuple[str, str]]:
     if barrier is not None:
         barrier = (barrier[0], barrier[1] - barrier[0])
     if values["flat"]:
-        if values["parity"] not in ("even", "odd"):
+        if values["parity"] is None:
             raise ConfigError("--flat requires --parity even|odd")
         problem = flat_ring_problem(values["parity"], grid_size=values["grid"],
                                     radius=values["r0"], barrier=barrier)
@@ -394,7 +397,7 @@ def cmd_spectrum(values: dict) -> list[tuple[str, str]]:
         p = _jt_params(values)
         problem = jt_ring_problem(p, values["r0"], grid_size=values["grid"],
                                   band=values["band"], barrier=barrier)
-        if values["parity"] in ("even", "odd"):
+        if values["parity"] is not None:
             problem = replace(problem, flux_parity=values["parity"])
         kind = "jahnteller"
     kept = len(problem.kept_indices())
@@ -491,8 +494,8 @@ _SPIN_OPTS = [
     Opt("steps", _between(2, 1 << 21), 65536, "integration steps"),
     Opt("revolutions", _POSITIVE, 1.0, "drive revolutions"),
     Opt("theta0", _finite, 0.0, "starting angle"),
-    Opt("frame", str, "comoving", "propagation frame lab|comoving"),
-    Opt("initial", str, "lower", "initial band eigenstate lower|upper"),
+    Opt("frame", _FRAME, "comoving", "propagation frame lab|comoving"),
+    Opt("initial", _INITIAL, "lower", "initial band eigenstate lower|upper"),
     Opt("store-stride", _POWER_OF_TWO, 64,
         "record every this many steps (power of two)"),
     Opt("series-out", str, "-", "CSV time series destination"),
@@ -512,15 +515,11 @@ def cmd_spin(values: dict) -> list[tuple[str, str]]:
                                revolutions=float(round(rev)))
     except ValueError as err:
         raise ConfigError(f"cannot sample the drive: {err}") from err
-    band = {"lower": 0, "upper": 1}.get(values["initial"])
-    if band is None:
-        raise ConfigError("--initial must be lower or upper")
+    band = 0 if values["initial"] == "lower" else 1
     if values["frame"] == "comoving":
         psi0 = np.array([0.0, 1.0]) if band == 0 else np.array([1.0, 0.0])
-    elif values["frame"] == "lab":
-        psi0 = jt_eigenvectors(p, values["r"], values["theta0"])[band]
     else:
-        raise ConfigError("--frame must be lab or comoving")
+        psi0 = jt_eigenvectors(p, values["r"], values["theta0"])[band]
 
     ev = integrate_spin(p, traj, psi0.astype(complex), frame=values["frame"],
                         store_stride=values["store_stride"])

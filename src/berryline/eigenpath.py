@@ -79,13 +79,13 @@ def polar_samples(r: float, thetas: np.ndarray) -> np.ndarray:
 
 
 def circle_path(r: float, n_segments: int, theta0: float = 0.0,
-                revolutions: float = 1.0, closed: bool = True) -> DiscretizedPath:
-    """Uniform polar circle with `n_segments` steps (n_segments + 1 points)."""
+                revolutions: float = 1.0) -> DiscretizedPath:
+    """Closed uniform polar circle, `n_segments` steps (n_segments + 1 points)."""
     if n_segments < 3:
         raise ValueError(f"need >= 3 segments, got {n_segments}")
     span = 2.0 * math.pi * revolutions
     thetas = theta0 + span * np.arange(n_segments + 1) / n_segments
-    return DiscretizedPath(polar_samples(r, thetas), closed=closed)
+    return DiscretizedPath(polar_samples(r, thetas), closed=True)
 
 
 def polygon_path(vertices: Sequence[tuple[float, float]],
@@ -209,8 +209,9 @@ def first_index(mask: np.ndarray) -> int:
 def band_steps(field: HamiltonianField, coords, band: int):
     """Band `band` along (..., n, d) coordinate chains, in one batched solve.
 
-    Returns the validated matrices, the band's energies and gaps to its
-    neighbours, the raw band eigenvectors (signs as the eigensolver gives
+    The package's one eigensolve of field points (a probe is a chain of one
+    point).  Returns the validated matrices, the band's energies and gaps to
+    its neighbours, the raw band eigenvectors (signs as the eigensolver gives
     them) and the step overlaps d_j = v_{j-1} . v_j along each chain.
     """
     dim = field.dimension

@@ -44,7 +44,7 @@ from .errors import (AlphaUndefined, NodeMismatch, NonFinite, OnDegeneracyCircle
 # the mixing angle has no value.
 DEGENERACY_TOL = 1e-12
 
-# Radii closer than this to 2k/g count as lying on the degeneracy circle.
+# Radii within this fraction of 2k/g count as lying on the degeneracy circle.
 DEGENERACY_CIRCLE_TOL = 1e-10
 
 
@@ -229,7 +229,7 @@ def node_angles_analytic(p: JTParams, r: float) -> tuple[float, ...]:
     Solves alpha(r, theta) = pi: theta = pi inside the degeneracy circle,
     theta = +-arccos(k / (g r)) outside it; pure linear coupling gives {pi},
     pure quadratic gives {pi/2, 3pi/2}.  Raises OnDegeneracyCircle within
-    1e-10 of r = 2k/g, where the node structure changes discontinuously.
+    1e-10 (relative) of r = 2k/g, where the node structure jumps.
     """
     if r <= 0:
         raise ValueError(f"radius must be > 0, got {r!r}")
@@ -238,7 +238,8 @@ def node_angles_analytic(p: JTParams, r: float) -> tuple[float, ...]:
     if p.k == 0:
         return (0.5 * math.pi, 1.5 * math.pi)
     rc = p.degeneracy_radius
-    if abs(r - rc) <= DEGENERACY_CIRCLE_TOL:
+    # 2k/g past the float range is inf, where the relative band is every r
+    if rc < math.inf and abs(r - rc) <= DEGENERACY_CIRCLE_TOL * rc:
         raise OnDegeneracyCircle(r, rc)
     if r < rc:
         return (math.pi,)

@@ -134,14 +134,13 @@ class SpectrumResult:
     degeneracy_flags: tuple[bool, ...]
 
 
-def degeneracy_flags(levels: np.ndarray,
-                     tol: float = DEGENERACY_FLAG_TOL) -> tuple[bool, ...]:
-    """Flag each level that has a partner within tol * max(1, |E|)."""
+def degeneracy_flags(levels: np.ndarray) -> tuple[bool, ...]:
+    """Flag each level with a partner within DEGENERACY_FLAG_TOL * max(1, |E|)."""
     n = len(levels)
     flags = [False] * n
     for i in range(n - 1):
         a, b = float(levels[i]), float(levels[i + 1])
-        if abs(a - b) <= tol * max(1.0, abs(a), abs(b)):
+        if abs(a - b) <= DEGENERACY_FLAG_TOL * max(1.0, abs(a), abs(b)):
             flags[i] = True
             flags[i + 1] = True
     return tuple(flags)

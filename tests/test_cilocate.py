@@ -26,6 +26,7 @@ from berryline import (
     polygon_path,
     track_branch,
 )
+from berryline.eigenpath import band_steps
 
 SQRT3 = math.sqrt(3.0)
 
@@ -260,8 +261,8 @@ def test_locate_ci_polishes_once_per_degeneracy(field, monkeypatch):
 def test_locate_ci_gaps_measured_at_points(field, four_point_result):
     # each reported gap is the one-point gap at its point, bit for bit
     for (x, y), gap in zip(four_point_result.points, four_point_result.gaps):
-        one = float(cilocate._gaps_at(field, 0, np.array([[x, y]]))[0])
-        assert one.hex() == gap.hex()
+        _, _, gaps, _, _ = band_steps(field, np.array([[x, y]]), 0)
+        assert float(gaps[0]).hex() == gap.hex()
 
 
 CONE = (0.3141, -0.2718)

@@ -175,6 +175,21 @@ def test_nodal_map_on_circle_is_domain_error(capsys):
     assert "OnDegeneracyCircle" in err
 
 
+@pytest.mark.parametrize("command", ["nodal-map", "berry"])
+def test_small_radius_off_a_smaller_degeneracy_circle(capsys, command):
+    # 2k/g = 2e-11, so r = 1e-10 lies outside the circle with two nodes;
+    # an absolute 1e-10 guard took it for a radius on the circle
+    code, out, err = run(capsys, command, "--k", "1e3", "--g", "1e14",
+                         "--r", "1e-10")
+    assert (code, err) == (0, "")
+    if command == "berry":
+        assert json.loads(out)["K"] == 2
+    else:
+        rows = out.split("\n\n")[0].splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["analytic"] * 2 + [
+            "numeric"] * 2
+
+
 def test_nodal_map_pure_linear(capsys):
     code, out, _ = run(capsys, "nodal-map", "--k", "1", "--g", "0",
                        "--r", "0.5:1.5:0.5", "--theta-samples", "512")
@@ -488,6 +503,15 @@ def test_config_bad_format_version(tmp_path, capsys):
     assert "format_version" in err
 
 
+def test_config_bad_word_value(tmp_path, capsys):
+    # the converter that refuses a flag's value refuses the file's too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 1\ng = 1\nr0 = 1\ngrid = 64\nlevels = 2\nparity = foo\n")
+    code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: bad value for parity: must be even or odd, got 'foo'\n"
+
+
 def test_config_missing_file(capsys):
     code, _, err = run(capsys, "berry", "--config", "/nonexistent/x.cfg")
     assert code == 2
@@ -623,6 +647,18 @@ def test_sweep_matches_single_radius_runs(capsys):
      "bad search window:"),
     (("locate-ci", "--k", "1", "--g", "1", "--spatial-tol", "1e308"),
      "bad value for spatial-tol:"),
+    # word options are refused by their converters in every mode, and a
+    # sweep whose stop lies before its start is empty
+    (("spectrum", "--flat", "--parity", "foo", "--grid", "64"),
+     "bad value for parity:"),
+    (("spectrum", "--k", "1", "--g", "1", "--r0", "1", "--grid", "64",
+      "--levels", "2", "--parity", "foo"), "bad value for parity:"),
+    (("spin", "--k", "1", "--g", "1", "--r", "1", "--period", "200",
+      "--steps", "64", "--frame", "rotating"), "bad value for frame:"),
+    (("spin", "--k", "1", "--g", "1", "--r", "1", "--period", "200",
+      "--steps", "64", "--initial", "middle"), "bad value for initial:"),
+    (("nodal-map", "--k", "1", "--g", "1", "--r", "3:1:0.5"),
+     "bad value for r: empty sweep"),
 ])
 def test_bad_option_value_exits_two(capsys, argv, message):
     # out-of-range values are usage errors, caught where options are read

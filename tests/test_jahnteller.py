@@ -93,6 +93,9 @@ def test_point_data_energy_split(jt11):
 
 @given(st.floats(0.05, 5.0), st.floats(-math.pi, math.pi),
        st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+# next to an outer cone the polynomial's terms cancel: its square root is off
+# by 1.2e-9 relative there, while Delta^2 is within one ulp of it
+@example(r=3.341796875, theta=math.pi, k=2.421875, g=1.4489112076063524)
 def test_point_data_matches_field(r, theta, k, g):
     """Delta e^{i alpha} reproduces the coupling field wherever it is nonzero."""
     assume(k > 1e-3 or g > 1e-3)
@@ -101,9 +104,13 @@ def test_point_data_matches_field(r, theta, k, g):
     assume(abs(f) > 1e-6)
     d = jt_point_data(p, r, theta)
     assert abs(d.delta_E * cmath.exp(1j * d.alpha) - f) < 1e-12 * max(1.0, abs(f))
-    gap = math.sqrt(k * k * r * r + k * g * r ** 3 * math.cos(3 * theta)
-                    + 0.25 * g * g * r ** 4)
-    assert d.delta_E == pytest.approx(gap, rel=1e-10)
+    # Delta^2 = k^2 r^2 + k g r^3 cos 3 theta + g^2 r^4 / 4, compared at a few
+    # ulps of the largest value the polynomial can take, (k r + g r^2 / 2)^2,
+    # which bounds the rounding of both sides
+    poly = (k * k * r * r + k * g * r ** 3 * math.cos(3 * theta)
+            + 0.25 * g * g * r ** 4)
+    scale = (k * r + 0.5 * g * r * r) ** 2
+    assert abs(d.delta_E ** 2 - poly) <= 16 * math.ulp(scale)
 
 
 @given(st.floats(-math.pi, math.pi), st.floats(0.1, 4.0))
@@ -457,6 +464,20 @@ def test_nodal_map_skips_degeneracy_circle(jt11):
     m = nodal_map(jt11, [1.5, 2.0, 2.5], theta_samples=1024)
     assert m.skipped_radii == (2.0,)
     assert [row.r for row in m.rows] == [1.5, 2.5]
+
+
+def test_degeneracy_circle_guard_is_relative():
+    # 2k/g = 2e-11: r = 1e-10 is five times the circle's radius, not on it,
+    # and a radius within a relative 1e-10 of 2k/g still is
+    p = JTParams(1e3, 1e14)
+    rc = p.degeneracy_radius
+    m = nodal_map(p, [1e-10, rc * (1.0 + 5e-11), rc * (1.0 - 5e-11)],
+                  theta_samples=1024)
+    assert [row.r for row in m.rows] == [1e-10]
+    assert len(m.rows[0].numeric_angles) == 2
+    assert m.skipped_radii == (rc * (1.0 + 5e-11), rc * (1.0 - 5e-11))
+    # 2k/g past the float range: no finite radius lies on that circle
+    assert node_angles_analytic(JTParams(1.0, 1e-320), 1.0) == (math.pi,)
 
 
 # ---------------------------------------------------------------------------

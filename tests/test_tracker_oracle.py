@@ -20,9 +20,11 @@ from berryline import (
     HamiltonianField,
     JTParams,
     circle_path,
+    eig_real_symmetric,
     polygon_path,
     track_branch,
 )
+from berryline.eigenpath import band_steps
 from berryline.jahnteller import jt_field
 
 
@@ -81,6 +83,28 @@ vertices = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
 # on the first vertex in half the cases
 corners = st.sampled_from([None] * 3 + [(0.0, 0.0), (-2.0, 0.0),
                                         (1.0, math.sqrt(3.0))])
+
+
+@settings(deadline=None, max_examples=60)
+@given(couplings, st.sampled_from(["cartesian", "polar"]),
+       st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(-3.0, 3.0)),
+                min_size=1, max_size=40),
+       st.integers(0, 1))
+@example(kg=(1.0, 1.0), frame="cartesian", points=[(0.0, 0.0), (2.0, 0.0)],
+         band=0)
+def test_band_steps_match_the_solver_point_by_point(kg, frame, points, band):
+    # band_steps is the one solve the trackers, the node bisection and the
+    # gap polish run; at a stack of points, as one chain or as chains of one
+    # point, it gives eig_real_symmetric's energy and vector at each point
+    field = jt_field(JTParams(*kg), frame=frame)
+    coords = np.array(points)
+    for chains in (coords, coords[:, None]):
+        _, energies, _, raw, _ = band_steps(field, chains, band)
+        energies, raw = energies.reshape(-1), raw.reshape(-1, 2)
+        for j, point in enumerate(coords):
+            w, v = eig_real_symmetric(field.evaluate(point))
+            assert energies[j].tobytes() == w[band].tobytes()
+            assert raw[j].tobytes() == np.ascontiguousarray(v[:, band]).tobytes()
 
 
 @settings(deadline=None, max_examples=80)
