@@ -154,6 +154,8 @@ EXTRA = [
     "nodal-map --k 1 --g 1 --r 3:1:0.5",
     "nodal-map --k 1e3 --g 1e14 --r 1e-10",
     "berry --k 1e3 --g 1e14 --r 1e-10",
+    # a loop of radius 0
+    "berry --k 1 --g 1 --r 0",
 ]
 
 

@@ -34,6 +34,10 @@ OVERLAP_ZERO_TOL = 1e-12
 # Bracket width in radians at which refine_nodes stops bisecting a node.
 NODE_BISECTION_TOL = 1e-10
 
+# Bisection steps refine_nodes takes per band_steps call, over the
+# 2^NODE_TREE_DEPTH - 1 midpoints those steps can reach.
+NODE_TREE_DEPTH = 5
+
 # Canonical phase interval is (-pi, pi]; values this close to -pi are
 # reported as +pi so that the two representations of the antipodal phase
 # never flip under rounding.
@@ -118,46 +122,75 @@ def detect_nodes(trace: OverlapTrace, angles=None) -> NodeSet:
     return NodeSet(angles=tuple(found.tolist()))
 
 
+def _bisection_cuts(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(m, 2^NODE_TREE_DEPTH - 1) cuts of each bracket (lo[i], hi[i]) into
+    2^NODE_TREE_DEPTH parts by repeated halving, in ascending order.  Each
+    cut is 0.5 * (a + b) of the bracket (a, b) it halves, the float a
+    bisection step computes there."""
+    grid = np.column_stack((lo, hi))
+    for _ in range(NODE_TREE_DEPTH):
+        finer = np.empty((len(grid), 2 * grid.shape[1] - 1))
+        finer[:, ::2] = grid
+        finer[:, 1::2] = 0.5 * (grid[:, :-1] + grid[:, 1:])
+        grid = finer
+    return grid[:, 1:-1]
+
+
 def refine_nodes(trace: OverlapTrace) -> NodeSet:
     """Node angles of the trace, bisected on the continuous overlap.
 
     Requires a fixed-radius polar path (the branch field is re-evaluated at
     intermediate angles).  Each sign change of the trace is bisected inside
     its sample interval down to NODE_BISECTION_TOL, or to a probe that reads
-    exactly zero; a sample on a node raises SampleOnNode.
+    exactly zero; a sample on a node raises SampleOnNode.  A probe's overlap
+    is taken with its eigenvector turned to face the bracket's first sample.
+
+    Each round evaluates, in one band_steps call, the midpoints that the
+    next NODE_TREE_DEPTH bisection steps of every open bracket can reach,
+    then walks each bracket through them with the one-probe-per-step
+    decisions, so the angles are those of probing one midpoint at a time.
+    The walk leaves most of a round's points unread.  They lie in the same
+    sample interval, between two samples whose field is finite; on the
+    model's field they can change the outcome only by raising NonFinite
+    where Re f or Im f overflows between the samples, which needs
+    k r + g r^2 / 2 within a factor of 2 of the float range.
     """
     branch = trace.branch
     radii, theta = branch.path.coords[:, 0], branch.path.coords[:, 1]
     if np.any(radii != radii[0]):
         raise ValueError("node refinement requires a fixed-radius polar path")
-    r = float(radii[0])
 
     anchor_vec = branch.vectors[trace.anchor_index]
-    values = trace.values
-
-    def overlap_at(th, near_vec):
-        _, _, _, raw, _ = band_steps(branch.field, np.array([[r, th]]), branch.band)
-        vec = raw[0]
-        if float(near_vec @ vec) < 0.0:
-            vec = -vec
-        return float(anchor_vec @ vec)
-
-    refined = []
-    for j in _sign_changes(values):
-        lo, hi = float(theta[j]), float(theta[j + 1])
-        f_lo = float(values[j])
-        near = branch.vectors[j]
-        while hi - lo > NODE_BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            f_mid = overlap_at(mid, near)
-            if f_mid == 0.0:  # on the node: bisecting on would walk lo to hi
-                lo = hi = mid
-            elif f_lo * f_mid < 0.0:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        refined.append(0.5 * (lo + hi))
-    return NodeSet(angles=tuple(sorted(refined)))
+    j = _sign_changes(trace.values)
+    near = branch.vectors[j]
+    lo, hi = theta[j].tolist(), theta[j + 1].tolist()
+    f_lo = trace.values[j].tolist()
+    rows = [i for i in range(len(j)) if hi[i] - lo[i] > NODE_BISECTION_TOL]
+    while rows:
+        cuts = _bisection_cuts(np.array(lo)[rows], np.array(hi)[rows])
+        coords = np.stack((np.full(cuts.shape, radii[0]), cuts), axis=-1)
+        raw = band_steps(branch.field, coords[..., None, :],
+                         branch.band)[3][..., 0, :]
+        # turning a probe's vector negates its anchor overlap exactly
+        f = np.vecdot(anchor_vec, raw)
+        f = np.where(np.vecdot(near[rows, None, :], raw) < 0.0, -f, f)
+        for i, row_cuts, row_f in zip(rows, cuts.tolist(), f.tolist()):
+            # the first step halves the bracket at its middle cut; each
+            # later one at the middle cut of the half it kept
+            step = 1 << (NODE_TREE_DEPTH - 1)
+            t = step - 1
+            while step and hi[i] - lo[i] > NODE_BISECTION_TOL:
+                mid, f_mid = row_cuts[t], row_f[t]
+                step //= 2
+                # on the node: bisecting on would walk lo to hi
+                if f_mid == 0.0:
+                    lo[i] = hi[i] = mid
+                elif f_lo[i] * f_mid < 0.0:
+                    hi[i], t = mid, t - step
+                else:
+                    lo[i], f_lo[i], t = mid, f_mid, t + step
+        rows = [i for i in rows if hi[i] - lo[i] > NODE_BISECTION_TOL]
+    return NodeSet(angles=tuple(sorted(0.5 * (a + b) for a, b in zip(lo, hi))))
 
 
 class MABClass(Enum):

@@ -336,7 +336,7 @@ def cmd_nodal_map(values: dict) -> list[tuple[str, str]]:
 _BERRY_OPTS = [
     Opt("k", _NONNEG, _REQUIRED, "linear coupling"),
     Opt("g", _NONNEG, _REQUIRED, "quadratic coupling"),
-    Opt("r", _NONNEG, _REQUIRED, "loop radius"),
+    Opt("r", _POSITIVE, _REQUIRED, "loop radius"),
     Opt("theta-samples", _between(2, 1 << 21), 2048, "loop samples"),
     Opt("band", _BAND, 0, "band index"),
     Opt("out", str, "-", "JSON destination"),

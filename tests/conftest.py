@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from berryline import (
     DiscretizedPath,
@@ -22,6 +23,11 @@ from berryline import (
     to_polar_path,
 )
 from berryline.jahnteller import jt_field
+
+
+# Couplings over sixteen decades: near k / (g r) = 1e-16 a bisection probe
+# can read an overlap of exactly 0.0, which ends the bisection there.
+COUPLING = st.one_of(st.just(0.0), st.floats(1e-8, 1e8))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from berryline import (
     refine_nodes,
     track_branch,
 )
+from berryline import berryphase
 from berryline.berryphase import MABClass
+from berryline.eigenpath import band_steps
 from berryline.jahnteller import circle_nodes, jt_field
 
 from conftest import cone_states
@@ -167,6 +170,16 @@ def test_refine_nodes_sharpens_to_analytic(jt11):
     expected = math.acos(1.0 / 3.0)
     assert abs(nodes.angles[0] - expected) <= 1e-9
     assert abs(nodes.angles[1] - (2 * math.pi - expected)) <= 1e-9
+
+
+def test_refine_nodes_probes_in_batched_rounds(jt11):
+    # r = 3 has two nodes, each 25 halvings from a 2048-grid bracket to
+    # NODE_BISECTION_TOL; one band_steps call per round serves both nodes
+    with mock.patch.object(berryphase, "band_steps",
+                           wraps=band_steps) as probes:
+        _, _, nodes = circle_nodes(jt11, 3.0, 2048)
+    assert nodes.count == 2
+    assert probes.call_count <= 5
 
 
 def test_refine_nodes_requires_fixed_radius(jt11):

@@ -659,6 +659,8 @@ def test_sweep_matches_single_radius_runs(capsys):
       "--steps", "64", "--initial", "middle"), "bad value for initial:"),
     (("nodal-map", "--k", "1", "--g", "1", "--r", "3:1:0.5"),
      "bad value for r: empty sweep"),
+    # a loop of radius 0 is the origin, a point, as in nodal-map and spin
+    (("berry", "--k", "1", "--g", "1", "--r", "0"), "bad value for r:"),
 ])
 def test_bad_option_value_exits_two(capsys, argv, message):
     # out-of-range values are usage errors, caught where options are read
@@ -738,6 +740,10 @@ def test_exact_zero_probe_ends_the_bisection(capsys, command):
                   if line.endswith("numeric")]
     assert angles == [pytest.approx(0.5 * math.pi, abs=NODAL_MAP_TOL),
                       pytest.approx(1.5 * math.pi, abs=NODAL_MAP_TOL)]
+    # the first bracket ends on that probe, the second at NODE_BISECTION_TOL;
+    # a batched round's unread probes leave both where one probe per step
+    # left them
+    assert angles == [0.5 * math.pi, 4.712388980430406]
 
 
 @pytest.mark.parametrize("argv, option, value", [

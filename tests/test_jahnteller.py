@@ -34,6 +34,8 @@ from berryline import (
 from berryline.errors import NonFinite
 from berryline.jahnteller import NODAL_MAP_TOL, coupling_field
 
+from conftest import COUPLING
+
 
 def coupling(p, r, theta):
     # independent restatement of the model field, kept free of package calls
@@ -395,16 +397,11 @@ def test_circle_nodes_pure_quadratic(jt01):
     assert abs(nodes.angles[1] - 1.5 * math.pi) < 1e-9
 
 
-# Couplings over sixteen decades: near k / (g r) = 1e-16 a bisection probe
-# can read an overlap of exactly 0.0, which ends the bisection there.
-_COUPLING = st.one_of(st.just(0.0), st.floats(1e-8, 1e8))
-
-
 @settings(deadline=None, max_examples=80)
 @example(k=0.0, g=1.0, r=1.0, n=2048, band=0)   # nodes on the integer grid
 @example(k=1.0, g=0.0, r=0.5, n=1024, band=1)
 @example(k=1.0, g=1.0, r=1.0, n=4095, band=0)   # node between samples
-@given(k=_COUPLING, g=_COUPLING, r=st.floats(1e-4, 1e8),
+@given(k=COUPLING, g=COUPLING, r=st.floats(1e-4, 1e8),
        n=st.integers(3, 4096), band=st.sampled_from([0, 1]))
 def test_circle_nodes_tracks_at_most_twice(k, g, r, n, band):
     assume(k > 0 or g > 0)

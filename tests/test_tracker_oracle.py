@@ -1,9 +1,12 @@
-"""The batched tracker against a point-by-point reference, bitwise.
+"""The batched tracker and node bisection against point-by-point
+references, bitwise.
 
 `reference_track` is the per-sample loop the batched `track_branch`
 replaced: one field evaluation and one eigensolve per sample, each
-eigenvector flipped against its sign-fixed predecessor.  It lives here, not
-in the package, so the fast path always has a slow one to answer to.
+eigenvector flipped against its sign-fixed predecessor.  `reference_refine`
+is the bisection the batched `refine_nodes` replaced: one probe per step.
+They live here, not in the package, so the fast paths always have slow ones
+to answer to.
 """
 
 import math
@@ -19,13 +22,20 @@ from berryline import (
     DiscretizedPath,
     HamiltonianField,
     JTParams,
+    NodeSet,
+    SampleOnNode,
     circle_path,
     eig_real_symmetric,
+    overlap_trace,
     polygon_path,
+    refine_nodes,
     track_branch,
 )
+from berryline.berryphase import NODE_BISECTION_TOL, _sign_changes
 from berryline.eigenpath import band_steps
-from berryline.jahnteller import jt_field
+from berryline.jahnteller import _anchored_circle, jt_field
+
+from conftest import COUPLING
 
 
 def reference_track(field, path, band, gap_tol=1e-8):
@@ -171,3 +181,63 @@ def test_degeneracy_wins_over_ambiguity_at_one_sample():
     with pytest.raises(DegeneracyOnPath) as err:
         track_branch(field, path, band=0)
     assert err.value.index == 2
+
+
+def reference_refine(trace):
+    """Node angles of the trace, bisected one probe at a time."""
+    branch = trace.branch
+    r, theta = float(branch.path.coords[0, 0]), branch.path.coords[:, 1]
+    anchor_vec = branch.vectors[trace.anchor_index]
+    values = trace.values
+
+    def overlap_at(th, near_vec):
+        _, _, _, raw, _ = band_steps(branch.field, np.array([[r, th]]),
+                                     branch.band)
+        vec = raw[0]
+        if float(near_vec @ vec) < 0.0:
+            vec = -vec
+        return float(anchor_vec @ vec)
+
+    refined = []
+    for j in _sign_changes(values):
+        lo, hi = float(theta[j]), float(theta[j + 1])
+        f_lo = float(values[j])
+        near = branch.vectors[j]
+        while hi - lo > NODE_BISECTION_TOL:
+            mid = 0.5 * (lo + hi)
+            f_mid = overlap_at(mid, near)
+            if f_mid == 0.0:  # on the node: bisecting on would walk lo to hi
+                lo = hi = mid
+            elif f_lo * f_mid < 0.0:
+                hi = mid
+            else:
+                lo, f_lo = mid, f_mid
+        refined.append(0.5 * (lo + hi))
+    return NodeSet(angles=tuple(sorted(refined)))
+
+
+def refined_angles(refine, trace):
+    try:
+        return refine(trace).angles
+    except SampleOnNode as err:
+        return ("SampleOnNode", err.index)
+
+
+@settings(deadline=None, max_examples=100)
+@example(k=1e16, g=1e16, r=1e16, n=16, band=0, offset=0.5)  # a probe reads 0.0
+@example(k=0.0, g=1.0, r=1.0, n=2048, band=0, offset=0.5)   # two nodes
+@example(k=1.0, g=1.0, r=1.0, n=4095, band=0, offset=0.0)
+@given(k=COUPLING, g=COUPLING, r=st.floats(1e-4, 1e8),
+       n=st.integers(3, 4096), band=st.sampled_from([0, 1]),
+       offset=st.sampled_from([0.0, 0.5]))
+def test_refine_nodes_matches_one_probe_per_step(k, g, r, n, band, offset):
+    # the circle grids circle_nodes tracks on, with the anchor at theta = 0
+    assume(k > 0 or g > 0)
+    field = jt_field(JTParams(k, g), frame="polar")
+    try:
+        branch = track_branch(field, _anchored_circle(r, n, offset), band=band)
+    except (AmbiguousContinuation, DegeneracyOnPath):
+        assume(False)
+    trace = overlap_trace(branch)
+    got = refined_angles(refine_nodes, trace)
+    assert got == refined_angles(reference_refine, trace)
