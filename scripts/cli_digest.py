@@ -156,6 +156,13 @@ EXTRA = [
     "berry --k 1e3 --g 1e14 --r 1e-10",
     # a loop of radius 0
     "berry --k 1 --g 1 --r 0",
+    # a store stride far above the step count, a drive sample on the
+    # degeneracy set at the first sample of the second chunk, and a drive
+    # whose time steps are not all equal
+    "spin --k 1 --g 1 --r 1 --period 1 --steps 256 "
+    "--store-stride 1099511627776",
+    "spin --k 1 --g 1 --r 2 --period 1e6 --steps 98304",
+    "spin --k 1 --g 1 --r 1 --period 30000 --steps 1048576 --frame lab",
 ]
 
 

@@ -41,6 +41,10 @@ STEP_RESOLUTION_LIMIT = 0.1
 # Per-step winding increments above this are considered unresolved.
 WINDING_STEP_LIMIT = 0.5 * math.pi
 
+# Steps of the drive evaluated and propagated at a time: the work arrays of
+# one chunk stay small, whatever the step count.
+CHUNK_STEPS = 1 << 14
+
 
 def comoving_transform(p: JTParams, r: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Half-angle rotation U and the rotated electronic matrix U^T H U.
@@ -92,18 +96,45 @@ class NuclearTrajectory:
             raise ValueError("times, r_of_t, theta_of_t must share one shape, >= 3 samples")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(r)) and np.all(np.isfinite(th))):
             raise ValueError("trajectory samples must be finite")
-        if np.any(np.diff(t) <= 0):
+        dt = np.diff(t)
+        if np.any(dt <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(r <= 0):
             raise ValueError("trajectory radii must be > 0")
         self.times, self.r_of_t, self.theta_of_t = t, r, th
+        # np.gradient's uniform form applies when every time step is equal
+        self._uniform_step = dt[0] if (dt == dt[0]).all() else None
 
-    def theta_dot(self) -> np.ndarray:
-        """Angular velocity at the samples by central differences; inf or NaN
-        where time steps near the ends of the float range overflow or
-        underflow its terms."""
+    def theta_dot(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Angular velocity at samples start..stop-1 by central differences.
+
+        Bitwise np.gradient(theta_of_t, times) over all samples: one-sided
+        at the two ends, and in the uniform form when every time step is
+        equal.  Inf or NaN where time steps near the ends of the float range
+        overflow or underflow its terms.
+        """
+        t, th, h = self.times, self.theta_of_t, self._uniform_step
+        n = len(t)
+        stop = n if stop is None else stop
+        lo, hi = max(start - 1, 0), min(stop + 1, n)
+        out = np.empty(stop - start)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return np.gradient(self.theta_of_t, self.times)
+            f = th[lo:hi]
+            if h is not None:
+                inner = (f[2:] - f[:-2]) / (2. * h)
+            else:
+                dx = np.diff(t[lo:hi])
+                dx1, dx2 = dx[:-1], dx[1:]
+                a = -(dx2) / (dx1 * (dx1 + dx2))
+                b = (dx2 - dx1) / (dx1 * dx2)
+                c = dx1 / (dx2 * (dx1 + dx2))
+                inner = a * f[:-2] + b * f[1:-1] + c * f[2:]
+            out[(start == 0):len(out) - (stop == n)] = inner
+            if start == 0:
+                out[0] = (th[1] - th[0]) / (t[1] - t[0] if h is None else h)
+            if stop == n:
+                out[-1] = (th[-1] - th[-2]) / (t[-1] - t[-2] if h is None else h)
+        return out
 
 
 def pseudorotation_trajectory(r: float, period: float, n_steps: int,
@@ -118,40 +149,81 @@ def pseudorotation_trajectory(r: float, period: float, n_steps: int,
 
 
 class _Drive(NamedTuple):
-    """The coupling along a trajectory, evaluated once at the samples and once
-    at the step midpoints, with the scalars read from it."""
+    """Figures of the coupling along a trajectory."""
 
-    f_samples: np.ndarray   # f at the samples
-    f_mid: np.ndarray       # f at the step midpoints
-    delta: np.ndarray       # Delta = |f| at the step midpoints
-    dalpha: np.ndarray      # d alpha / d theta at the step midpoints
-    gap_area: float         # midpoint-rule integral of Delta dt
-    ratio: float            # adiabaticity ratio at the samples
+    alphas: np.ndarray  # unwrapped mixing angle at the requested samples
+    gap_area: float     # midpoint-rule integral of Delta dt
+    ratio: float        # adiabaticity ratio at the samples
 
 
-def _drive(p: JTParams, traj: NuclearTrajectory) -> _Drive:
-    """Evaluate the coupling at the samples, then at the step midpoints.
+def _unwrap_corrections(steps: np.ndarray) -> np.ndarray:
+    """np.unwrap's correction for each step of a raw angle (period 2 pi)."""
+    ddmod = np.mod(steps + math.pi, 2.0 * math.pi) - math.pi
+    np.copyto(ddmod, math.pi, where=(ddmod == -math.pi) & (steps > 0))
+    corrections = ddmod - steps
+    np.copyto(corrections, 0.0, where=np.abs(steps) < math.pi)
+    return corrections
 
-    coupling_field raises AlphaUndefined at the first sample, then the first
-    midpoint, on the degeneracy set; an adiabaticity ratio that is not
-    finite raises NonFinite.  The sample-side Delta and dalpha are dropped
-    once the ratio is read from them.
+
+def _drive(p: JTParams, traj: NuclearTrajectory, block: int = 1,
+           recorded=(), step=None) -> _Drive:
+    """Evaluate the coupling at the samples, then at the step midpoints, in
+    chunks of max(CHUNK_STEPS, block) points.
+
+    The samples give the adiabaticity ratio and the unwrapped mixing angle
+    at the ascending sample indices `recorded`.  Each chunk of midpoints
+    goes to `step(start, dt, f, delta, dalpha)`, in time order, and then is
+    dropped.  coupling_field raises AlphaUndefined or NonFinite at the first
+    sample, then, after a ratio that is not finite raises NonFinite, at the
+    first midpoint; indices count from the first sample or step.  Every
+    figure is bitwise the one whole arrays give: maxima and np.unwrap's
+    running sum carry exactly from chunk to chunk, and gap_area is one
+    np.sum over all steps.
     """
-    f_samples, delta, dalpha = coupling_field(p, traj.r_of_t, traj.theta_of_t)
+    chunk = max(CHUNK_STEPS, block)
+    t, r, th = traj.times, traj.r_of_t, traj.theta_of_t
+    n_steps = len(t) - 1
+    recorded = np.asarray(recorded, dtype=int)
+    alphas = np.empty(len(recorded))
+    maxima = []
+    # the raw angle and the unwrap correction of the sample before a chunk;
+    # adding -0.0 leaves the first angle as it is, even a -0.0
+    last, carry = np.empty(0), -0.0
     # past the float range the products and midpoints are inf or NaN: a
     # ratio that is not finite raises here, a midpoint the coupling reports
     with np.errstate(over="ignore", invalid="ignore"):
-        ratio = float(np.max(np.abs(dalpha) * np.abs(traj.theta_dot()) / delta))
+        for s in range(0, n_steps + 1, chunk):
+            f, delta, dalpha = coupling_field(p, r[s:s + chunk],
+                                              th[s:s + chunk], first=s)
+            theta_dot = traj.theta_dot(s, min(s + chunk, n_steps + 1))
+            maxima.append(np.max(np.abs(dalpha) * np.abs(theta_dot) / delta))
+            angle = np.angle(f)
+            steps = np.diff(np.concatenate((last, angle)))
+            sums = np.cumsum(np.concatenate(([carry],
+                                             _unwrap_corrections(steps))))
+            lo, hi = np.searchsorted(recorded, (s, s + chunk))
+            j = recorded[lo:hi] - s
+            alphas[lo:hi] = angle[j] + sums[j + len(last)]
+            last, carry = angle[-1:], sums[-1]
+        ratio = float(np.max(maxima))
         if not math.isfinite(ratio):
             raise NonFinite(f"adiabaticity ratio {ratio!r} is not finite: "
                             "the angular velocity or d alpha/d theta leaves "
                             "the float range")
-        del delta, dalpha
-        r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
-        th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
-        f_mid, delta, dalpha = coupling_field(p, r_mid, th_mid)
-        gap_area = float(np.sum(delta * np.diff(traj.times)))
-    return _Drive(f_samples, f_mid, delta, dalpha, gap_area, ratio)
+    area = np.empty(n_steps)  # Delta dt
+    for s in range(0, n_steps, chunk):
+        e = min(s + chunk, n_steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, delta, dalpha = coupling_field(p, 0.5 * (r[s:e] + r[s + 1:e + 1]),
+                                              0.5 * (th[s:e] + th[s + 1:e + 1]),
+                                              first=s)
+            dt = np.diff(t[s:e + 1])
+            area[s:e] = delta * dt
+        if step is not None:
+            step(s, dt, f, delta, dalpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap_area = float(np.sum(area))
+    return _Drive(alphas, gap_area, ratio)
 
 
 def adiabaticity_ratio(p: JTParams, traj: NuclearTrajectory) -> float:
@@ -247,6 +319,11 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     frame conversion needs after the angle has wound around.  Raises
     StepTooLarge for a step that under-resolves the gap or the drive, and
     NonFinite where the ratio or the step field leaves the float range.
+    The drive is evaluated and propagated one chunk of steps at a time
+    (see _drive).  For a store_stride up to CHUNK_STEPS a chunk is
+    CHUNK_STEPS steps long, so memory grows with the step count only
+    through the trajectory and one float per step for gap_area; a larger
+    stride makes each chunk one record block long.
     """
     if frame not in ("lab", "comoving"):
         raise ValueError(f"frame must be 'lab' or 'comoving', got {frame!r}")
@@ -259,65 +336,74 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"psi0 must be normalized, |norm - 1| = {abs(norm - 1.0):.3e}")
 
-    t = traj.times
-    dt = np.diff(t)
-    n_steps = len(dt)
+    t, th = traj.times, traj.theta_of_t
+    n_steps = len(t) - 1
+    # a stride at or above the step count records the first and the last
+    # state, as one block padded to a power of two does
+    block = min(store_stride, 1 << (n_steps - 1).bit_length())
+    idx = np.minimum(np.arange(-(-n_steps // block) + 1) * block, n_steps)
+    states = [psi]
+    unresolved = None  # the first step that under-resolves, raised at the end
 
-    f_samples, f_mid, delta, dalpha, gap_area, ratio = _drive(p, traj)
+    def propagate(start, dt, f_mid, delta, dalpha):
+        nonlocal psi, unresolved
+        if unresolved is not None:
+            return
+        n = len(dt)
+        # past the float range the products are inf or NaN: an unresolved
+        # step stops the propagation, and a step field whose squared norm
+        # overflows (|h| past 1e154) makes a NaN step, caught in the last
+        # state
+        with np.errstate(over="ignore", invalid="ignore"):
+            drive = dalpha * (np.diff(th[start:start + n + 1]) / dt)
+            resolution = dt * np.maximum(2.0 * delta, np.abs(drive))
+            resolved = resolution < STEP_RESOLUTION_LIMIT  # NaN is unresolved
+            if not resolved.all():
+                j = int(np.argmin(resolved))
+                unresolved = StepTooLarge(start + j, float(resolution[j]),
+                                          STEP_RESOLUTION_LIMIT)
+                return
 
-    # past the float range the products are inf or NaN: an unresolved step
-    # raises here, and a step field whose squared norm overflows (|h| past
-    # 1e154) makes a NaN step, caught in the last state
-    with np.errstate(over="ignore", invalid="ignore"):
-        drive = dalpha * (np.diff(traj.theta_of_t) / dt)
-        resolution = dt * np.maximum(2.0 * delta, np.abs(drive))
-        resolved = resolution < STEP_RESOLUTION_LIMIT  # NaN is unresolved
-        if not resolved.all():
-            j = int(np.argmin(resolved))
-            raise StepTooLarge(j, float(resolution[j]), STEP_RESOLUTION_LIMIT)
+            if frame == "lab":
+                hx, hy, hz = np.imag(f_mid), np.zeros(n), np.real(f_mid)
+            else:
+                hx, hy, hz = np.zeros(n), -0.5 * drive, delta
+            omega = np.sqrt(hx * hx + hy * hy + hz * hz)
+            phase = omega * dt
+            cos_p = np.cos(phase)
+            sinc = np.sin(phase) / omega
+            # U = cos(w dt) - i sin(w dt)/w (hx sx + hy sy + hz sz), componentwise
+            ua = cos_p - 1j * sinc * hz
+            ub = -sinc * hy - 1j * sinc * hx
+            uc = sinc * hy - 1j * sinc * hx
+            ud = cos_p + 1j * sinc * hz
 
-        if frame == "lab":
-            hx, hy, hz = np.imag(f_mid), np.zeros(n_steps), np.real(f_mid)
-        else:
-            hx, hy, hz = np.zeros(n_steps), -0.5 * drive, delta
-        omega = np.sqrt(hx * hx + hy * hy + hz * hz)
-        phase = omega * dt
-        cos_p = np.cos(phase)
-        sinc = np.sin(phase) / omega
-        # U = cos(w dt) - i sin(w dt)/w (hx sx + hy sy + hz sz), componentwise
-        ua = cos_p - 1j * sinc * hz
-        ub = -sinc * hy - 1j * sinc * hx
-        uc = sinc * hy - 1j * sinc * hx
-        ud = cos_p + 1j * sinc * hz
+        # pad the last chunk to a whole number of blocks with identity steps
+        pad = (-n) % block
+        if pad:
+            one = np.ones(pad, dtype=complex)
+            zero = np.zeros(pad, dtype=complex)
+            ua, ub = np.concatenate((ua, one)), np.concatenate((ub, zero))
+            uc, ud = np.concatenate((uc, zero)), np.concatenate((ud, one))
+        ba, bb, bc, bd = _reduce_blocks(ua, ub, uc, ud, block)
 
-    # pad to a whole number of blocks with identity steps
-    block = store_stride
-    pad = (-n_steps) % block
-    if pad:
-        one = np.ones(pad, dtype=complex)
-        zero = np.zeros(pad, dtype=complex)
-        ua, ub = np.concatenate((ua, one)), np.concatenate((ub, zero))
-        uc, ud = np.concatenate((uc, zero)), np.concatenate((ud, one))
-    ba, bb, bc, bd = _reduce_blocks(ua, ub, uc, ud, block)
+        with np.errstate(invalid="ignore"):  # a NaN step reaches the last state
+            for k in range(len(ba)):
+                psi = np.array([ba[k] * psi[0] + bb[k] * psi[1],
+                                bc[k] * psi[0] + bd[k] * psi[1]])
+                # the two dot products np.linalg.norm takes on a complex vector
+                psi = psi / np.sqrt(psi.real.dot(psi.real) + psi.imag.dot(psi.imag))
+                states.append(psi)
 
-    recorded = [psi]
-    with np.errstate(invalid="ignore"):  # a NaN step reaches the last state
-        for k in range(len(ba)):
-            psi = np.array([ba[k] * psi[0] + bb[k] * psi[1],
-                            bc[k] * psi[0] + bd[k] * psi[1]])
-            # the two dot products np.linalg.norm takes on a complex vector
-            psi = psi / np.sqrt(psi.real.dot(psi.real) + psi.imag.dot(psi.imag))
-            recorded.append(psi)
+    result = _drive(p, traj, block, idx, propagate)
+    if unresolved is not None:
+        raise unresolved
     if not np.isfinite(psi).all():
         raise NonFinite("spin state is not finite: the step field's squared "
                         "norm overflows")
-
-    idx = np.minimum(np.arange(len(recorded)) * block, n_steps)
-    states = np.array(recorded)
-    alphas_all = np.unwrap(np.angle(f_samples))
-    return SpinEvolution(times=t[idx], states=states, frame=frame,
-                         alphas=alphas_all[idx], gap_area=gap_area,
-                         adiabaticity_ratio=ratio)
+    return SpinEvolution(times=t[idx], states=np.array(states), frame=frame,
+                         alphas=result.alphas, gap_area=result.gap_area,
+                         adiabaticity_ratio=result.ratio)
 
 
 def to_lab_frame(evolution: SpinEvolution) -> np.ndarray:

@@ -85,14 +85,14 @@ def coupling_terms(p: JTParams, r, theta) -> tuple[np.ndarray, np.ndarray,
         return linear, quadratic, linear + quadratic
 
 
-def coupling_field(p: JTParams, r, theta):
+def coupling_field(p: JTParams, r, theta, first: int = 0):
     """f, Delta = |f| and d alpha/d theta elementwise, off the degeneracy set.
 
     d alpha/d theta = d arg f/d theta = Re[(k r e^{i theta}
     - g r^2 e^{-2 i theta}) / f], inf or NaN where that overflows.  At the
     first point with Delta <= DEGENERACY_TOL this raises AlphaUndefined, at
     the first point where Delta overflows or is NaN, NonFinite; both name
-    the point's index.
+    the point's index, counted from `first` (for arrays evaluated in pieces).
     """
     linear, quadratic, f = coupling_terms(p, r, theta)
     delta = np.abs(f)
@@ -102,9 +102,9 @@ def coupling_field(p: JTParams, r, theta):
         r_b, theta_b = np.broadcast_arrays(r, theta)
         r_j, theta_j = float(r_b.flat[j]), float(theta_b.flat[j])
         if not math.isfinite(np.ravel(delta)[j]):
-            raise NonFinite(f"coupling at point {j} (r={r_j!r}, "
+            raise NonFinite(f"coupling at point {first + j} (r={r_j!r}, "
                             f"theta={theta_j!r}) is not finite")
-        raise AlphaUndefined(j, r_j, theta_j)
+        raise AlphaUndefined(first + j, r_j, theta_j)
     with np.errstate(over="ignore", invalid="ignore"):
         dalpha = np.real((linear - 2.0 * quadratic) / f)
     return f, delta, dalpha

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from berryline import (
     JTParams,
     adiabaticity_ratio,
+    cli,
     degeneracy_points,
     dynamical_phase,
     integrate_spin,
@@ -449,21 +450,53 @@ def test_spin_summary_matches_library_bitwise(capsys, frame, initial, steps,
 
 
 def test_spin_evaluates_the_coupling_twice(capsys, monkeypatch):
-    # once at the 16385 trajectory samples, once at the 16384 step
-    # midpoints; the 4096-segment loop of ac_loop_phase is shorter.  Every
+    # across the whole command, each of the 16385 trajectory samples and each
+    # of the 16384 step midpoints is evaluated exactly once, in chunks of
+    # steps; only the 4096-segment loop of ac_loop_phase is left out.  Every
     # caller reaches the coupling through jahnteller.coupling_field, so the
     # count is taken where that helper reads it
-    sizes = []
-    original = jahnteller.coupling_terms
+    thetas, in_loop, loops = [], False, 0
+    original_terms, original_loop = jahnteller.coupling_terms, cli.ac_loop_phase
 
     def counting(p, r, theta):
-        sizes.append(np.broadcast(r, theta).size)
-        return original(p, r, theta)
+        if not in_loop:
+            thetas.append(np.broadcast_arrays(r, theta)[1].ravel())
+        return original_terms(p, r, theta)
+
+    def loop_phase(*args, **kwargs):
+        nonlocal in_loop, loops
+        in_loop, loops = True, loops + 1
+        try:
+            return original_loop(*args, **kwargs)
+        finally:
+            in_loop = False
 
     monkeypatch.setattr(jahnteller, "coupling_terms", counting)
+    monkeypatch.setattr(cli, "ac_loop_phase", loop_phase)
     code, _, _ = run(capsys, *SPIN_ARGS)
     assert code == 0
-    assert sorted(n for n in sizes if n >= 16384) == [16384, 16385]
+    assert loops == 1
+    assert sum(len(th) for th in thetas) == 16385 + 16384
+    samples = pseudorotation_trajectory(1.0, 200.0, 16384).theta_of_t
+    midpoints = 0.5 * (samples[:-1] + samples[1:])
+    assert np.array_equal(np.sort(np.concatenate(thetas)),
+                          np.sort(np.concatenate((samples, midpoints))))
+
+
+@pytest.mark.parametrize("steps, base, strides", [
+    ("256", "256", ["512", "65536", str(1 << 40)]),
+    ("1000", "1024", ["4096", str(1 << 40)]),
+])
+def test_spin_store_stride_above_the_step_count(capsys, steps, base, strides):
+    # a stride at or above the step count records the first and the last
+    # state; the steps are padded to the next power of two, not to the
+    # stride, so 2^40 neither allocates 16 TiB nor changes a byte
+    argv = ("spin", "--k", "1", "--g", "1", "--r", "1", "--period", "1",
+            "--steps", steps, "--store-stride")
+    expected = run(capsys, *argv, base)
+    assert expected[0] == 0
+    for stride in strides:
+        assert run(capsys, *argv, stride) == expected
 
 
 # ---------------------------------------------------------------------------

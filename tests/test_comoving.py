@@ -1,10 +1,13 @@
 """Tests for driven spin dynamics in the lab and co-moving frames."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from berryline import (
     AlphaUndefined,
@@ -172,6 +175,29 @@ def test_theta_dot_exact_for_uniform_drive():
     assert np.allclose(traj.theta_dot(), want, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=300),
+       uniform=st.booleans(), cuts=st.lists(st.integers(0, 301)),
+       seed=st.integers(0, 2**32 - 1))
+@example(steps=[1e-300, 1e-300], uniform=True, cuts=[1], seed=0)
+@example(steps=[1e200, 3e200], uniform=False, cuts=[2], seed=0)
+def test_theta_dot_pieces_equal_np_gradient(steps, uniform, cuts, seed):
+    # any split of the samples gives np.gradient's values bit for bit, in
+    # its uniform form (every step equal) and in its general one
+    if uniform:
+        steps = [steps[0]] * len(steps)
+    times = np.cumsum([0.0] + steps)
+    theta = np.random.default_rng(seed).normal(size=len(times))
+    traj = NuclearTrajectory(times, np.ones(len(times)), theta)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        want = np.gradient(traj.theta_of_t, traj.times)
+    n = len(times)
+    bounds = sorted({0, n, *(c % (n + 1) for c in cuts)})
+    pieces = [traj.theta_dot(a, b) for a, b in zip(bounds, bounds[1:])]
+    assert np.concatenate(pieces).tobytes() == want.tobytes()
+    assert traj.theta_dot().tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # static-point propagation (exactly solvable)
 
@@ -310,6 +336,22 @@ def test_store_stride_pads_ragged_step_counts(jt11):
     strided = integrate_spin(jt11, traj, PSI_LOWER, store_stride=16)
     assert strided.times[-1] == traj.times[-1]
     assert np.linalg.norm(full.states[-1] - strided.states[-1]) < 1e-12
+
+
+def test_integrate_spin_memory_is_bounded(jt11):
+    # the drive is evaluated and propagated one chunk of steps at a time: at
+    # 2^17 steps the traced peak stays below 6 MiB, where whole-array stages
+    # peak near 30 MiB.  The trajectory is built before tracing starts, so
+    # its own three arrays (3 MiB) are not part of the peak
+    n = 1 << 17
+    traj = pseudorotation_trajectory(1.0, n / 50.0, n)
+    tracemalloc.start()
+    try:
+        integrate_spin(jt11, traj, PSI_LOWER, store_stride=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_integrate_spin_argument_validation(jt11):
