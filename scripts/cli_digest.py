@@ -163,6 +163,12 @@ EXTRA = [
     "--store-stride 1099511627776",
     "spin --k 1 --g 1 --r 2 --period 1e6 --steps 98304",
     "spin --k 1 --g 1 --r 1 --period 30000 --steps 1048576 --frame lab",
+    # record blocks longer than a chunk of steps: one block over the whole
+    # drive, and blocks of four chunks with the last one padded
+    "spin --k 1 --g 1 --r 1 --period 40000 --steps 2097152 "
+    "--store-stride 2097152",
+    "spin --k 1 --g 1 --r 1 --period 4000 --steps 200000 "
+    "--store-stride 65536",
 ]
 
 

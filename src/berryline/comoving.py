@@ -80,30 +80,70 @@ def effective_fields(p: JTParams, r: float, theta: float,
     return EffectiveFields(b_eff=b, e_radial=float(dalpha) / (2.0 * r))
 
 
-@dataclass(eq=False)
 class NuclearTrajectory:
-    """Sampled classical path (r(t), theta(t)) with strictly increasing times."""
+    """Classical path (r(t), theta(t)) at strictly increasing times.
 
-    times: np.ndarray
-    r_of_t: np.ndarray
-    theta_of_t: np.ndarray
+    The samples need not be stored: `sample(start, stop)` returns the
+    times, radii and angles at sample indices start..stop-1, so a drive
+    reads them one chunk at a time.  Built from arrays, it slices them;
+    from_sampler takes any such function.  Either way the samples are
+    checked once, a chunk at a time, when the trajectory is built.
+    """
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        r = np.asarray(self.r_of_t, dtype=float)
-        th = np.asarray(self.theta_of_t, dtype=float)
-        if not (t.shape == r.shape == th.shape) or t.ndim != 1 or len(t) < 3:
+    def __init__(self, times, r_of_t, theta_of_t):
+        arrays = tuple(np.asarray(x, dtype=float)
+                       for x in (times, r_of_t, theta_of_t))
+        t, r, th = arrays
+        if not (t.shape == r.shape == th.shape) or t.ndim != 1:
             raise ValueError("times, r_of_t, theta_of_t must share one shape, >= 3 samples")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(r)) and np.all(np.isfinite(th))):
+        self._bind(len(t), lambda start, stop: tuple(x[start:stop]
+                                                       for x in arrays))
+
+    @classmethod
+    def from_sampler(cls, n_samples: int, sample) -> NuclearTrajectory:
+        """The trajectory whose samples start..stop-1 are sample(start, stop)."""
+        traj = cls.__new__(cls)
+        traj._bind(n_samples, sample)
+        return traj
+
+    def _bind(self, n_samples: int, sample) -> None:
+        """Check the samples a chunk at a time, then keep the sampler."""
+        if n_samples < 3:
+            raise ValueError("times, r_of_t, theta_of_t must share one shape, >= 3 samples")
+        finite = increasing = positive = uniform = True
+        last = np.empty(0)  # the time before a chunk
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = np.diff(sample(0, 2)[0])[0]  # the first time step
+            for s in range(0, n_samples, CHUNK_STEPS):
+                t, r, th = sample(s, min(s + CHUNK_STEPS, n_samples))
+                finite &= bool(np.isfinite(t).all() and np.isfinite(r).all()
+                               and np.isfinite(th).all())
+                dt = np.diff(np.concatenate((last, t)))
+                increasing &= bool((dt > 0).all())
+                positive &= bool((r > 0).all())
+                uniform &= bool((dt == h).all())
+                last = t[-1:]
+        if not finite:
             raise ValueError("trajectory samples must be finite")
-        dt = np.diff(t)
-        if np.any(dt <= 0):
+        if not increasing:
             raise ValueError("times must be strictly increasing")
-        if np.any(r <= 0):
+        if not positive:
             raise ValueError("trajectory radii must be > 0")
-        self.times, self.r_of_t, self.theta_of_t = t, r, th
+        self.n_samples, self.sample = n_samples, sample
         # np.gradient's uniform form applies when every time step is equal
-        self._uniform_step = dt[0] if (dt == dt[0]).all() else None
+        self._uniform_step = h if uniform else None
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.sample(0, self.n_samples)[0]
+
+    @property
+    def r_of_t(self) -> np.ndarray:
+        return self.sample(0, self.n_samples)[1]
+
+    @property
+    def theta_of_t(self) -> np.ndarray:
+        return self.sample(0, self.n_samples)[2]
 
     def theta_dot(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Angular velocity at samples start..stop-1 by central differences.
@@ -113,22 +153,20 @@ class NuclearTrajectory:
         equal.  Inf or NaN where time steps near the ends of the float range
         overflow or underflow its terms.
         """
-        t, th, h = self.times, self.theta_of_t, self._uniform_step
-        n = len(t)
+        n, h = self.n_samples, self._uniform_step
         stop = n if stop is None else stop
-        lo, hi = max(start - 1, 0), min(stop + 1, n)
+        t, _, th = self.sample(max(start - 1, 0), min(stop + 1, n))
         out = np.empty(stop - start)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f = th[lo:hi]
             if h is not None:
-                inner = (f[2:] - f[:-2]) / (2. * h)
+                inner = (th[2:] - th[:-2]) / (2. * h)
             else:
-                dx = np.diff(t[lo:hi])
+                dx = np.diff(t)
                 dx1, dx2 = dx[:-1], dx[1:]
                 a = -(dx2) / (dx1 * (dx1 + dx2))
                 b = (dx2 - dx1) / (dx1 * dx2)
                 c = dx1 / (dx2 * (dx1 + dx2))
-                inner = a * f[:-2] + b * f[1:-1] + c * f[2:]
+                inner = a * th[:-2] + b * th[1:-1] + c * th[2:]
             out[(start == 0):len(out) - (stop == n)] = inner
             if start == 0:
                 out[0] = (th[1] - th[0]) / (t[1] - t[0] if h is None else h)
@@ -137,23 +175,85 @@ class NuclearTrajectory:
         return out
 
 
+def _linspace(start: float, stop: float, num: int, lo: int, hi: int) -> np.ndarray:
+    """np.linspace(start, stop, num)[lo:hi], bit for bit (num >= 2).
+
+    np.linspace forms arange(num) * ((stop - start) / (num - 1)) + start, or
+    arange(num) / (num - 1) * (stop - start) + start where that step
+    underflows to 0, and sets its last point to stop.
+    """
+    delta = np.subtract(stop, start, dtype=float)
+    y = np.arange(lo, hi, dtype=float)
+    step = delta / (num - 1)
+    if step == 0:
+        y /= num - 1
+        y *= delta
+    else:
+        y *= step
+    y += start
+    if hi == num:
+        y[-1] = stop
+    return y
+
+
 def pseudorotation_trajectory(r: float, period: float, n_steps: int,
                               theta0: float = 0.0,
                               revolutions: float = 1.0) -> NuclearTrajectory:
-    """Uniform circular drive at fixed radius (overflow fails as non-finite)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = np.linspace(0.0, period * revolutions, n_steps + 1)
-        theta = theta0 + 2.0 * math.pi * revolutions * np.linspace(0.0, 1.0, n_steps + 1)
-    return NuclearTrajectory(times=t, r_of_t=np.full(n_steps + 1, float(r)),
-                             theta_of_t=theta)
+    """Uniform circular drive at fixed radius (overflow fails as non-finite).
+
+    The samples are those of np.linspace over the whole drive, bit for bit,
+    formed for one range of indices at a time.
+    """
+    r, duration = float(r), period * revolutions
+    winding = 2.0 * math.pi * revolutions
+
+    def sample(start, stop):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (_linspace(0.0, duration, n_steps + 1, start, stop),
+                    np.full(stop - start, r),
+                    theta0 + winding * _linspace(0.0, 1.0, n_steps + 1,
+                                                 start, stop))
+
+    return NuclearTrajectory.from_sampler(n_steps + 1, sample)
 
 
 class _Drive(NamedTuple):
     """Figures of the coupling along a trajectory."""
 
+    times: np.ndarray   # times of the requested samples
     alphas: np.ndarray  # unwrapped mixing angle at the requested samples
     gap_area: float     # midpoint-rule integral of Delta dt
     ratio: float        # adiabaticity ratio at the samples
+
+
+# np.sum over float64 adds up to this many elements as one block and splits
+# a longer range at its half, rounded down to a multiple of 8
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_sum(n: int, chunks) -> float:
+    """np.sum of the n floats the iterator `chunks` yields, bit for bit.
+
+    Walks np.sum's split tree in order: a part that lies in the chunks at
+    hand goes to np.sum whole, and only the head of a block that runs past
+    them is kept for the next chunk.
+    """
+    buf, base = np.empty(0), 0  # elements base.. not summed yet
+
+    def part(start, size):
+        nonlocal buf, base
+        end = start + size
+        while end > base + len(buf) and (size <= _PAIRWISE_BLOCK
+                                          or start == base + len(buf)):
+            buf, base = np.concatenate((buf[start - base:], next(chunks))), start
+        if end <= base + len(buf):
+            return np.sum(buf[start - base:end - base])
+        half = size // 2 - size // 2 % 8
+        return part(start, half) + part(start + half, size - half)
+
+    total = part(0, n)
+    del part  # it refers to itself, a cycle that would hold the chunks
+    return total
 
 
 def _unwrap_corrections(steps: np.ndarray) -> np.ndarray:
@@ -165,26 +265,25 @@ def _unwrap_corrections(steps: np.ndarray) -> np.ndarray:
     return corrections
 
 
-def _drive(p: JTParams, traj: NuclearTrajectory, block: int = 1,
-           recorded=(), step=None) -> _Drive:
+def _drive(p: JTParams, traj: NuclearTrajectory, recorded=(),
+           step=None) -> _Drive:
     """Evaluate the coupling at the samples, then at the step midpoints, in
-    chunks of max(CHUNK_STEPS, block) points.
+    chunks of CHUNK_STEPS points.
 
-    The samples give the adiabaticity ratio and the unwrapped mixing angle
-    at the ascending sample indices `recorded`.  Each chunk of midpoints
-    goes to `step(start, dt, f, delta, dalpha)`, in time order, and then is
-    dropped.  coupling_field raises AlphaUndefined or NonFinite at the first
-    sample, then, after a ratio that is not finite raises NonFinite, at the
-    first midpoint; indices count from the first sample or step.  Every
-    figure is bitwise the one whole arrays give: maxima and np.unwrap's
-    running sum carry exactly from chunk to chunk, and gap_area is one
-    np.sum over all steps.
+    The samples give the adiabaticity ratio, and the time and the unwrapped
+    mixing angle at the ascending sample indices `recorded`.  Each chunk of
+    midpoints goes to `step(start, dt, dtheta, f, delta, dalpha)`, in time
+    order, and then is dropped.  coupling_field raises AlphaUndefined or
+    NonFinite at the first sample, then, after a ratio that is not finite
+    raises NonFinite, at the first midpoint; indices count from the first
+    sample or step.  Every figure is bitwise the one whole arrays give:
+    maxima and np.unwrap's running sum carry exactly from chunk to chunk,
+    and gap_area follows np.sum's pairwise order (_pairwise_sum).  No
+    array spans the whole drive, save the recorded times and angles.
     """
-    chunk = max(CHUNK_STEPS, block)
-    t, r, th = traj.times, traj.r_of_t, traj.theta_of_t
-    n_steps = len(t) - 1
+    n_steps = traj.n_samples - 1
     recorded = np.asarray(recorded, dtype=int)
-    alphas = np.empty(len(recorded))
+    times, alphas = np.empty(len(recorded)), np.empty(len(recorded))
     maxima = []
     # the raw angle and the unwrap correction of the sample before a chunk;
     # adding -0.0 leaves the first angle as it is, even a -0.0
@@ -192,17 +291,19 @@ def _drive(p: JTParams, traj: NuclearTrajectory, block: int = 1,
     # past the float range the products and midpoints are inf or NaN: a
     # ratio that is not finite raises here, a midpoint the coupling reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n_steps + 1, chunk):
-            f, delta, dalpha = coupling_field(p, r[s:s + chunk],
-                                              th[s:s + chunk], first=s)
-            theta_dot = traj.theta_dot(s, min(s + chunk, n_steps + 1))
+        for s in range(0, n_steps + 1, CHUNK_STEPS):
+            e = min(s + CHUNK_STEPS, n_steps + 1)
+            t, r, th = traj.sample(s, e)
+            f, delta, dalpha = coupling_field(p, r, th, first=s)
+            theta_dot = traj.theta_dot(s, e)
             maxima.append(np.max(np.abs(dalpha) * np.abs(theta_dot) / delta))
             angle = np.angle(f)
             steps = np.diff(np.concatenate((last, angle)))
             sums = np.cumsum(np.concatenate(([carry],
                                              _unwrap_corrections(steps))))
-            lo, hi = np.searchsorted(recorded, (s, s + chunk))
+            lo, hi = np.searchsorted(recorded, (s, e))
             j = recorded[lo:hi] - s
+            times[lo:hi] = t[j]
             alphas[lo:hi] = angle[j] + sums[j + len(last)]
             last, carry = angle[-1:], sums[-1]
         ratio = float(np.max(maxima))
@@ -210,20 +311,21 @@ def _drive(p: JTParams, traj: NuclearTrajectory, block: int = 1,
             raise NonFinite(f"adiabaticity ratio {ratio!r} is not finite: "
                             "the angular velocity or d alpha/d theta leaves "
                             "the float range")
-    area = np.empty(n_steps)  # Delta dt
-    for s in range(0, n_steps, chunk):
-        e = min(s + chunk, n_steps)
-        with np.errstate(over="ignore", invalid="ignore"):
-            f, delta, dalpha = coupling_field(p, 0.5 * (r[s:e] + r[s + 1:e + 1]),
-                                              0.5 * (th[s:e] + th[s + 1:e + 1]),
+
+    def areas():  # Delta dt at the midpoints, one chunk of steps at a time
+        for s in range(0, n_steps, CHUNK_STEPS):
+            t, r, th = traj.sample(s, min(s + CHUNK_STEPS, n_steps) + 1)
+            f, delta, dalpha = coupling_field(p, 0.5 * (r[:-1] + r[1:]),
+                                              0.5 * (th[:-1] + th[1:]),
                                               first=s)
-            dt = np.diff(t[s:e + 1])
-            area[s:e] = delta * dt
-        if step is not None:
-            step(s, dt, f, delta, dalpha)
+            dt = np.diff(t)
+            if step is not None:
+                step(s, dt, np.diff(th), f, delta, dalpha)
+            yield delta * dt
+
     with np.errstate(over="ignore", invalid="ignore"):
-        gap_area = float(np.sum(area))
-    return _Drive(alphas, gap_area, ratio)
+        gap_area = float(_pairwise_sum(n_steps, areas()))
+    return _Drive(times, alphas, gap_area, ratio)
 
 
 def adiabaticity_ratio(p: JTParams, traj: NuclearTrajectory) -> float:
@@ -319,11 +421,9 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     frame conversion needs after the angle has wound around.  Raises
     StepTooLarge for a step that under-resolves the gap or the drive, and
     NonFinite where the ratio or the step field leaves the float range.
-    The drive is evaluated and propagated one chunk of steps at a time
-    (see _drive).  For a store_stride up to CHUNK_STEPS a chunk is
-    CHUNK_STEPS steps long, so memory grows with the step count only
-    through the trajectory and one float per step for gap_area; a larger
-    stride makes each chunk one record block long.
+    The drive is evaluated and propagated CHUNK_STEPS steps at a time (see
+    _drive), whatever the stride, so memory grows with the step count only
+    through the recorded states.
     """
     if frame not in ("lab", "comoving"):
         raise ValueError(f"frame must be 'lab' or 'comoving', got {frame!r}")
@@ -336,17 +436,23 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"psi0 must be normalized, |norm - 1| = {abs(norm - 1.0):.3e}")
 
-    t, th = traj.times, traj.theta_of_t
-    n_steps = len(t) - 1
+    n_steps = traj.n_samples - 1
     # a stride at or above the step count records the first and the last
     # state, as one block padded to a power of two does
     block = min(store_stride, 1 << (n_steps - 1).bit_length())
     idx = np.minimum(np.arange(-(-n_steps // block) + 1) * block, n_steps)
     states = [psi]
     unresolved = None  # the first step that under-resolves, raised at the end
+    # a block longer than a chunk is the product of its chunks' products,
+    # taken in the order of _reduce_blocks' tree: a binary counter over the
+    # chunks of the block, with the earlier partial products on a stack
+    span = min(block, CHUNK_STEPS)
+    stack, chunks_done = [], 0
+    identity = (np.ones(1, complex), np.zeros(1, complex),
+                np.zeros(1, complex), np.ones(1, complex))
 
-    def propagate(start, dt, f_mid, delta, dalpha):
-        nonlocal psi, unresolved
+    def propagate(start, dt, dtheta, f_mid, delta, dalpha):
+        nonlocal psi, unresolved, chunks_done
         if unresolved is not None:
             return
         n = len(dt)
@@ -355,7 +461,7 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
         # overflows (|h| past 1e154) makes a NaN step, caught in the last
         # state
         with np.errstate(over="ignore", invalid="ignore"):
-            drive = dalpha * (np.diff(th[start:start + n + 1]) / dt)
+            drive = dalpha * (dtheta / dt)
             resolution = dt * np.maximum(2.0 * delta, np.abs(drive))
             resolved = resolution < STEP_RESOLUTION_LIMIT  # NaN is unresolved
             if not resolved.all():
@@ -378,15 +484,32 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
             uc = sinc * hy - 1j * sinc * hx
             ud = cos_p + 1j * sinc * hz
 
-        # pad the last chunk to a whole number of blocks with identity steps
-        pad = (-n) % block
+        # pad the last chunk to a whole number of spans with identity steps
+        pad = (-n) % span
         if pad:
             one = np.ones(pad, dtype=complex)
             zero = np.zeros(pad, dtype=complex)
             ua, ub = np.concatenate((ua, one)), np.concatenate((ub, zero))
             uc, ud = np.concatenate((uc, zero)), np.concatenate((ud, one))
-        ba, bb, bc, bd = _reduce_blocks(ua, ub, uc, ud, block)
+        products = _reduce_blocks(ua, ub, uc, ud, span)
 
+        if block > span:
+            # after the last chunk, the rest of its block is identity steps,
+            # whose chunks reduce to the identity exactly
+            rest = block // span - chunks_done - 1 if start + n == n_steps else 0
+            for m in [products] + [identity] * rest:
+                chunks_done += 1
+                level = chunks_done
+                while level % 2 == 0:
+                    m = _pairwise_product(*(np.concatenate(pair)
+                                            for pair in zip(stack.pop(), m)))
+                    level //= 2
+                stack.append(m)
+            if chunks_done < block // span:
+                return
+            products, chunks_done = stack.pop(), 0
+
+        ba, bb, bc, bd = products
         with np.errstate(invalid="ignore"):  # a NaN step reaches the last state
             for k in range(len(ba)):
                 psi = np.array([ba[k] * psi[0] + bb[k] * psi[1],
@@ -395,14 +518,15 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
                 psi = psi / np.sqrt(psi.real.dot(psi.real) + psi.imag.dot(psi.imag))
                 states.append(psi)
 
-    result = _drive(p, traj, block, idx, propagate)
+    result = _drive(p, traj, idx, propagate)
     if unresolved is not None:
         raise unresolved
     if not np.isfinite(psi).all():
         raise NonFinite("spin state is not finite: the step field's squared "
                         "norm overflows")
-    return SpinEvolution(times=t[idx], states=np.array(states), frame=frame,
-                         alphas=result.alphas, gap_area=result.gap_area,
+    return SpinEvolution(times=result.times, states=np.array(states),
+                         frame=frame, alphas=result.alphas,
+                         gap_area=result.gap_area,
                          adiabaticity_ratio=result.ratio)
 
 

@@ -31,6 +31,8 @@ from berryline import (
     rotation_matrix,
     to_lab_frame,
 )
+from berryline import comoving
+from berryline.comoving import CHUNK_STEPS, _linspace, _pairwise_sum
 from berryline.jahnteller import coupling_terms
 
 PSI_LOWER = np.array([0.0, 1.0], dtype=complex)
@@ -167,6 +169,148 @@ def test_pseudorotation_trajectory_shape():
     assert traj.theta_of_t[0] == 0.3
     assert traj.theta_of_t[-1] == pytest.approx(0.3 + 4.0 * math.pi)
     assert np.all(traj.r_of_t == 1.4)
+
+
+def linspace_samples(r, period, n_steps, theta0, revolutions):
+    """The drive's samples as np.linspace gives them over the whole drive."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.linspace(0.0, period * revolutions, n_steps + 1)
+        theta = theta0 + 2.0 * math.pi * revolutions * np.linspace(
+            0.0, 1.0, n_steps + 1)
+    return t, np.full(n_steps + 1, float(r)), theta
+
+
+def built(make):
+    """A trajectory, or the message of the ValueError building it raised."""
+    try:
+        return make()
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.floats(-1.0, 4.0), period_log10=st.floats(-320.0, 308.0),
+       revolutions_log10=st.floats(-300.0, 10.0),
+       theta0=st.floats(-1e3, 1e3), n_steps=st.integers(2, 5000),
+       cuts=st.lists(st.integers(0, 5001), max_size=4))
+# the time step underflows to 0: np.linspace's other branch
+@example(r=1.0, period_log10=-20.0, revolutions_log10=-300.0, theta0=0.0,
+         n_steps=1 << 14, cuts=[])
+# the duration overflows
+@example(r=1.0, period_log10=300.0, revolutions_log10=10.0, theta0=0.0,
+         n_steps=64, cuts=[])
+def test_sampled_trajectory_equals_np_linspace(r, period_log10,
+                                               revolutions_log10, theta0,
+                                               n_steps, cuts):
+    # pseudorotation_trajectory forms any index range of np.linspace's
+    # samples bit for bit, and refuses the drives whose whole arrays are
+    # refused, with the same message
+    period, revolutions = 10.0 ** period_log10, 10.0 ** revolutions_log10
+    arrays = linspace_samples(r, period, n_steps, theta0, revolutions)
+    want = built(lambda: NuclearTrajectory(*arrays))
+    got = built(lambda: pseudorotation_trajectory(
+        r, period, n_steps, theta0=theta0, revolutions=revolutions))
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name, x in zip(("times", "r_of_t", "theta_of_t"), arrays):
+        assert getattr(got, name).tobytes() == x.tobytes(), name
+    n = n_steps + 1
+    bounds = sorted({0, n, *(c % (n + 1) for c in cuts)})
+    for a, b in zip(bounds, bounds[1:]):
+        for part, x in zip(got.sample(a, b), arrays):
+            assert part.tobytes() == x[a:b].tobytes()
+
+
+@pytest.mark.parametrize("period, revolutions, n_steps, message", [
+    (1e300, 1e10, 64, "trajectory samples must be finite"),
+    (1.0, 1e308, 64, "trajectory samples must be finite"),
+    (1e-300, 1e-300, 64, "times must be strictly increasing"),
+    (1e-20, 1e-300, 1 << 14, "times must be strictly increasing"),
+])
+def test_drive_that_overflows_or_underflows_is_refused(period, revolutions,
+                                                       n_steps, message):
+    # the duration or the winding overflows, or the duration or the time
+    # step underflows to 0
+    with pytest.raises(ValueError) as err:
+        pseudorotation_trajectory(1.0, period, n_steps,
+                                  revolutions=revolutions)
+    assert str(err.value) == message
+
+
+def test_linspace_mirror_keeps_the_underflow_branch():
+    # where the step underflows to 0, np.linspace divides by num - 1 before
+    # it multiplies by the span; the drive is refused then (its times
+    # repeat), but the mirror still gives np.linspace's samples
+    for stop, num in ((1e-320, (1 << 14) + 1), (1e-300, 65), (1.0, 7)):
+        want = np.linspace(0.0, stop, num)
+        assert _linspace(0.0, stop, num, 0, num).tobytes() == want.tobytes()
+        assert _linspace(0.0, stop, num, 2, 5).tobytes() == want[2:5].tobytes()
+
+
+def whole_array_message(t, r, theta):
+    """What the trajectory checks say about whole arrays (None: nothing)."""
+    if not (np.isfinite(t).all() and np.isfinite(r).all()
+            and np.isfinite(theta).all()):
+        return "trajectory samples must be finite"
+    if (np.diff(t) <= 0).any():
+        return "times must be strictly increasing"
+    if (r <= 0).any():
+        return "trajectory radii must be > 0"
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 40), uniform=st.booleans(),
+       defects=st.lists(st.tuples(
+           st.sampled_from(["nan time", "inf angle", "repeated time",
+                            "earlier time", "zero radius"]),
+           st.integers(0, 39)), max_size=3),
+       chunk_log2=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_trajectory_checks_carry_across_chunks(n, uniform, defects,
+                                               chunk_log2, seed):
+    # the checks run a chunk at a time, with the last time carried over a
+    # chunk edge: they refuse what whole arrays fail, with the same message,
+    # and otherwise find np.gradient's uniform form where whole arrays do
+    rng = np.random.default_rng(seed)
+    t = (np.arange(n, dtype=float) if uniform
+         else np.cumsum(rng.uniform(0.5, 1.5, n)))
+    r, theta = np.ones(n), rng.normal(size=n)
+    for kind, j in defects:
+        j %= n
+        if kind == "nan time":
+            t[j] = math.nan
+        elif kind == "inf angle":
+            theta[j] = math.inf
+        elif kind == "repeated time":
+            t[j] = t[j - 1]
+        elif kind == "earlier time":
+            t[j] = t[j - 1] - 1.0
+        else:
+            r[j] = 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(comoving, "CHUNK_STEPS", 1 << chunk_log2)
+        got = built(lambda: NuclearTrajectory(t, r, theta))
+    want = whole_array_message(t, r, theta)
+    if want is not None:
+        assert got == want
+    else:
+        assert got.theta_dot().tobytes() == np.gradient(theta, t).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [128, 1 << 10, CHUNK_STEPS])
+def test_pairwise_sum_equals_np_sum(chunk):
+    # the chunked walk of np.sum's pairwise tree gives its bits, whatever
+    # the length and however the values arrive
+    rng = np.random.default_rng(chunk)
+    lengths = [*range(1, 8), 127, 128, 129, 1001, CHUNK_STEPS + 1,
+               *(8 * rng.integers(1, 1 << 15, 6) + rng.integers(1, 8, 6)),
+               *rng.integers(1, 1 << 20, 6), 1 << 21]
+    for n in map(int, lengths):
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, n)
+        chunks = (x[s:s + chunk] for s in range(0, n, chunk))
+        got = np.float64(_pairwise_sum(n, chunks))
+        assert got.tobytes() == np.sum(x).tobytes(), n
 
 
 def test_theta_dot_exact_for_uniform_drive():
@@ -339,19 +483,26 @@ def test_store_stride_pads_ragged_step_counts(jt11):
 
 
 def test_integrate_spin_memory_is_bounded(jt11):
-    # the drive is evaluated and propagated one chunk of steps at a time: at
-    # 2^17 steps the traced peak stays below 6 MiB, where whole-array stages
-    # peak near 30 MiB.  The trajectory is built before tracing starts, so
-    # its own three arrays (3 MiB) are not part of the peak
-    n = 1 << 17
-    traj = pseudorotation_trajectory(1.0, n / 50.0, n)
-    tracemalloc.start()
-    try:
-        integrate_spin(jt11, traj, PSI_LOWER, store_stride=64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
+    # the trajectory is sampled, and the drive evaluated and propagated, one
+    # chunk of steps at a time: for a fixed number of records, and for a
+    # stride past the last step, the traced peak, trajectory included, is
+    # the same at 2^17 and at 2^20 steps (about 4.3 MiB at both; 4.6 MiB at
+    # 2^17 and the CLI's stride 64)
+    def peak(n, stride):
+        tracemalloc.start()
+        try:
+            traj = pseudorotation_trajectory(1.0, n / 50.0, n)
+            integrate_spin(jt11, traj, PSI_LOWER, store_stride=stride)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1 << 17, 64) < 6 * 2**20
+    for stride_of in (lambda n: n // 16, lambda n: 2 * n):
+        small = peak(1 << 17, stride_of(1 << 17))
+        large = peak(1 << 20, stride_of(1 << 20))
+        assert small < 6 * 2**20
+        assert abs(large - small) < 2**20
 
 
 def test_integrate_spin_argument_validation(jt11):

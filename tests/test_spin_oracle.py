@@ -162,6 +162,12 @@ PSI = {("comoving", 0): np.array([0.0, 1.0], dtype=complex),
 # the first step under-resolves the gap
 @example(case=(1.0, 3000.0, 40000, 1.0, 0.0), stride_log2=6,
          frame="comoving", band=1, chunk_log2=14)
+# record blocks of two chunks, the last one padded across a chunk edge
+@example(case=(1.0, 2000.0, 100000, 1.0, 0.3), stride_log2=15,
+         frame="comoving", band=0, chunk_log2=14)
+# one block past the last step, over three chunks and 5 steps
+@example(case=(1.0, 1000.0, 3 * 16384 + 5, 1.0, 0.0), stride_log2=16,
+         frame="lab", band=1, chunk_log2=14)
 def test_chunked_spin_matches_whole_arrays(case, stride_log2, frame, band,
                                            chunk_log2):
     p = JTParams(1.0, 1.0)
