@@ -164,11 +164,14 @@ EXTRA = [
     "spin --k 1 --g 1 --r 2 --period 1e6 --steps 98304",
     "spin --k 1 --g 1 --r 1 --period 30000 --steps 1048576 --frame lab",
     # record blocks longer than a chunk of steps: one block over the whole
-    # drive, and blocks of four chunks with the last one padded
+    # drive, blocks of four chunks with the last one padded, and one block
+    # of eight chunks whose last three are identity fill
     "spin --k 1 --g 1 --r 1 --period 40000 --steps 2097152 "
     "--store-stride 2097152",
     "spin --k 1 --g 1 --r 1 --period 4000 --steps 200000 "
     "--store-stride 65536",
+    "spin --k 1 --g 1 --r 1 --period 1000 --steps 65537 "
+    "--store-stride 131072",
 ]
 
 

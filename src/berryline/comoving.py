@@ -109,7 +109,7 @@ class NuclearTrajectory:
     def _bind(self, n_samples: int, sample) -> None:
         """Check the samples a chunk at a time, then keep the sampler."""
         if n_samples < 3:
-            raise ValueError("times, r_of_t, theta_of_t must share one shape, >= 3 samples")
+            raise ValueError(f"a trajectory needs >= 3 samples, got {n_samples}")
         finite = increasing = positive = uniform = True
         last = np.empty(0)  # the time before a chunk
         with np.errstate(over="ignore", invalid="ignore"):
@@ -151,10 +151,16 @@ class NuclearTrajectory:
         Bitwise np.gradient(theta_of_t, times) over all samples: one-sided
         at the two ends, and in the uniform form when every time step is
         equal.  Inf or NaN where time steps near the ends of the float range
-        overflow or underflow its terms.
+        overflow or underflow its terms.  Raises ValueError unless
+        0 <= start <= stop <= n_samples.
         """
         n, h = self.n_samples, self._uniform_step
         stop = n if stop is None else stop
+        if not 0 <= start <= stop <= n:
+            raise ValueError(f"sample range [{start}, {stop}) is not within "
+                             f"0..n_samples = {n}")
+        if start == stop:
+            return np.empty(0)
         t, _, th = self.sample(max(start - 1, 0), min(stop + 1, n))
         out = np.empty(stop - start)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -422,8 +428,8 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     StepTooLarge for a step that under-resolves the gap or the drive, and
     NonFinite where the ratio or the step field leaves the float range.
     The drive is evaluated and propagated CHUNK_STEPS steps at a time (see
-    _drive), whatever the stride, so memory grows with the step count only
-    through the recorded states.
+    _drive), and a longer block is reduced from its chunks' products, so
+    memory grows with the step count only through the recorded states.
     """
     if frame not in ("lab", "comoving"):
         raise ValueError(f"frame must be 'lab' or 'comoving', got {frame!r}")
@@ -443,16 +449,15 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     idx = np.minimum(np.arange(-(-n_steps // block) + 1) * block, n_steps)
     states = [psi]
     unresolved = None  # the first step that under-resolves, raised at the end
-    # a block longer than a chunk is the product of its chunks' products,
-    # taken in the order of _reduce_blocks' tree: a binary counter over the
-    # chunks of the block, with the earlier partial products on a stack
+    # a chunk reduces to products of `span` steps, and every `per` of those
+    # to a block, in the tree of _reduce_blocks over the whole block; the
+    # last block is filled with identity chunks, whose product is exact
     span = min(block, CHUNK_STEPS)
-    stack, chunks_done = [], 0
-    identity = (np.ones(1, complex), np.zeros(1, complex),
-                np.zeros(1, complex), np.ones(1, complex))
+    per, pending = block // span, []
+    identity = tuple(np.array([x], complex) for x in (1, 0, 0, 1))
 
     def propagate(start, dt, dtheta, f_mid, delta, dalpha):
-        nonlocal psi, unresolved, chunks_done
+        nonlocal psi, unresolved
         if unresolved is not None:
             return
         n = len(dt)
@@ -491,25 +496,13 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
             zero = np.zeros(pad, dtype=complex)
             ua, ub = np.concatenate((ua, one)), np.concatenate((ub, zero))
             uc, ud = np.concatenate((uc, zero)), np.concatenate((ud, one))
-        products = _reduce_blocks(ua, ub, uc, ud, span)
-
-        if block > span:
-            # after the last chunk, the rest of its block is identity steps,
-            # whose chunks reduce to the identity exactly
-            rest = block // span - chunks_done - 1 if start + n == n_steps else 0
-            for m in [products] + [identity] * rest:
-                chunks_done += 1
-                level = chunks_done
-                while level % 2 == 0:
-                    m = _pairwise_product(*(np.concatenate(pair)
-                                            for pair in zip(stack.pop(), m)))
-                    level //= 2
-                stack.append(m)
-            if chunks_done < block // span:
-                return
-            products, chunks_done = stack.pop(), 0
-
-        ba, bb, bc, bd = products
+        pending.append(_reduce_blocks(ua, ub, uc, ud, span))
+        if start + n == n_steps:
+            pending.extend([identity] * (-len(pending) % per))
+        if len(pending) < per:
+            return
+        ba, bb, bc, bd = _reduce_blocks(*map(np.concatenate, zip(*pending)), per)
+        pending.clear()
         with np.errstate(invalid="ignore"):  # a NaN step reaches the last state
             for k in range(len(ba)):
                 psi = np.array([ba[k] * psi[0] + bb[k] * psi[1],

@@ -342,6 +342,37 @@ def test_theta_dot_pieces_equal_np_gradient(steps, uniform, cuts, seed):
     assert traj.theta_dot().tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: pseudorotation_trajectory(1.0, 10.0, 8),
+    lambda: NuclearTrajectory(np.cumsum([0.0, 1, 2, 1, 3, 1, 1, 2, 5]),
+                              np.ones(9), np.arange(9.0) ** 2),
+], ids=["sampler", "arrays"])
+@pytest.mark.parametrize("start, stop", [
+    (0, 9), (0, 0), (3, 3), (9, 9), (2, 7),
+    (0, 12), (-2, 4), (5, 3), (10, 10), (-1, -1),
+])
+def test_theta_dot_range_is_checked(make, start, stop):
+    # 9 samples: a range within 0..9 is np.gradient's slice, an empty one
+    # an empty array; any other range is refused by name
+    traj = make()
+    if 0 <= start <= stop <= 9:
+        want = np.gradient(traj.theta_of_t, traj.times)[start:stop]
+        assert traj.theta_dot(start, stop).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError, match=rf"^sample range \[{start}, "
+                           rf"{stop}\) is not within 0\.\.n_samples = 9$"):
+            traj.theta_dot(start, stop)
+
+
+def test_too_few_samples_names_the_cause():
+    with pytest.raises(ValueError, match=r"^a trajectory needs >= 3 samples, got 2$"):
+        pseudorotation_trajectory(1.0, 1.0, 1)
+    with pytest.raises(ValueError, match=r"^a trajectory needs >= 3 samples, got 2$"):
+        NuclearTrajectory(np.arange(2.0), np.ones(2), np.zeros(2))
+    with pytest.raises(ValueError, match="must share one shape"):
+        NuclearTrajectory(np.arange(3.0), np.ones(4), np.zeros(3))
+
+
 # ---------------------------------------------------------------------------
 # static-point propagation (exactly solvable)
 

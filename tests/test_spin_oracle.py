@@ -168,6 +168,9 @@ PSI = {("comoving", 0): np.array([0.0, 1.0], dtype=complex),
 # one block past the last step, over three chunks and 5 steps
 @example(case=(1.0, 1000.0, 3 * 16384 + 5, 1.0, 0.0), stride_log2=16,
          frame="lab", band=1, chunk_log2=14)
+# one block of eight chunks, the last three of them identity fill
+@example(case=(1.0, 1000.0, 4 * 16384 + 1, 1.0, 0.0), stride_log2=17,
+         frame="comoving", band=0, chunk_log2=14)
 def test_chunked_spin_matches_whole_arrays(case, stride_log2, frame, band,
                                            chunk_log2):
     p = JTParams(1.0, 1.0)
