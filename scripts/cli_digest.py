@@ -12,8 +12,8 @@ that checkout's code.
 
 The calls: jobs 0-3 of seeds 301 and 302 of every benchmark workload (built
 by ``benchmarks/workloads.make_job``), the README examples, and extra calls
-that pin edge cases of the option checks, the barrier spectra and the
-degeneracy locator.
+that pin edge cases of the option checks, the barrier spectra, the node
+probes and the degeneracy locator.
 
 Typical use:
     python3 scripts/cli_digest.py            # one line per call, then the total
@@ -172,6 +172,16 @@ EXTRA = [
     "--store-stride 65536",
     "spin --k 1 --g 1 --r 1 --period 1000 --steps 65537 "
     "--store-stride 131072",
+    # nodes on grid samples, read from probes of the half-step grid: both
+    # nodes of the pure quadratic model in the upper band, grids too coarse
+    # for the turning bound, and a fine grid inside and outside 2k/g; then
+    # two circles whose half-step grid fails to track
+    "nodal-map --k 0 --g 1 --r 1:3:1 --band 1",
+    "nodal-map --k 1 --g 1 --r 0.5:3.5:0.5 --theta-samples 4",
+    "nodal-map --k 2 --g 1 --r 1:6:0.5 --theta-samples 4096",
+    "nodal-map --k 1 --g 1 --r 1.8 --theta-samples 6",
+    "nodal-map --k 42.67325818407535 --g 2.235120284800081 "
+    "--r 37.911146602283374 --theta-samples 240",
 ]
 
 

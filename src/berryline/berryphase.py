@@ -21,7 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .eigenpath import DiscretizedPath, EigenBranch, band_steps, first_index
+from .eigenpath import (DiscretizedPath, EigenBranch, HamiltonianField,
+                        band_steps, first_index)
 from .errors import (
     OrthogonalEndpoints,
     SampleOnNode,
@@ -142,8 +143,30 @@ def refine_nodes(trace: OverlapTrace) -> NodeSet:
     Requires a fixed-radius polar path (the branch field is re-evaluated at
     intermediate angles).  Each sign change of the trace is bisected inside
     its sample interval down to NODE_BISECTION_TOL, or to a probe that reads
-    exactly zero; a sample on a node raises SampleOnNode.  A probe's overlap
-    is taken with its eigenvector turned to face the bracket's first sample.
+    exactly zero.  A sample on a node raises SampleOnNode, and the caller
+    chooses what to sample instead: circle_nodes and nodal_map take the
+    nodes of the half-step grid, bisected by bisect_nodes from probes next
+    to the node.  A probe's overlap is taken with its eigenvector turned to
+    face the bracket's first sample; the walk is bisect_nodes'.
+    """
+    branch = trace.branch
+    radii, theta = branch.path.coords[:, 0], branch.path.coords[:, 1]
+    if np.any(radii != radii[0]):
+        raise ValueError("node refinement requires a fixed-radius polar path")
+    return bisect_nodes(branch.field, branch.band, radii[0], theta,
+                        trace.values, branch.vectors,
+                        branch.vectors[trace.anchor_index])
+
+
+def bisect_nodes(field: HamiltonianField, band: int, r: float,
+                 theta: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+                 anchor: np.ndarray) -> NodeSet:
+    """Bisect each sign change of an anchor-overlap trace on a circle.
+
+    values[j] = vectors[j] . anchor at angle theta[j] on the circle of
+    radius r; a value within OVERLAP_ZERO_TOL of zero raises SampleOnNode.
+    Past that test only each value's sign is read, and values[j] and
+    vectors[j] where the sign changes between samples j and j + 1.
 
     Each round evaluates, in one band_steps call, the midpoints that the
     next NODE_TREE_DEPTH bisection steps of every open bracket can reach,
@@ -155,24 +178,17 @@ def refine_nodes(trace: OverlapTrace) -> NodeSet:
     where Re f or Im f overflows between the samples, which needs
     k r + g r^2 / 2 within a factor of 2 of the float range.
     """
-    branch = trace.branch
-    radii, theta = branch.path.coords[:, 0], branch.path.coords[:, 1]
-    if np.any(radii != radii[0]):
-        raise ValueError("node refinement requires a fixed-radius polar path")
-
-    anchor_vec = branch.vectors[trace.anchor_index]
-    j = _sign_changes(trace.values)
-    near = branch.vectors[j]
+    j = _sign_changes(values)
+    near = vectors[j]
     lo, hi = theta[j].tolist(), theta[j + 1].tolist()
-    f_lo = trace.values[j].tolist()
+    f_lo = values[j].tolist()
     rows = [i for i in range(len(j)) if hi[i] - lo[i] > NODE_BISECTION_TOL]
     while rows:
         cuts = _bisection_cuts(np.array(lo)[rows], np.array(hi)[rows])
-        coords = np.stack((np.full(cuts.shape, radii[0]), cuts), axis=-1)
-        raw = band_steps(branch.field, coords[..., None, :],
-                         branch.band)[3][..., 0, :]
+        coords = np.stack((np.full(cuts.shape, r), cuts), axis=-1)
+        raw = band_steps(field, coords[..., None, :], band)[3][..., 0, :]
         # turning a probe's vector negates its anchor overlap exactly
-        f = np.vecdot(anchor_vec, raw)
+        f = np.vecdot(anchor, raw)
         f = np.where(np.vecdot(near[rows, None, :], raw) < 0.0, -f, f)
         for i, row_cuts, row_f in zip(rows, cuts.tolist(), f.tolist()):
             # the first step halves the bracket at its middle cut; each

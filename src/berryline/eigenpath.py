@@ -31,6 +31,10 @@ CONTINUATION_MIN_OVERLAP = 0.5
 # check on Hamiltonian matrices.
 MATRIX_TOL = 1e-12
 
+# Gap to an adjacent band at or below which track_branch reports a
+# degeneracy on the path, unless the caller passes its own.
+GAP_TOL = 1e-8
+
 # Residual contract ||H v - E v|| <= RESIDUAL_TOL * max(1, max |H_ij|) for
 # every point of a tracked branch, the max over the whole path: the
 # eigensolver's error grows with ||H||.
@@ -140,6 +144,8 @@ def _validated_symmetric(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NonFinite("matrix contains non-finite entries")
     mt = m.swapaxes(-1, -2)
+    if (m == mt).all():  # exactly symmetric, as the model's fields are
+        return m.copy()
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     asym = np.abs(m - mt).max(axis=(-2, -1))
     bad = asym > MATRIX_TOL * scale
@@ -147,8 +153,6 @@ def _validated_symmetric(m: np.ndarray) -> np.ndarray:
         j = int(np.argmax(bad))
         raise NonSymmetric(f"asymmetry {asym.flat[j]:.3e} exceeds "
                            f"{MATRIX_TOL:.0e} * {scale.flat[j]:.3e}")
-    if not asym.any():  # exactly symmetric, as the model's fields are
-        return m.copy()
     return 0.5 * m + 0.5 * mt  # unlike 0.5 * (m + mt), cannot overflow
 
 
@@ -227,7 +231,7 @@ def band_steps(field: HamiltonianField, coords, band: int):
 
 
 def track_branch(field: HamiltonianField, path: DiscretizedPath, band: int,
-                 gap_tol: float = 1e-8) -> EigenBranch:
+                 gap_tol: float = GAP_TOL) -> EigenBranch:
     """Track band `band` along `path` with sign continuity.
 
     The band keeps its ascending-eigenvalue index throughout; each

@@ -29,10 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .berryphase import NodeSet, overlap_trace, refine_nodes
+from .berryphase import (NodeSet, OverlapTrace, bisect_nodes, overlap_trace,
+                         refine_nodes)
 from .eigenpath import (
+    GAP_TOL,
     DiscretizedPath,
     HamiltonianField,
+    band_steps,
     first_index,
     polar_samples,
     track_branch,
@@ -247,8 +250,8 @@ def node_angles_analytic(p: JTParams, r: float) -> tuple[float, ...]:
     return (a, 2.0 * math.pi - a)
 
 
-def _anchored_circle(r: float, n_samples: int, offset: float) -> DiscretizedPath:
-    """Closed circle grid that keeps theta = 0 as its first point.
+def _circle_thetas(n_samples: int, offset: float) -> np.ndarray:
+    """Angles of a closed circle grid that keeps theta = 0 as its first point.
 
     With offset > 0 the interior samples shift by offset * h while the anchor
     and the closure point stay at 0 and 2 pi, so the anchor convention
@@ -256,34 +259,107 @@ def _anchored_circle(r: float, n_samples: int, offset: float) -> DiscretizedPath
     """
     h = 2.0 * math.pi / n_samples
     if offset == 0.0:
-        thetas = h * np.arange(n_samples + 1)
-    else:
-        interior = h * (offset + np.arange(n_samples))
-        thetas = np.concatenate(([0.0], interior, [2.0 * math.pi]))
-    return DiscretizedPath(polar_samples(r, thetas), closed=True)
+        return h * np.arange(n_samples + 1)
+    interior = h * (offset + np.arange(n_samples))
+    return np.concatenate(([0.0], interior, [2.0 * math.pi]))
+
+
+def _anchored_circle(r: float, n_samples: int, offset: float) -> DiscretizedPath:
+    """Closed circle path of radius r on _circle_thetas(n_samples, offset)."""
+    return DiscretizedPath(polar_samples(r, _circle_thetas(n_samples, offset)),
+                           closed=True)
+
+
+def _circle_trace(field: HamiltonianField, r: float, n_samples: int,
+                  band: int, offset: float) -> OverlapTrace:
+    """Anchor-overlap trace of the band tracked on _anchored_circle."""
+    branch = track_branch(field, _anchored_circle(r, n_samples, offset),
+                          band=band)
+    return overlap_trace(branch, anchor_index=0)
+
+
+def _half_step_nodes(p: JTParams, trace: OverlapTrace) -> NodeSet | None:
+    """Nodes of the half-step grid's trace, from probes next to the nodes.
+
+    `trace` lies on theta_j = j h and has a sample on a node.  Returns what
+    refine_nodes gives on the trace of the half-step grid (0, h/2, 3h/2,
+    ..., 2 pi), SampleOnNode included, without tracking that grid; or None
+    where the bound below fails, and the caller tracks it.
+
+    As |df/dtheta| <= k r + g r^2, f moves by at most reach = (k r + g r^2)
+    h / 2, plus a slack for rounding, within h/2 of theta_j.  If reach is at
+    most a quarter of every sample's gap 2 |f|, and every gap is finite and
+    at least 4 GAP_TOL, the band's vector anywhere within h/2 of theta_j lies within
+    turn_j = 2 reach / gap_j radians of its vector at theta_j.  The half-step
+    grid then tracks without a failure and along this grid's signs, and on
+    both sides of a sample j with |value| > turn_j its trace has sample j's
+    sign.  So only the half steps next to the other samples are probed, in
+    one band_steps call, each turned to face the branch vector at the sample
+    before it.  A half step not probed stands in as the sample before it,
+    which has its sign: all that bisect_nodes reads of it.
+    """
+    branch = trace.branch
+    r, n = float(branch.path.coords[0, 0]), len(branch) - 1
+    reach = ((p.k * r + p.g * r * r)
+             * (math.pi / n * (1.0 + 2.0 ** -20) + 2.0 ** -40))
+    gaps = branch.gaps
+    with np.errstate(over="ignore", invalid="ignore"):
+        turn = 2.0 * reach / gaps
+    # a gap past the float range is inf and would read as turn 0
+    if not ((turn <= 0.5) & (gaps >= 4.0 * GAP_TOL) & (gaps < math.inf)).all():
+        return None
+    near = np.abs(trace.values) <= turn + 2.0 ** -30
+    # half step i lies between samples i - 1 and i
+    probed = np.flatnonzero(near[:-1] | near[1:]) + 1
+    theta = _circle_thetas(n, 0.5)
+    raw = band_steps(branch.field, polar_samples(r, theta[probed])[:, None, :],
+                     branch.band)[3][:, 0, :]
+    facing = np.vecdot(branch.vectors[probed - 1], raw)[:, None] >= 0.0
+    vectors = np.concatenate((branch.vectors[:1], branch.vectors))
+    vectors[probed] = np.where(facing, raw, -raw)
+    # formed as overlap_trace forms it, so probed values round as its do
+    values = vectors @ vectors[0]
+    return bisect_nodes(branch.field, branch.band, r, theta, values, vectors,
+                        vectors[0])
+
+
+def _circle_node_angles(p: JTParams, field: HamiltonianField, r: float,
+                        n_samples: int,
+                        band: int) -> tuple[OverlapTrace | None, NodeSet]:
+    """The nodes of circle_nodes, and the trace they belong to.
+
+    The trace is None where a sample of theta_j = j h sits on a node and the
+    nodes were probed on the half-step grid, which was not tracked.
+    """
+    trace = _circle_trace(field, r, n_samples, band, 0.0)
+    try:
+        return trace, refine_nodes(trace)
+    except SampleOnNode:
+        nodes = _half_step_nodes(p, trace)
+    if nodes is not None:
+        return None, nodes
+    trace = _circle_trace(field, r, n_samples, band, 0.5)
+    return trace, refine_nodes(trace)
 
 
 def circle_nodes(p: JTParams, r: float, n_samples: int = 2048, band: int = 0):
     """Numeric node pipeline on one circle: track, trace, refine.
 
-    Tracks on theta_j = j h and, if a sample sits on a node, once more on the
-    half-step grid (anchor still at 0); SampleOnNode there propagates.  As
-    f(r, -theta) = conj f(r, theta), the nodes are {pi}, {pi/2, 3 pi/2} or
-    {a, 2 pi - a}: both on one kind of grid, h/2 off the other.  Returns
-    (branch, trace, nodes), node angles inside (0, 2 pi).
+    Tracks on theta_j = j h.  If a sample sits on a node, the nodes are
+    those of the half-step grid (anchor still at 0), where SampleOnNode
+    propagates: probed next to the node samples where a bound on the
+    field's turning vouches for the rest of that grid, tracked and refined
+    otherwise.  As f(r, -theta) = conj f(r, theta), the nodes are {pi},
+    {pi/2, 3 pi/2} or {a, 2 pi - a}: both on one kind of grid, h/2 off the
+    other.  Returns (branch, trace, nodes), node angles inside (0, 2 pi);
+    the branch and trace are of a grid with no sample on a node, so the
+    half-step grid is tracked for them where the nodes were probed.
     """
     field = jt_field(p, frame="polar")
-
-    def pipeline(offset):
-        branch = track_branch(field, _anchored_circle(r, n_samples, offset),
-                              band=band)
-        trace = overlap_trace(branch, anchor_index=0)
-        return branch, trace, refine_nodes(trace)
-
-    try:
-        return pipeline(0.0)
-    except SampleOnNode:
-        return pipeline(0.5)
+    trace, nodes = _circle_node_angles(p, field, r, n_samples, band)
+    if trace is None:
+        trace = _circle_trace(field, r, n_samples, band, 0.5)
+    return trace.branch, trace, nodes
 
 
 @dataclass(frozen=True)
@@ -325,8 +401,12 @@ def nodal_map(p: JTParams, r_values, theta_samples: int = 2048,
 
     Radii on the degeneracy circle are skipped (the circle itself belongs to
     the degeneracy list, not the node map).  A disagreement beyond 1e-4
-    between pipeline and closed form raises NodeMismatch.
+    between pipeline and closed form raises NodeMismatch.  The nodes are
+    circle_nodes', without its branch: a node on a sample of theta_j = j h
+    is read from the half-step grid, probed next to the node, so a circle is
+    tracked once unless the turning bound of the probes fails.
     """
+    field = jt_field(p, frame="polar")
     rows = []
     skipped = []
     for r in r_values:
@@ -336,7 +416,7 @@ def nodal_map(p: JTParams, r_values, theta_samples: int = 2048,
         except OnDegeneracyCircle:
             skipped.append(r)
             continue
-        _, _, nodes = circle_nodes(p, r, n_samples=theta_samples, band=band)
+        _, nodes = _circle_node_angles(p, field, r, theta_samples, band)
         check_nodes(r, nodes, analytic)
         rows.append(NodalMapRow(r=r, numeric_angles=nodes.angles,
                                 analytic_angles=analytic))

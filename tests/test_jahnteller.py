@@ -438,6 +438,16 @@ def test_nodal_map_counts_and_agreement(jt11):
             assert abs(math.remainder(a - b, 2.0 * math.pi)) < 1e-4
 
 
+def test_nodal_map_tracks_each_circle_once(jt11):
+    # theta = pi, the node inside 2k/g, sits on the 2048 grid at r = 1; its
+    # half-step neighbours are probed, not tracked as a second circle
+    with mock.patch.object(jahnteller, "track_branch",
+                           wraps=track_branch) as tracked:
+        m = nodal_map(jt11, [1.0, 3.0], theta_samples=2048)
+    assert [row.count for row in m.rows] == [1, 2]
+    assert tracked.call_count == 2
+
+
 def test_nodal_map_mismatch_carries_both_angle_sets():
     # two samples per circle alias the pure quadratic model's two nodes away
     p = JTParams(0.0, 7.0)

@@ -5,8 +5,12 @@ references, bitwise.
 replaced: one field evaluation and one eigensolve per sample, each
 eigenvector flipped against its sign-fixed predecessor.  `reference_refine`
 is the bisection the batched `refine_nodes` replaced: one probe per step.
-They live here, not in the package, so the fast paths always have slow ones
-to answer to.
+`reference_circle_nodes` tracks a circle a second time, on the half-step
+grid, where `circle_nodes` probes next to the nodes, and
+`reference_validated_symmetric` measures the asymmetry of every matrix,
+where `_validated_symmetric` first asks whether the stack is exactly
+symmetric.  They live here, not in the package, so the fast paths always
+have slow ones to answer to.
 """
 
 import math
@@ -18,22 +22,29 @@ from hypothesis import strategies as st
 
 from berryline import (
     AmbiguousContinuation,
+    BerrylineError,
     DegeneracyOnPath,
     DiscretizedPath,
     HamiltonianField,
     JTParams,
     NodeSet,
+    NonFinite,
+    NonSymmetric,
+    OnDegeneracyCircle,
     SampleOnNode,
+    circle_nodes,
     circle_path,
     eig_real_symmetric,
+    nodal_map,
+    node_angles_analytic,
     overlap_trace,
     polygon_path,
     refine_nodes,
     track_branch,
 )
 from berryline.berryphase import NODE_BISECTION_TOL, _sign_changes
-from berryline.eigenpath import band_steps
-from berryline.jahnteller import _anchored_circle, jt_field
+from berryline.eigenpath import MATRIX_TOL, _validated_symmetric, band_steps
+from berryline.jahnteller import _anchored_circle, check_nodes, jt_field
 
 from conftest import COUPLING
 
@@ -241,3 +252,136 @@ def test_refine_nodes_matches_one_probe_per_step(k, g, r, n, band, offset):
     trace = overlap_trace(branch)
     got = refined_angles(refine_nodes, trace)
     assert got == refined_angles(reference_refine, trace)
+
+
+def reference_circle_nodes(p, r, n_samples=2048, band=0):
+    """circle_nodes tracking the whole half-step grid on a sample on a node."""
+    field = jt_field(p, frame="polar")
+
+    def pipeline(offset):
+        branch = track_branch(field, _anchored_circle(r, n_samples, offset),
+                              band=band)
+        trace = overlap_trace(branch, anchor_index=0)
+        return branch, trace, refine_nodes(trace)
+
+    try:
+        return pipeline(0.0)
+    except SampleOnNode:
+        return pipeline(0.5)
+
+
+def outcome(compute):
+    """Angles as bytes, or the error's type, index and message."""
+    try:
+        return np.array(compute(), dtype=float).tobytes()
+    except BerrylineError as err:
+        return type(err), getattr(err, "index", None), str(err)
+
+
+def reference_nodal_row(p, r, n, band):
+    _, _, nodes = reference_circle_nodes(p, r, n, band)
+    check_nodes(r, nodes, node_angles_analytic(p, r))
+    return nodes.angles
+
+
+@settings(deadline=None, max_examples=150)
+@example(k=0.0, g=1.0, r=1.0, n=2048, band=0)   # both nodes on the grid
+@example(k=1.0, g=1.0, r=1.0, n=2048, band=0)   # pi on the grid
+@example(k=1.0, g=1.0, r=1.0, n=4, band=0)      # inside 2k/g, four samples
+@example(k=1e16, g=1e16, r=1e16, n=16, band=0)  # a probe reads exactly 0.0
+@example(k=1.7e308, g=0.0, r=1.0, n=2048, band=0)  # every gap overflows
+# pi and pi/3 on the grid, close inside 2k/g: the half-step grid turns too
+# fast near pi/3 to track (AmbiguousContinuation)
+@example(k=1.0, g=1.0, r=1.8, n=6, band=0)
+@example(k=42.67325818407535, g=2.235120284800081, r=37.911146602283374,
+         n=240, band=0)
+@given(k=COUPLING, g=COUPLING, r=st.floats(1e-4, 1e8),
+       n=st.integers(3, 4096), band=st.sampled_from([0, 1]))
+def test_circle_nodes_match_two_track_reference(k, g, r, n, band):
+    assume(k > 0 or g > 0)
+    p = JTParams(k, g)
+    want = outcome(lambda: reference_circle_nodes(p, r, n, band)[2].angles)
+    assert outcome(lambda: circle_nodes(p, r, n, band)[2].angles) == want
+    try:
+        node_angles_analytic(p, r)
+    except OnDegeneracyCircle:
+        assert nodal_map(p, [r], n, band).rows == ()
+        return
+    want = outcome(lambda: reference_nodal_row(p, r, n, band))
+    got = outcome(lambda: nodal_map(p, [r], n, band).rows[0].numeric_angles)
+    assert got == want
+
+
+def reference_validated_symmetric(m):
+    """_validated_symmetric measuring every matrix's asymmetry first."""
+    if not np.isfinite(m).all():
+        raise NonFinite("matrix contains non-finite entries")
+    mt = m.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    asym = np.abs(m - mt).max(axis=(-2, -1))
+    bad = asym > MATRIX_TOL * scale
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise NonSymmetric(f"asymmetry {asym.flat[j]:.3e} exceeds "
+                           f"{MATRIX_TOL:.0e} * {scale.flat[j]:.3e}")
+    if not asym.any():
+        return m.copy()
+    return 0.5 * m + 0.5 * mt
+
+
+def assert_same_validation(m):
+    try:
+        want = reference_validated_symmetric(m)
+    except (NonFinite, NonSymmetric) as err:
+        with pytest.raises(type(err)) as got:
+            _validated_symmetric(m)
+        assert str(got.value) == str(err)
+        return
+    got = _validated_symmetric(m)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.writeable
+    assert not np.shares_memory(got, m)
+
+
+# signed zeros, subnormals and entries near the end of the float range
+entries = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e308, 1.7e308]),
+                    st.floats(-1e6, 1e6))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 3), st.integers(1, 4), st.data(),
+       st.sampled_from([None, 0.5, 0.999, 1.0, 1.001, 2.0]),
+       st.sampled_from([None, math.nan, math.inf, -math.inf]))
+def test_validated_symmetric_matches_reference(dim, count, data, excess, bad):
+    size = count * dim * dim
+    m = np.array(data.draw(st.lists(entries, min_size=size, max_size=size)))
+    m = m.reshape(count, dim, dim)
+    upper = np.triu_indices(dim, 1)
+    # mirror the upper triangle, so the stack is exactly symmetric
+    m.swapaxes(-1, -2)[:, upper[0], upper[1]] = m[:, upper[0], upper[1]]
+    if excess is not None and dim > 1:
+        # move one mirrored entry by excess times the tolerance
+        scale = max(1.0, float(np.abs(m[-1]).max()))
+        m[-1, 1, 0] = m[-1, 0, 1] + excess * MATRIX_TOL * scale
+    if bad is not None:
+        m.flat[data.draw(st.integers(0, m.size - 1))] = bad
+    assert_same_validation(m)
+
+
+def test_validated_symmetric_keeps_signed_zero_mirrors():
+    # -0.0 == 0.0, so the pair is exactly symmetric and both zeros survive
+    m = np.array([[[1.0, -0.0], [0.0, 2.0]], [[-0.0, 0.0], [0.0, -0.0]]])
+    assert_same_validation(m)
+    assert np.signbit(_validated_symmetric(m)[0, 0, 1])
+
+
+@pytest.mark.parametrize("base", [
+    [[1.0, 0.2], [0.2, -1.0]],
+    [[1.0, 0.2], [0.2 + 5e-13, -1.0]],   # asymmetric, inside MATRIX_TOL
+    [[1.0, 0.2], [0.2 + 2e-12, -1.0]],   # past it
+    [[-0.0, 0.0], [-0.0, 0.0]],
+])
+def test_validated_symmetric_of_a_broadcast_matrix(base):
+    # a constant field returns one (2, 2) matrix, broadcast over the points
+    assert_same_validation(np.broadcast_to(np.array(base), (5, 2, 2)))
