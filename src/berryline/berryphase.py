@@ -144,9 +144,9 @@ def refine_nodes(trace: OverlapTrace) -> NodeSet:
     intermediate angles).  Each sign change of the trace is bisected inside
     its sample interval down to NODE_BISECTION_TOL, or to a probe that reads
     exactly zero.  A sample on a node raises SampleOnNode, and the caller
-    chooses what to sample instead: circle_nodes and nodal_map take the
-    nodes of the half-step grid, bisected by bisect_nodes from probes next
-    to the node.  A probe's overlap is taken with its eigenvector turned to
+    chooses what to sample instead: circle_nodes tracks and refines the
+    half-step grid, nodal_map probes it next to the node where a turning
+    bound allows.  A probe's overlap is taken with its eigenvector turned to
     face the bracket's first sample; the walk is bisect_nodes'.
     """
     branch = trace.branch

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenpath import CONTINUATION_MIN_OVERLAP, HamiltonianField, band_steps
+from .eigenpath import (CONTINUATION_MIN_OVERLAP, GAP_TOL, HamiltonianField,
+                        band_steps)
 from .errors import CellLimitExceeded, DegeneracyOnBoundary, MaxDepthExceeded
 
 # Sample points per field call when links are scored, which bounds the memory
@@ -137,7 +138,7 @@ def _cell_signs(field: HamiltonianField, cells: list[SearchRect], band: int,
 
 
 def loop_sign(field: HamiltonianField, rect: SearchRect, band: int = 0,
-              samples_per_edge: int = 32, gap_tol: float = 1e-8) -> int:
+              samples_per_edge: int = 32, gap_tol: float = GAP_TOL) -> int:
     """Holonomy sign of `band` around the rectangle boundary.
 
     -1 iff the rectangle encloses an odd number of degeneracies of the band:
@@ -217,7 +218,7 @@ def _compass_min(field: HamiltonianField, band: int, x: float, y: float,
 
 
 def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
-              spatial_tol: float = 1e-3, gap_tol: float = 1e-8,
+              spatial_tol: float = 1e-3, gap_tol: float = GAP_TOL,
               samples_per_edge: int = 32, min_depth: int = 4,
               max_depth: int = 24) -> CIResult:
     """Find all degeneracies of `band` inside `rect` to `spatial_tol`.

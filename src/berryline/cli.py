@@ -24,10 +24,11 @@ import numpy as np
 from .berryphase import canonicalize_phase, classify_mab, open_path_berry_phase
 from .cilocate import CIResult, SearchRect, locate_ci
 from .comoving import ac_loop_phase, integrate_spin, pseudorotation_trajectory
-from .eigenpath import circle_path, holonomy_sign
+from .eigenpath import GAP_TOL, circle_path, holonomy_sign
 from .errors import BerrylineError, OnDegeneracyCircle
 from .jahnteller import (JTParams, check_nodes, circle_nodes, jt_eigenvectors,
-                         nodal_map, node_angles_analytic, rotation_matrix)
+                         jt_field, nodal_map, node_angles_analytic,
+                         rotation_matrix)
 from .ringspectrum import (MIN_GRID_POINTS, flat_ring_problem, jt_ring_problem,
                            spectrum)
 
@@ -245,7 +246,7 @@ def _add_options(sub: argparse.ArgumentParser, options: list[Opt]) -> None:
 def _read_config(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -254,7 +255,7 @@ def _read_config(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
                 entries[key.strip().replace("-", "_")] = value.strip()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     return entries
 
@@ -440,7 +441,7 @@ _LOCATE_OPTS = [
     Opt("spatial-tol", _checked(_finite, lambda x: 0 < x <= 1e300,
                                 "> 0 and <= 1e300"), 1e-3,
         "cell size at which a hit is accepted"),
-    Opt("gap-tol", _POSITIVE, 1e-8, "gap treated as degenerate"),
+    Opt("gap-tol", _POSITIVE, GAP_TOL, "gap treated as degenerate"),
     # ceilings on the work of one quadtree level, which is scored at once
     Opt("samples-per-edge", _between(1, 4096), 32,
         "boundary samples per cell edge"),
@@ -451,8 +452,6 @@ _LOCATE_OPTS = [
 
 
 def cmd_locate_ci(values: dict) -> list[tuple[str, str]]:
-    from .jahnteller import jt_field
-
     p = _jt_params(values)
     if not (values["x_min"] < values["x_max"] and values["y_min"] < values["y_max"]):
         raise ConfigError("the search window needs --x-min < --x-max and "

@@ -278,13 +278,13 @@ def _circle_trace(field: HamiltonianField, r: float, n_samples: int,
     return overlap_trace(branch, anchor_index=0)
 
 
-def _half_step_nodes(p: JTParams, trace: OverlapTrace) -> NodeSet | None:
-    """Nodes of the half-step grid's trace, from probes next to the nodes.
+def _half_step_nodes(p: JTParams, trace: OverlapTrace) -> NodeSet:
+    """Nodes of the half-step grid's trace, probed next to the nodes.
 
     `trace` lies on theta_j = j h and has a sample on a node.  Returns what
     refine_nodes gives on the trace of the half-step grid (0, h/2, 3h/2,
-    ..., 2 pi), SampleOnNode included, without tracking that grid; or None
-    where the bound below fails, and the caller tracks it.
+    ..., 2 pi), SampleOnNode included: from probes where the bound below
+    holds, by tracking and refining that grid where it fails.
 
     As |df/dtheta| <= k r + g r^2, f moves by at most reach = (k r + g r^2)
     h / 2, plus a slack for rounding, within h/2 of theta_j.  If reach is at
@@ -307,7 +307,7 @@ def _half_step_nodes(p: JTParams, trace: OverlapTrace) -> NodeSet | None:
         turn = 2.0 * reach / gaps
     # a gap past the float range is inf and would read as turn 0
     if not ((turn <= 0.5) & (gaps >= 4.0 * GAP_TOL) & (gaps < math.inf)).all():
-        return None
+        return refine_nodes(_circle_trace(branch.field, r, n, branch.band, 0.5))
     near = np.abs(trace.values) <= turn + 2.0 ** -30
     # half step i lies between samples i - 1 and i
     probed = np.flatnonzero(near[:-1] | near[1:]) + 1
@@ -323,42 +323,23 @@ def _half_step_nodes(p: JTParams, trace: OverlapTrace) -> NodeSet | None:
                         vectors[0])
 
 
-def _circle_node_angles(p: JTParams, field: HamiltonianField, r: float,
-                        n_samples: int,
-                        band: int) -> tuple[OverlapTrace | None, NodeSet]:
-    """The nodes of circle_nodes, and the trace they belong to.
-
-    The trace is None where a sample of theta_j = j h sits on a node and the
-    nodes were probed on the half-step grid, which was not tracked.
-    """
-    trace = _circle_trace(field, r, n_samples, band, 0.0)
-    try:
-        return trace, refine_nodes(trace)
-    except SampleOnNode:
-        nodes = _half_step_nodes(p, trace)
-    if nodes is not None:
-        return None, nodes
-    trace = _circle_trace(field, r, n_samples, band, 0.5)
-    return trace, refine_nodes(trace)
-
-
 def circle_nodes(p: JTParams, r: float, n_samples: int = 2048, band: int = 0):
     """Numeric node pipeline on one circle: track, trace, refine.
 
-    Tracks on theta_j = j h.  If a sample sits on a node, the nodes are
-    those of the half-step grid (anchor still at 0), where SampleOnNode
-    propagates: probed next to the node samples where a bound on the
-    field's turning vouches for the rest of that grid, tracked and refined
-    otherwise.  As f(r, -theta) = conj f(r, theta), the nodes are {pi},
+    Tracks on theta_j = j h.  If a sample sits on a node, tracks the
+    half-step grid (anchor still at 0) and refines there, where SampleOnNode
+    propagates.  As f(r, -theta) = conj f(r, theta), the nodes are {pi},
     {pi/2, 3 pi/2} or {a, 2 pi - a}: both on one kind of grid, h/2 off the
-    other.  Returns (branch, trace, nodes), node angles inside (0, 2 pi);
-    the branch and trace are of a grid with no sample on a node, so the
-    half-step grid is tracked for them where the nodes were probed.
+    other.  Returns (branch, trace, nodes), node angles inside (0, 2 pi), of
+    a grid with no sample on a node.
     """
     field = jt_field(p, frame="polar")
-    trace, nodes = _circle_node_angles(p, field, r, n_samples, band)
-    if trace is None:
+    trace = _circle_trace(field, r, n_samples, band, 0.0)
+    try:
+        nodes = refine_nodes(trace)
+    except SampleOnNode:
         trace = _circle_trace(field, r, n_samples, band, 0.5)
+        nodes = refine_nodes(trace)
     return trace.branch, trace, nodes
 
 
@@ -403,8 +384,8 @@ def nodal_map(p: JTParams, r_values, theta_samples: int = 2048,
     the degeneracy list, not the node map).  A disagreement beyond 1e-4
     between pipeline and closed form raises NodeMismatch.  The nodes are
     circle_nodes', without its branch: a node on a sample of theta_j = j h
-    is read from the half-step grid, probed next to the node, so a circle is
-    tracked once unless the turning bound of the probes fails.
+    is read from the half-step grid by _half_step_nodes, so a circle is
+    tracked once unless the turning bound of its probes fails.
     """
     field = jt_field(p, frame="polar")
     rows = []
@@ -416,7 +397,11 @@ def nodal_map(p: JTParams, r_values, theta_samples: int = 2048,
         except OnDegeneracyCircle:
             skipped.append(r)
             continue
-        _, nodes = _circle_node_angles(p, field, r, theta_samples, band)
+        trace = _circle_trace(field, r, theta_samples, band, 0.0)
+        try:
+            nodes = refine_nodes(trace)
+        except SampleOnNode:
+            nodes = _half_step_nodes(p, trace)
         check_nodes(r, nodes, analytic)
         rows.append(NodalMapRow(r=r, numeric_angles=nodes.angles,
                                 analytic_angles=analytic))

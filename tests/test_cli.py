@@ -550,6 +550,15 @@ def test_config_missing_file(capsys):
     assert code == 2
 
 
+def test_config_not_utf8(tmp_path, capsys):
+    # a byte that is no UTF-8 is a config problem, not a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"k=1\ng=1\nr=\xff1\n")
+    code, out, err = run(capsys, "berry", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read config {cfg}: ")
+
+
 def test_config_malformed_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k = 1\njust a line\n")

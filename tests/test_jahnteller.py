@@ -448,6 +448,18 @@ def test_nodal_map_tracks_each_circle_once(jt11):
     assert tracked.call_count == 2
 
 
+def test_nodal_map_tracks_the_half_step_grid_where_the_bound_fails(jt11):
+    # at 8 samples the field turns too far in a half step for the probes, so
+    # theta = pi on the grid sends nodal_map to track the half-step grid
+    with mock.patch.object(jahnteller, "track_branch",
+                           wraps=track_branch) as tracked:
+        m = nodal_map(jt11, [1.0], theta_samples=8)
+    assert tracked.call_count == 2
+    want = circle_nodes(jt11, 1.0, n_samples=8)[2].angles
+    assert (np.array(m.rows[0].numeric_angles).tobytes()
+            == np.array(want).tobytes())
+
+
 def test_nodal_map_mismatch_carries_both_angle_sets():
     # two samples per circle alias the pure quadratic model's two nodes away
     p = JTParams(0.0, 7.0)

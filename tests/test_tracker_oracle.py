@@ -6,7 +6,7 @@ replaced: one field evaluation and one eigensolve per sample, each
 eigenvector flipped against its sign-fixed predecessor.  `reference_refine`
 is the bisection the batched `refine_nodes` replaced: one probe per step.
 `reference_circle_nodes` tracks a circle a second time, on the half-step
-grid, where `circle_nodes` probes next to the nodes, and
+grid, where `nodal_map` probes next to the nodes, and
 `reference_validated_symmetric` measures the asymmetry of every matrix,
 where `_validated_symmetric` first asks whether the stack is exactly
 symmetric.  They live here, not in the package, so the fast paths always
