@@ -13,6 +13,8 @@ error (the message names the error class and offending values).
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import math
 import re
 import sys
@@ -33,6 +35,7 @@ from .ringspectrum import (MIN_GRID_POINTS, flat_ring_problem, jt_ring_problem,
                            spectrum)
 
 FORMAT_VERSION = 1
+CONFIG_MAX_BYTES = 1 << 20  # keeps a path like /dev/zero out of memory
 
 
 class ConfigError(Exception):
@@ -244,19 +247,24 @@ def _add_options(sub: argparse.ArgumentParser, options: list[Opt]) -> None:
 
 
 def _read_config(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                entries[key.strip().replace("-", "_")] = value.strip()
+        with open(path, "rb") as fh:
+            data = fh.read(CONFIG_MAX_BYTES + 1)
+        if len(data) > CONFIG_MAX_BYTES:
+            raise ConfigError(f"cannot read config {path}: more than "
+                              f"{CONFIG_MAX_BYTES} bytes")
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
+    entries: dict[str, str] = {}
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        entries[key.strip().replace("-", "_")] = value.strip()
     return entries
 
 
@@ -577,6 +585,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="berryline",
@@ -595,8 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         values = resolve_options(args, args._options)
         write_outputs(args._func(values))

@@ -92,37 +92,29 @@ class RingProblem:
         return np.arange(j_lo, j_hi + 1)
 
     def kept_indices(self) -> np.ndarray:
-        keep = np.ones(self.grid_size, dtype=bool)
-        keep[self.barrier_indices()] = False
-        return np.nonzero(keep)[0]
+        return np.delete(np.arange(self.grid_size), self.barrier_indices())
 
 
 def build_ring_hamiltonian(problem: RingProblem) -> np.ndarray:
-    """Dense symmetric matrix of the discretized ring Hamiltonian.
+    """Dense symmetric matrix of the discretized ring Hamiltonian on its kept grid.
 
-    Off-diagonal couplings are -1/(2 r0^2 h^2); with odd flux parity the wrap
-    coupling flips sign (antiperiodic seam), which keeps the matrix real
-    symmetric.  Barrier grid points are deleted outright; the cut ring's seam
-    sign is pure gauge, so both parities keep the periodic wrap and build
-    literally the same matrix.
+    Couplings -1/(2 r0^2 h^2) join kept grid neighbours; the wrap joins points
+    M-1 and 0 (a barrier starts at index 1 or later, so 0 always survives).
+    Odd flux parity flips the wrap's sign (antiperiodic seam), which keeps the
+    matrix real symmetric.  Barrier points are never formed; the cut ring's seam
+    sign is pure gauge, so both parities build literally the same matrix.
     """
-    m_size = problem.grid_size
-    t = 1.0 / (2.0 * problem.radius ** 2 * problem.step ** 2)
-    h_mat = np.zeros((m_size, m_size))
-    np.fill_diagonal(h_mat, 2.0 * t + problem.potential)
-    idx = np.arange(m_size - 1)
-    h_mat[idx, idx + 1] = -t
-    h_mat[idx + 1, idx] = -t
-    odd_seam = problem.flux_parity == "odd" and problem.barrier is None
-    wrap = t if odd_seam else -t
-    h_mat[m_size - 1, 0] = wrap
-    h_mat[0, m_size - 1] = wrap
     keep = problem.kept_indices()
     if len(keep) < MIN_GRID_POINTS // 2:
-        raise GridTooCoarse(
-            f"barrier leaves only {len(keep)} grid points"
-        )
-    return h_mat[np.ix_(keep, keep)]
+        raise GridTooCoarse(f"barrier leaves only {len(keep)} grid points")
+    t = 1.0 / (2.0 * problem.radius ** 2 * problem.step ** 2)
+    h_mat = np.diag(2.0 * t + problem.potential[keep])
+    idx = np.nonzero(np.diff(keep) == 1)[0]
+    h_mat[idx, idx + 1] = h_mat[idx + 1, idx] = -t
+    if keep[-1] == problem.grid_size - 1:
+        odd_seam = problem.flux_parity == "odd" and problem.barrier is None
+        h_mat[-1, 0] = h_mat[0, -1] = t if odd_seam else -t
+    return h_mat
 
 
 @dataclass(eq=False)
@@ -136,14 +128,14 @@ class SpectrumResult:
 
 def degeneracy_flags(levels: np.ndarray) -> tuple[bool, ...]:
     """Flag each level with a partner within DEGENERACY_FLAG_TOL * max(1, |E|)."""
-    n = len(levels)
-    flags = [False] * n
-    for i in range(n - 1):
-        a, b = float(levels[i]), float(levels[i + 1])
-        if abs(a - b) <= DEGENERACY_FLAG_TOL * max(1.0, abs(a), abs(b)):
-            flags[i] = True
-            flags[i + 1] = True
-    return tuple(flags)
+    e = np.asarray(levels, dtype=float)
+    tol = DEGENERACY_FLAG_TOL * np.maximum(1.0, np.abs(e))
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+        close = np.abs(np.diff(e)) <= np.maximum(tol[:-1], tol[1:])
+    flags = np.zeros(len(e), dtype=bool)
+    flags[:-1] |= close
+    flags[1:] |= close
+    return tuple(flags.tolist())
 
 
 def spectrum(problem: RingProblem, n_levels: int) -> SpectrumResult:

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import time
 import warnings
 
 import numpy as np
@@ -24,10 +26,12 @@ from berryline import (
     to_lab_frame,
 )
 from berryline.cli import (
+    CONFIG_MAX_BYTES,
     ConfigError,
     _to_bool,
     _to_interval,
     _to_range,
+    build_parser,
     csv_lines,
     emit_json,
     fmt,
@@ -284,6 +288,36 @@ def test_spectrum_barrier_parity_invariance(capsys):
         assert header["boundary"] == "dirichlet-barrier"
         outs.append([row[1] for row in rows])
     assert outs[0] == outs[1]  # energy text identical character for character
+
+
+def test_spectrum_model_parity_override(capsys):
+    # --parity overrides the seam the model's holonomy would set
+    args = ("spectrum", "--k", "1", "--g", "1", "--r0", "1", "--grid", "256",
+            "--levels", "4")
+    code, derived, _ = run(capsys, *args)
+    assert code == 0
+    assert parse_spectrum(derived)[0]["flux_parity"] == "odd"
+    code, out, _ = run(capsys, *args, "--parity", "even")
+    assert code == 0
+    header, rows = parse_spectrum(out)
+    assert (header["flux_parity"], header["boundary"]) == ("even", "periodic")
+    assert [row[3] for row in rows] == ["even"] * 4
+    assert out != derived
+
+
+def test_spectrum_model_parity_override_under_barrier(capsys):
+    # a cut ring makes the overridden seam pure gauge: equal level bytes
+    levels = []
+    for parity in ("even", "odd"):
+        code, out, _ = run(capsys, "spectrum", "--k", "1", "--g", "1",
+                           "--r0", "1", "--grid", "256", "--levels", "4",
+                           "--barrier", "0.5:1.2", "--parity", parity)
+        assert code == 0
+        header, rows = parse_spectrum(out)
+        assert (header["flux_parity"], header["boundary"]) == (
+            parity, "dirichlet-barrier")
+        levels.append([row[1] for row in rows])
+    assert levels[0] == levels[1]
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +593,41 @@ def test_config_not_utf8(tmp_path, capsys):
     assert err.startswith(f"error: cannot read config {cfg}: ")
 
 
+def test_config_over_the_cap(tmp_path, capsys):
+    # valid keys after CONFIG_MAX_BYTES of comments: refused unread
+    keys = b"k=1\ng=1\nr=0.5\n"
+    filler = CONFIG_MAX_BYTES + 1 - len(keys)
+    comment = b"#" * 1023 + b"\n"
+    body = comment * (filler // len(comment)) + b"#" * (filler % len(comment))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(body[:-1] + b"\n" + keys)
+    assert cfg.stat().st_size == CONFIG_MAX_BYTES + 1
+    code, out, err = run(capsys, "berry", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read config {cfg}: ")
+    # the same keys under the cap are read
+    cfg.write_bytes(keys)
+    assert run(capsys, "berry", "--config", str(cfg))[0] == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_config_endless_file(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "berry", "--config", "/dev/zero")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read config /dev/zero: ")
+
+
+def test_config_newlines_split_as_in_text_mode(tmp_path, capsys):
+    # \r\n and a lone \r end lines; line numbers count them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"k=1\r\ng=1\rr=0.5\n\rjust a line\n")
+    code, _, err = run(capsys, "berry", "--config", str(cfg))
+    assert code == 2
+    assert err == f"error: {cfg}:5: expected key=value\n"
+
+
 def test_config_malformed_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k = 1\njust a line\n")
@@ -575,6 +644,19 @@ def test_missing_required_setting(capsys):
 def test_bad_numeric_flag(capsys):
     code, _, err = run(capsys, "berry", "--k", "one", "--g", "1", "--r", "1")
     assert code == 2
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 1\ng = 1\nr = 3\n")
+    first = run(capsys, "berry", "--k", "1", "--g", "1", "--r", "1")
+    second = run(capsys, "berry", "--config", str(cfg))
+    third = run(capsys, "berry", "--k", "1", "--g", "1", "--r", "1")
+    assert first[0] == second[0] == 0
+    assert first == third
+    assert json.loads(second[1])["r"] == 3
+    assert json.loads(first[1])["r"] == 1
 
 
 def test_usage_errors_exit_two():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from berryline import (
     GridTooCoarse,
@@ -134,6 +136,77 @@ def test_barrier_deletes_rows():
     assert len(prob.kept_indices()) + len(cut) == 256
 
 
+def full_ring_cut(problem):
+    """Oracle: the full periodic M x M ring with the kept rows and columns
+    copied out of it, the barrier's points filled and then dropped."""
+    m_size = problem.grid_size
+    t = 1.0 / (2.0 * problem.radius ** 2 * problem.step ** 2)
+    h_mat = np.zeros((m_size, m_size))
+    np.fill_diagonal(h_mat, 2.0 * t + problem.potential)
+    idx = np.arange(m_size - 1)
+    h_mat[idx, idx + 1] = -t
+    h_mat[idx + 1, idx] = -t
+    odd_seam = problem.flux_parity == "odd" and problem.barrier is None
+    wrap = t if odd_seam else -t
+    h_mat[m_size - 1, 0] = wrap
+    h_mat[0, m_size - 1] = wrap
+    keep = np.ones(m_size, dtype=bool)
+    keep[problem.barrier_indices()] = False
+    keep = np.nonzero(keep)[0]
+    if len(keep) < ringspectrum.MIN_GRID_POINTS // 2:
+        raise GridTooCoarse(f"barrier leaves only {len(keep)} grid points")
+    return h_mat[np.ix_(keep, keep)]
+
+
+def build_outcome(build, problem):
+    try:
+        h_mat = build(problem)
+    except GridTooCoarse as err:
+        return type(err), str(err)
+    return h_mat.shape, h_mat.tobytes()
+
+
+FRACTION = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=st.integers(64, 300), radius=st.floats(0.05, 20.0),
+       parity=st.sampled_from(["even", "odd"]), start=FRACTION,
+       width=st.none() | FRACTION | st.floats(0.999, 0.99999),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(grid=1024, radius=1.0, parity="odd", start=0.5, width=None, seed=1)
+@example(grid=4096, radius=0.7, parity="odd", start=0.5, width=0.5, seed=2)
+# the upper edge snaps to index M-1, so the wrap goes with it
+@example(grid=256, radius=1.0, parity="odd", start=0.45, width=0.9999, seed=3)
+@example(grid=65, radius=2.0, parity="even", start=0.6, width=0.99999, seed=4)
+# the barrier leaves fewer than MIN_GRID_POINTS // 2 points
+@example(grid=64, radius=1.0, parity="odd", start=0.1, width=0.99, seed=5)
+def test_kept_grid_build_equals_full_ring_cut(grid, radius, parity, start,
+                                              width, seed):
+    barrier = None
+    if width is not None:
+        a = start * 2.0 * math.pi
+        barrier = (a, width * (2.0 * math.pi - a))
+    potential = np.random.default_rng(seed).normal(size=grid)
+    try:
+        problem = RingProblem(radius=radius, grid_size=grid,
+                              potential=potential, flux_parity=parity,
+                              barrier=barrier)
+    except (ValueError, GridTooCoarse):
+        return  # a barrier narrower than a step or past 2 pi; nothing to build
+    assert (build_outcome(build_ring_hamiltonian, problem)
+            == build_outcome(full_ring_cut, problem))
+
+
+def test_barrier_through_the_last_index_drops_the_wrap():
+    # the upper edge snaps to index M-1, so the seam goes with it
+    cut = flat_ring_problem("odd", 256, barrier=(0.45 * 2.0 * math.pi,
+                                                 0.9999 * 0.55 * 2.0 * math.pi))
+    assert cut.kept_indices()[-1] < 255
+    h_mat = build_ring_hamiltonian(cut)
+    assert h_mat[0, -1] == h_mat[-1, 0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # free-ring spectra
 
@@ -190,6 +263,43 @@ def test_degeneracy_flags_unit():
     # tolerance is relative to the level scale
     flags = degeneracy_flags(np.array([1e9, 1e9 + 1.0, 2e9]))
     assert flags == (True, True, False)
+
+
+def pairwise_flags(levels):
+    """Oracle: the pairwise loop over neighbouring levels, in Python floats."""
+    n = len(levels)
+    flags = [False] * n
+    for i in range(n - 1):
+        a, b = float(levels[i]), float(levels[i + 1])
+        if abs(a - b) <= ringspectrum.DEGENERACY_FLAG_TOL * max(1.0, abs(a), abs(b)):
+            flags[i] = True
+            flags[i + 1] = True
+    return tuple(flags)
+
+
+LEVEL = st.floats(-1e6, 1e6) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.lists(LEVEL, max_size=12),
+       ties=st.lists(st.tuples(st.integers(0, 10), st.integers(-2, 2),
+                               st.booleans()), max_size=6))
+@example(base=[], ties=[])
+@example(base=[1.0], ties=[])
+@example(base=[1e308, -1e308, math.inf, math.inf, math.nan], ties=[])
+def test_degeneracy_flags_equal_pairwise_loop(base, ties):
+    # a tie planted at the tolerance, moved by a few ulps either way
+    levels = list(base)
+    for i, ulps, below in ties:
+        if i + 1 < len(levels) and math.isfinite(levels[i]):
+            gap = ringspectrum.DEGENERACY_FLAG_TOL * max(1.0, abs(levels[i]))
+            b = levels[i] - gap if below else levels[i] + gap
+            for _ in range(abs(ulps)):
+                b = math.nextafter(b, math.copysign(math.inf, ulps))
+            levels[i + 1] = b
+    flags = degeneracy_flags(np.array(levels, dtype=float))
+    assert flags == pairwise_flags(levels)
+    assert all(type(flag) is bool for flag in flags)
 
 
 def test_spectrum_level_count_validation():
