@@ -182,6 +182,10 @@ EXTRA = [
     "nodal-map --k 1 --g 1 --r 1.8 --theta-samples 6",
     "nodal-map --k 42.67325818407535 --g 2.235120284800081 "
     "--r 37.911146602283374 --theta-samples 240",
+    # berry on the degeneracy circle, and on the circle whose half-step grid
+    # fails to track
+    "berry --k 1 --g 1 --r 2",
+    "berry --k 1 --g 1 --r 1.8 --theta-samples 6",
 ]
 
 

@@ -7,7 +7,6 @@ from .berryphase import (
     NodeSet,
     OverlapTrace,
     PreferredVectorPotential,
-    ReferenceSection,
     canonicalize_phase,
     classify_mab,
     detect_nodes,

@@ -21,8 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .eigenpath import (DiscretizedPath, EigenBranch, HamiltonianField,
-                        band_steps, first_index)
+from .eigenpath import EigenBranch, HamiltonianField, band_steps, first_index
 from .errors import (
     OrthogonalEndpoints,
     SampleOnNode,
@@ -145,7 +144,7 @@ def refine_nodes(trace: OverlapTrace) -> NodeSet:
     its sample interval down to NODE_BISECTION_TOL, or to a probe that reads
     exactly zero.  A sample on a node raises SampleOnNode, and the caller
     chooses what to sample instead: circle_nodes tracks and refines the
-    half-step grid, nodal_map probes it next to the node where a turning
+    half-step grid, checked_circle probes it next to the node where a turning
     bound allows.  A probe's overlap is taken with its eigenvector turned to
     face the bracket's first sample; the walk is bisect_nodes'.
     """
@@ -239,25 +238,10 @@ def preferred_vector_potential(nodes: NodeSet) -> PreferredVectorPotential:
                                     loop_integral=-math.pi * nodes.count)
 
 
-@dataclass(eq=False)
-class ReferenceSection:
-    """Branch vectors rephased to have non-negative anchor overlap.
+def gauge_aligned_states(states: np.ndarray) -> np.ndarray:
+    """Remove the phase of each state relative to the first (anchor) state.
 
-    The section is single-valued apart from sign jumps located exactly at the
-    node angles; it is the object whose transport the -pi spike potential
-    reproduces.
-    """
-
-    vectors: np.ndarray
-    anchor_index: int
-    nodes: NodeSet
-    path: DiscretizedPath
-
-
-def gauge_aligned_states(states: np.ndarray, anchor_index: int = 0) -> np.ndarray:
-    """Remove the phase of each state relative to the anchor state.
-
-    psi_j -> exp(-i arg<psi_a|psi_j>) psi_j.  This is the one shared
+    psi_j -> exp(-i arg<psi_0|psi_j>) psi_j.  This is the one shared
     implementation for real and complex inputs; a real array goes through the
     exact +-1 specialization of the same factor and stays real.  An anchor
     overlap at zero magnitude means the anchor hits a node: SampleOnNode.
@@ -265,7 +249,7 @@ def gauge_aligned_states(states: np.ndarray, anchor_index: int = 0) -> np.ndarra
     arr = np.asarray(states)
     if arr.ndim != 2:
         raise ValueError("states must be a 2-d array, one state per row")
-    overlaps = arr @ np.conj(arr[anchor_index])
+    overlaps = arr @ np.conj(arr[0])
     small = np.abs(overlaps) <= OVERLAP_ZERO_TOL
     if np.any(small):
         j = int(np.argmax(small))
@@ -275,17 +259,19 @@ def gauge_aligned_states(states: np.ndarray, anchor_index: int = 0) -> np.ndarra
     return np.exp(-1j * np.angle(overlaps))[:, None] * arr
 
 
-def reference_section(branch: EigenBranch, nodes: NodeSet,
-                      anchor_index: int = 0) -> ReferenceSection:
-    """Build the gauge-invariant section of a real branch from its nodes.
+def reference_section(branch: EigenBranch, nodes: NodeSet) -> np.ndarray:
+    """The gauge-invariant section of a real branch: its (n, d) vectors
+    rephased to a non-negative overlap with the anchor, path point 0.
 
-    Equivalent to multiplying the branch vectors by the step function that
-    drops through -1 at every node angle.  `nodes` is the loop's intrinsic
-    node set (from the sign-continuous branch's anchor trace); the rebuilt
-    section must reverse exactly once per listed node, so a per-point phase
-    dressing of the input reproduces the same section.
+    The section flips sign exactly at the node angles, and the -pi spike
+    potential reproduces its transport: the branch vectors times the step
+    function that drops through -1 at every node angle.  `nodes` is the
+    loop's intrinsic node set (from the sign-continuous branch's anchor
+    trace); the section must reverse exactly once per listed node, inside
+    that node's sample interval, or this raises ValueError.  A per-point
+    phase dressing of the input gives the same section.
     """
-    aligned = gauge_aligned_states(branch.vectors, anchor_index)
+    aligned = gauge_aligned_states(branch.vectors)
     # Alignment cancels any per-point phase dressing of the input, so the
     # section's discontinuities appear as reversals between consecutive
     # aligned vectors; the branch itself varies continuously step to step.
@@ -296,15 +282,14 @@ def reference_section(branch: EigenBranch, nodes: NodeSet,
     if len(flips) != nodes.count:
         raise ValueError("node set inconsistent with the section sign pattern")
     for j, angle in zip(flips, nodes.angles):
-        lo, hi = sorted((theta[j], theta[j + 1]))
+        lo, hi = sorted(theta[j:j + 2].tolist())
         if not lo <= angle <= hi:
             raise ValueError(
                 f"node angle {angle!r} outside its sign-flip interval "
                 f"[{lo!r}, {hi!r}]"
             )
 
-    return ReferenceSection(vectors=aligned, anchor_index=anchor_index,
-                            nodes=nodes, path=branch.path)
+    return aligned
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,8 @@ from .cilocate import CIResult, SearchRect, locate_ci
 from .comoving import ac_loop_phase, integrate_spin, pseudorotation_trajectory
 from .eigenpath import GAP_TOL, circle_path, holonomy_sign
 from .errors import BerrylineError, OnDegeneracyCircle
-from .jahnteller import (JTParams, check_nodes, circle_nodes, jt_eigenvectors,
-                         jt_field, nodal_map, node_angles_analytic,
-                         rotation_matrix)
+from .jahnteller import (JTParams, checked_circle, jt_eigenvectors, jt_field,
+                         nodal_map, rotation_matrix)
 from .ringspectrum import (MIN_GRID_POINTS, flat_ring_problem, jt_ring_problem,
                            spectrum)
 
@@ -354,11 +353,9 @@ _BERRY_OPTS = [
 
 def cmd_berry(values: dict) -> list[tuple[str, str]]:
     p = _jt_params(values)
-    branch, _, nodes = circle_nodes(p, values["r"],
-                                    n_samples=values["theta_samples"],
-                                    band=values["band"])
-    check_nodes(values["r"], nodes, node_angles_analytic(p, values["r"]))
-    phase = open_path_berry_phase(branch.vectors)
+    trace, nodes, _ = checked_circle(p, values["r"], values["theta_samples"],
+                                     values["band"])
+    phase = open_path_berry_phase(trace.branch.vectors)
     result = {
         "format_version": FORMAT_VERSION,
         "k": values["k"],
@@ -369,7 +366,7 @@ def cmd_berry(values: dict) -> list[tuple[str, str]]:
         "K": nodes.count,
         "node_angles": list(nodes.angles),
         "geometric_phase": phase.geometric_phase,
-        "holonomy_sign": holonomy_sign(branch),
+        "holonomy_sign": holonomy_sign(trace.branch),
         "mab_class": classify_mab(nodes).value,
     }
     return [(values["out"], emit_json(result))]

@@ -32,7 +32,7 @@ CONTINUATION_MIN_OVERLAP = 0.5
 MATRIX_TOL = 1e-12
 
 # Gap to an adjacent band at or below which track_branch reports a
-# degeneracy on the path, unless the caller passes its own.
+# degeneracy on the path.
 GAP_TOL = 1e-8
 
 # Residual contract ||H v - E v|| <= RESIDUAL_TOL * max(1, max |H_ij|) for
@@ -230,14 +230,14 @@ def band_steps(field: HamiltonianField, coords, band: int):
     return matrices, w[..., band], band_gaps(w, band), raw, steps
 
 
-def track_branch(field: HamiltonianField, path: DiscretizedPath, band: int,
-                 gap_tol: float = GAP_TOL) -> EigenBranch:
+def track_branch(field: HamiltonianField, path: DiscretizedPath,
+                 band: int) -> EigenBranch:
     """Track band `band` along `path` with sign continuity.
 
     The band keeps its ascending-eigenvalue index throughout; each
     eigenvector is flipped when its overlap with the previous one is
     negative.  Raises DegeneracyOnPath when the gap to an adjacent band drops
-    to gap_tol, and AmbiguousContinuation when the consecutive overlap falls
+    to GAP_TOL, and AmbiguousContinuation when the consecutive overlap falls
     below 0.5 in magnitude (under-resolved path); the first failure along
     the path wins, a degeneracy before an ambiguity at the same sample.
 
@@ -248,10 +248,10 @@ def track_branch(field: HamiltonianField, path: DiscretizedPath, band: int,
     matrices, energies, gaps, raw, steps = band_steps(field, path.coords, band)
     signs = np.concatenate(([1.0], np.cumprod(np.where(steps < 0.0, -1.0, 1.0))))
 
-    j_gap = first_index(gaps <= gap_tol)
+    j_gap = first_index(gaps <= GAP_TOL)
     j_turn = first_index(np.abs(steps) < CONTINUATION_MIN_OVERLAP) + 1
     if j_gap < len(gaps) and j_gap <= j_turn:
-        raise DegeneracyOnPath(j_gap, float(gaps[j_gap]), gap_tol)
+        raise DegeneracyOnPath(j_gap, float(gaps[j_gap]), GAP_TOL)
     if j_turn < len(gaps):
         raise AmbiguousContinuation(j_turn,
                                     float(signs[j_turn - 1] * steps[j_turn - 1]))

@@ -376,33 +376,43 @@ def check_nodes(r: float, nodes: NodeSet, analytic: tuple[float, ...]) -> None:
         raise NodeMismatch(r, nodes.angles, analytic)
 
 
+def checked_circle(p: JTParams, r: float, n_samples: int = 2048,
+                   band: int = 0):
+    """Nodes on one circle, checked against the closed form: (trace, nodes,
+    analytic).
+
+    Raises OnDegeneracyCircle first, before any tracking.  Tracks theta_j =
+    j h once; a node on a sample is read from the half-step grid by
+    _half_step_nodes, which tracks that grid only where its turning bound
+    fails.  The trace's branch is the j h grid's, so it may have a sample on
+    a node.  A disagreement beyond NODAL_MAP_TOL raises NodeMismatch.
+    """
+    analytic = node_angles_analytic(p, r)
+    trace = _circle_trace(jt_field(p, frame="polar"), r, n_samples, band, 0.0)
+    try:
+        nodes = refine_nodes(trace)
+    except SampleOnNode:
+        nodes = _half_step_nodes(p, trace)
+    check_nodes(r, nodes, analytic)
+    return trace, nodes, analytic
+
+
 def nodal_map(p: JTParams, r_values, theta_samples: int = 2048,
               band: int = 0) -> NodalMap:
-    """Numeric node angles for each radius, verified against the closed form.
+    """checked_circle's node angles for each radius.
 
     Radii on the degeneracy circle are skipped (the circle itself belongs to
-    the degeneracy list, not the node map).  A disagreement beyond 1e-4
-    between pipeline and closed form raises NodeMismatch.  The nodes are
-    circle_nodes', without its branch: a node on a sample of theta_j = j h
-    is read from the half-step grid by _half_step_nodes, so a circle is
-    tracked once unless the turning bound of its probes fails.
+    the degeneracy list, not the node map).
     """
-    field = jt_field(p, frame="polar")
     rows = []
     skipped = []
     for r in r_values:
         r = float(r)
         try:
-            analytic = node_angles_analytic(p, r)
+            _, nodes, analytic = checked_circle(p, r, theta_samples, band)
         except OnDegeneracyCircle:
             skipped.append(r)
             continue
-        trace = _circle_trace(field, r, theta_samples, band, 0.0)
-        try:
-            nodes = refine_nodes(trace)
-        except SampleOnNode:
-            nodes = _half_step_nodes(p, trace)
-        check_nodes(r, nodes, analytic)
         rows.append(NodalMapRow(r=r, numeric_angles=nodes.angles,
                                 analytic_angles=analytic))
     return NodalMap(rows=tuple(rows), skipped_radii=tuple(skipped),

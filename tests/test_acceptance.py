@@ -142,7 +142,7 @@ def test_criterion_4_gauge_invariance(jt11, capsys):
             branch, _, nodes = circle_nodes(jt11, r, n_samples=1024)
             baseline = open_path_berry_phase(branch.vectors).geometric_phase
             section = reference_section(branch, nodes)
-            data.append((branch, nodes, baseline, section.vectors))
+            data.append((branch, nodes, baseline, section))
 
         rng = np.random.default_rng(7)
         for trial in range(100):
@@ -159,7 +159,7 @@ def test_criterion_4_gauge_invariance(jt11, capsys):
             redone = reference_section(
                 replace(branch, vectors=phases[:, None] * branch.vectors),
                 nodes)
-            assert np.max(np.abs(redone.vectors - section)) < 1e-9
+            assert np.max(np.abs(redone - section)) < 1e-9
 
 
 def test_criterion_5_reparametrization(jt11, capsys):

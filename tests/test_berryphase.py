@@ -246,24 +246,22 @@ def test_section_constant_field_unchanged():
                           circle_path(1.0, 16), band=0)
     trace = overlap_trace(branch)
     section = reference_section(branch, detect_nodes(trace))
-    assert np.array_equal(section.vectors, branch.vectors)
+    assert np.array_equal(section, branch.vectors)
 
 
 def test_section_flips_once_inner_loop(jt11):
     branch, trace, nodes = circle_nodes(jt11, 1.0, n_samples=1024)
     section = reference_section(branch, nodes)
-    anchor_overlaps = section.vectors @ section.vectors[0]
+    anchor_overlaps = section @ section[0]
     assert np.min(anchor_overlaps) >= 0.0
-    jumps = np.sum(np.einsum("ij,ij->i", section.vectors[:-1],
-                             section.vectors[1:]) < 0)
+    jumps = np.sum(np.einsum("ij,ij->i", section[:-1], section[1:]) < 0)
     assert jumps == 1
 
 
 def test_section_two_flips_outer_loop(jt11):
     branch, trace, nodes = circle_nodes(jt11, 3.0, n_samples=1024)
     section = reference_section(branch, nodes)
-    jumps = np.sum(np.einsum("ij,ij->i", section.vectors[:-1],
-                             section.vectors[1:]) < 0)
+    jumps = np.sum(np.einsum("ij,ij->i", section[:-1], section[1:]) < 0)
     assert jumps == 2
 
 
@@ -271,13 +269,13 @@ def test_section_idempotent(jt11):
     branch, trace, nodes = circle_nodes(jt11, 1.0, n_samples=1024)
     section = reference_section(branch, nodes)
     again_branch = dressed_copy(branch, np.ones(len(branch.vectors)))
-    again_branch.vectors = section.vectors
+    again_branch.vectors = section
     trace2 = overlap_trace(again_branch)
     nodes2 = detect_nodes(trace2)
     # the section's own anchor trace never crosses zero, only touches it
     assert nodes2.count == 0
     section2 = reference_section(again_branch, nodes)
-    assert np.array_equal(section2.vectors, section.vectors)
+    assert np.array_equal(section2, section)
 
 
 def test_section_gauge_invariant_under_sign_dressing(jt11):
@@ -292,13 +290,20 @@ def test_section_gauge_invariant_under_sign_dressing(jt11):
     nodes_d = detect_nodes(trace_d)
     assert nodes_d.parity == nodes.parity
     section_d = reference_section(dressed, nodes)
-    assert np.array_equal(section_d.vectors, section.vectors)
+    assert np.array_equal(section_d, section)
 
 
 def test_section_rejects_wrong_nodes(jt11):
     branch, trace, nodes = circle_nodes(jt11, 1.0, n_samples=1024)
     with pytest.raises(ValueError):
         reference_section(branch, NodeSet(angles=()))
+    # one flip, as many as nodes, but not in the node's sample interval; the
+    # interval prints as Python floats
+    branch = circle_nodes(jt11, 1.0, n_samples=1023)[0]
+    with pytest.raises(ValueError) as err:
+        reference_section(branch, NodeSet(angles=(1.0,)))
+    assert str(err.value) == ("node angle 1.0 outside its sign-flip interval "
+                              "[3.1385216930290993, 3.144663614150487]")
 
 
 # --- gauge alignment ---------------------------------------------------------

@@ -44,8 +44,7 @@ def gap_at(field, x, y):
     return float(w[1] - w[0])
 
 
-def reference_loop_sign(field, rect, band=0, samples_per_edge=32,
-                        gap_tol=1e-8, refines=4):
+def reference_loop_sign(field, rect, band=0, samples_per_edge=32, refines=4):
     """The whole-loop sign: track the closed rectangle boundary as one path,
     doubling the sampling while the continuation is ambiguous.  None when
     the loop stays unresolved or a boundary sample is degenerate."""
@@ -55,8 +54,7 @@ def reference_loop_sign(field, rect, band=0, samples_per_edge=32,
     for _ in range(refines + 1):
         path = polygon_path(vertices, samples_per_edge=n)
         try:
-            return holonomy_sign(track_branch(field, path, band=band,
-                                              gap_tol=gap_tol))
+            return holonomy_sign(track_branch(field, path, band=band))
         except DegeneracyOnPath:
             return None
         except AmbiguousContinuation:

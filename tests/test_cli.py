@@ -7,23 +7,31 @@ import math
 import os
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from berryline import (
     JTParams,
+    OnDegeneracyCircle,
     adiabaticity_ratio,
+    circle_nodes,
+    classify_mab,
     cli,
     degeneracy_points,
     dynamical_phase,
+    holonomy_sign,
     integrate_spin,
     jahnteller,
     jt_eigenvectors,
+    node_angles_analytic,
+    open_path_berry_phase,
     pseudorotation_trajectory,
     to_lab_frame,
+    track_branch,
 )
 from berryline.cli import (
     CONFIG_MAX_BYTES,
@@ -37,7 +45,9 @@ from berryline.cli import (
     fmt,
     main,
 )
-from berryline.jahnteller import NODAL_MAP_TOL
+from berryline.jahnteller import NODAL_MAP_TOL, check_nodes
+
+from conftest import COUPLING
 
 
 def run(capsys, *argv):
@@ -97,6 +107,8 @@ def test_emit_json_parses_and_round_trips():
     assert parsed["items"] == [1.5, None, True]
     assert parsed["name"] == 'a"b'
     assert parsed["nested"] == {"k": 2}
+    with pytest.raises(TypeError, match="cannot serialize <class 'object'>"):
+        emit_json({"x": object()})
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +144,71 @@ def test_berry_rerun_is_byte_identical(capsys):
     _, second, _ = run(capsys, "berry", "--k", "1", "--g", "1", "--r", "1.2",
                        "--theta-samples", "512")
     assert first == second
+
+
+def test_berry_tracks_each_circle_once(capsys):
+    # theta = pi, the node inside 2k/g, sits on the 2048 grid at r = 1; its
+    # half-step neighbours are probed, and the phase and the holonomy come
+    # from the one branch tracked
+    with mock.patch.object(jahnteller, "track_branch",
+                           wraps=track_branch) as tracked:
+        code, out, _ = run(capsys, "berry", "--k", "1", "--g", "1", "--r", "1")
+    assert code == 0
+    assert tracked.call_count == 1
+    assert json.loads(out)["K"] == 1
+
+
+def two_track_berry(values):
+    """cmd_berry on circle_nodes' branch, which re-tracks the half-step grid
+    when a sample sits on a node, checked against the closed form after."""
+    p = JTParams(values["k"], values["g"])
+    branch, _, nodes = circle_nodes(p, values["r"],
+                                    n_samples=values["theta_samples"],
+                                    band=values["band"])
+    check_nodes(values["r"], nodes, node_angles_analytic(p, values["r"]))
+    phase = open_path_berry_phase(branch.vectors)
+    result = {
+        "format_version": cli.FORMAT_VERSION,
+        "k": values["k"],
+        "g": values["g"],
+        "r": values["r"],
+        "band": values["band"],
+        "theta_samples": values["theta_samples"],
+        "K": nodes.count,
+        "node_angles": list(nodes.angles),
+        "geometric_phase": phase.geometric_phase,
+        "holonomy_sign": holonomy_sign(branch),
+        "mab_class": classify_mab(nodes).value,
+    }
+    return [(values["out"], emit_json(result))]
+
+
+def outputs_or_error(command, values):
+    try:
+        return command(values)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(deadline=None, max_examples=150)
+@example(k=1.0, g=1.0, r=1.0, n=2048, band=0)   # pi on the grid, probed
+@example(k=0.0, g=1.0, r=1.0, n=2048, band=1)   # both nodes on the grid
+@example(k=1.0, g=1.0, r=1.0, n=8, band=0)      # the turning bound fails
+@example(k=1.0, g=1.0, r=1.8, n=6, band=0)      # the half step fails to track
+@example(k=1e16, g=1e16, r=1e16, n=16, band=0)  # a probe reads exactly 0.0
+@example(k=1.7e308, g=0.0, r=1.0, n=2048, band=0)  # every gap overflows
+@given(k=COUPLING, g=COUPLING, r=st.floats(1e-4, 1e8),
+       n=st.integers(3, 4096), band=st.sampled_from([0, 1]))
+def test_berry_matches_two_track_sequence(k, g, r, n, band):
+    assume(k > 0 or g > 0)
+    try:
+        node_angles_analytic(JTParams(k, g), r)
+    except OnDegeneracyCircle:
+        assume(False)
+    values = {"k": k, "g": g, "r": r, "theta_samples": n, "band": band,
+              "out": "-"}
+    assert (outputs_or_error(cli.cmd_berry, values)
+            == outputs_or_error(two_track_berry, values))
 
 
 def test_berry_writes_file(tmp_path, capsys):

@@ -49,6 +49,9 @@ def test_parameter_point_nonfinite(bad):
 def test_path_needs_three_points():
     with pytest.raises(ValueError):
         DiscretizedPath([(1, 0), (1, 1)])
+    # three numbers are not three points: a path is one row per point
+    with pytest.raises(ValueError, match=r"must be \(n, d\), got \(3,\)"):
+        DiscretizedPath([1.0, 2.0, 3.0])
 
 
 def test_path_rejects_consecutive_duplicates():
@@ -63,6 +66,8 @@ def test_circle_path_layout():
     assert path.coords[0, 1] == 0.5
     assert path.coords[-1, 1] == pytest.approx(0.5 + 2 * math.pi)
     assert np.all(path.coords[:, 0] == 2.0)
+    with pytest.raises(ValueError, match="need >= 3 segments, got 2"):
+        circle_path(2.0, 2)
 
 
 def test_circle_path_revolutions():
@@ -76,6 +81,8 @@ def test_polygon_path_closure():
     assert len(path) == 3 * 4 + 1
     assert path.closed
     assert np.array_equal(path.coords[-1], path.coords[0])
+    with pytest.raises(ValueError, match="needs >= 3 vertices, got 2"):
+        polygon_path(verts[:2])
 
 
 def test_to_polar_path_roundtrip():
