@@ -13,7 +13,7 @@ that checkout's code.
 The calls: jobs 0-3 of seeds 301 and 302 of every benchmark workload (built
 by ``benchmarks/workloads.make_job``), the README examples, and extra calls
 that pin edge cases of the option checks, the barrier spectra, the node
-probes and the degeneracy locator.
+probes, the degeneracy locator and the output writer.
 
 Typical use:
     python3 scripts/cli_digest.py            # one line per call, then the total
@@ -186,6 +186,9 @@ EXTRA = [
     # fails to track
     "berry --k 1 --g 1 --r 2",
     "berry --k 1 --g 1 --r 1.8 --theta-samples 6",
+    # two outputs that name one file
+    "nodal-map --k 1 --g 1 --r 1 --nodes-out same.csv "
+    "--degeneracies-out same.csv",
 ]
 
 

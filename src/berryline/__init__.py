@@ -5,7 +5,6 @@ from .berryphase import (
     BerryPhaseResult,
     MABClass,
     NodeSet,
-    OverlapTrace,
     PreferredVectorPotential,
     canonicalize_phase,
     classify_mab,

@@ -1,12 +1,14 @@
 """Open-path geometric phases and sign nodes of real eigenvector branches.
 
-The central objects are the anchor-overlap trace of a tracked branch (its
-inner product with the branch vector at a chosen anchor point) and the nodes
-of that trace.  For a real branch on a closed loop the number of nodes K
-decides everything: the loop holonomy is (-1)^K, the geometric phase is -K pi
-(i.e. 0 or pi mod 2 pi), and the gauge-invariant reference section built from
-the branch flips sign exactly at the node angles.  The corresponding
-preferred vector potential is a train of -pi delta spikes, one per node.
+The central objects are the anchor-overlap trace of a tracked branch (the
+(n,) array of its inner products with the branch vector at a chosen anchor
+point) and the nodes of that trace, found from the array (detect_nodes) or
+from the tracked branch anchored at point 0 (refine_nodes).  For a real
+branch on a closed loop the number of nodes K decides everything: the loop
+holonomy is (-1)^K, the geometric phase is -K pi (i.e. 0 or pi mod 2 pi),
+and the gauge-invariant reference section built from the branch flips sign
+exactly at the node angles.  The corresponding preferred vector potential is
+a train of -pi delta spikes, one per node.
 
 The open-path phase follows the kinematic prescription: total endpoint phase
 minus the accumulated local (Pancharatnam) phase of consecutive overlaps.
@@ -52,24 +54,15 @@ def canonicalize_phase(phi: float) -> float:
     return z
 
 
-@dataclass(eq=False)
-class OverlapTrace:
-    """Inner products of branch vectors with the branch vector at the anchor."""
-
-    branch: EigenBranch
-    anchor_index: int
-    values: np.ndarray
-
-
-def overlap_trace(branch: EigenBranch, anchor_index: int = 0) -> OverlapTrace:
-    """Trace of <v(anchor), v(j)> along the branch."""
+def overlap_trace(branch: EigenBranch, anchor_index: int = 0) -> np.ndarray:
+    """The (n,) trace <v(anchor), v(j)> along the branch."""
     n = len(branch.path)
     if not 0 <= anchor_index < n:
         raise ValueError(f"anchor index {anchor_index} out of range for {n} points")
     values = branch.vectors @ branch.vectors[anchor_index]
     if abs(values[anchor_index] - 1.0) > 1e-10:
         raise RuntimeError("anchor self-overlap differs from 1")
-    return OverlapTrace(branch=branch, anchor_index=anchor_index, values=values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -101,22 +94,19 @@ def _sign_changes(values: np.ndarray) -> np.ndarray:
     return np.nonzero(values[:-1] * values[1:] < 0.0)[0]
 
 
-def detect_nodes(trace: OverlapTrace, angles=None) -> NodeSet:
-    """Locate sign changes of the trace by linear interpolation.
+def detect_nodes(values: np.ndarray, angles) -> NodeSet:
+    """Locate sign changes of the trace `values`, sampled at `angles`, by
+    linear interpolation.
 
     A sample on a node raises SampleOnNode; the caller shifts the grid and
-    resamples.  `angles` defaults to the last coordinate of each path point
-    (the polar angle for ring paths); pass an explicit parameter array for
-    paths that are not angle-parameterized.
+    resamples.  `angles` is the loop parameter at each sample, for example
+    the polar angle path.coords[:, -1] of a ring path; an array of another
+    shape raises ValueError.
     """
-    values = trace.values
     j = _sign_changes(values)
-    if angles is None:
-        theta = trace.branch.path.coords[:, -1]
-    else:
-        theta = np.asarray(angles, dtype=float)
-        if theta.shape != values.shape:
-            raise ValueError("explicit angles must match the trace length")
+    theta = np.asarray(angles, dtype=float)
+    if theta.shape != values.shape:
+        raise ValueError("angles must match the trace length")
     a, b = values[j], values[j + 1]
     found = np.sort(theta[j] + a / (a - b) * (theta[j + 1] - theta[j]))
     return NodeSet(angles=tuple(found.tolist()))
@@ -136,8 +126,9 @@ def _bisection_cuts(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return grid[:, 1:-1]
 
 
-def refine_nodes(trace: OverlapTrace) -> NodeSet:
-    """Node angles of the trace, bisected on the continuous overlap.
+def refine_nodes(branch: EigenBranch) -> NodeSet:
+    """Node angles of the branch's trace anchored at path point 0, bisected on
+    the continuous overlap.
 
     Requires a fixed-radius polar path (the branch field is re-evaluated at
     intermediate angles).  Each sign change of the trace is bisected inside
@@ -148,13 +139,12 @@ def refine_nodes(trace: OverlapTrace) -> NodeSet:
     bound allows.  A probe's overlap is taken with its eigenvector turned to
     face the bracket's first sample; the walk is bisect_nodes'.
     """
-    branch = trace.branch
+    values = overlap_trace(branch)
     radii, theta = branch.path.coords[:, 0], branch.path.coords[:, 1]
     if np.any(radii != radii[0]):
         raise ValueError("node refinement requires a fixed-radius polar path")
-    return bisect_nodes(branch.field, branch.band, radii[0], theta,
-                        trace.values, branch.vectors,
-                        branch.vectors[trace.anchor_index])
+    return bisect_nodes(branch.field, branch.band, radii[0], theta, values,
+                        branch.vectors, branch.vectors[0])
 
 
 def bisect_nodes(field: HamiltonianField, band: int, r: float,

@@ -16,6 +16,7 @@ import argparse
 import functools
 import io
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -84,21 +85,24 @@ def emit_json_compact(obj: dict) -> str:
 
 
 def write_outputs(outputs: list[tuple[str, str]]) -> None:
-    """Write each (destination, text) pair in order; "-" is stdout.
+    """Write each destination once, in the order they first appear; "-" is
+    stdout, and a file is keyed by its real path, however it is spelled.
 
-    When every destination is stdout the texts are joined by one blank line.
-    A file that cannot be opened or written is a ConfigError.
+    The texts bound for one destination are joined by one blank line.  A
+    file that cannot be opened or written is a ConfigError that names the
+    path as first given.
     """
-    if all(dest == "-" for dest, _ in outputs):
-        sys.stdout.write("\n".join(text for _, text in outputs))
-        return
+    groups: dict[str, tuple[str, list[str]]] = {}
     for dest, text in outputs:
-        if dest == "-":
-            sys.stdout.write(text)
+        key = dest if dest == "-" else os.path.realpath(dest)
+        groups.setdefault(key, (dest, []))[1].append(text)
+    for key, (dest, texts) in groups.items():
+        if key == "-":
+            sys.stdout.write("\n".join(texts))
             continue
         try:
             with open(dest, "w", newline="\n") as fh:
-                fh.write(text)
+                fh.write("\n".join(texts))
         except OSError as err:
             raise ConfigError(
                 f"cannot write {dest}: {err.strerror or err}") from err
@@ -353,9 +357,9 @@ _BERRY_OPTS = [
 
 def cmd_berry(values: dict) -> list[tuple[str, str]]:
     p = _jt_params(values)
-    trace, nodes, _ = checked_circle(p, values["r"], values["theta_samples"],
-                                     values["band"])
-    phase = open_path_berry_phase(trace.branch.vectors)
+    branch, nodes, _ = checked_circle(p, values["r"], values["theta_samples"],
+                                      values["band"])
+    phase = open_path_berry_phase(branch.vectors)
     result = {
         "format_version": FORMAT_VERSION,
         "k": values["k"],
@@ -366,7 +370,7 @@ def cmd_berry(values: dict) -> list[tuple[str, str]]:
         "K": nodes.count,
         "node_angles": list(nodes.angles),
         "geometric_phase": phase.geometric_phase,
-        "holonomy_sign": holonomy_sign(trace.branch),
+        "holonomy_sign": holonomy_sign(branch),
         "mab_class": classify_mab(nodes).value,
     }
     return [(values["out"], emit_json(result))]

@@ -400,13 +400,17 @@ def _pairwise_product(a, b, c, d):
 def _reduce_blocks(a, b, c, d, block: int):
     """Collapse step unitaries into per-block transfer matrices.
 
-    The step count must be a multiple of `block`, which must be a power of
-    two; the reduction keeps time order exactly and only reassociates the
-    product, which is harmless algebraically and deterministic numerically.
+    `block` must be a power of two.  A step count short of a whole number of
+    blocks is filled out with identity steps, whose products are exact, so a
+    short last block is the product of its own steps.  The reduction keeps
+    time order exactly and only reassociates the product, which is harmless
+    algebraically and deterministic numerically.
     """
-    n = len(a)
-    shape = (n // block, block)
-    a, b, c, d = (x.reshape(shape) for x in (a, b, c, d))
+    pad = -len(a) % block
+    if pad:
+        a, d = (np.concatenate((x, np.ones(pad, x.dtype))) for x in (a, d))
+        b, c = (np.concatenate((x, np.zeros(pad, x.dtype))) for x in (b, c))
+    a, b, c, d = (x.reshape(-1, block) for x in (a, b, c, d))
     while a.shape[1] > 1:
         a, b, c, d = _pairwise_product(a.T, b.T, c.T, d.T)
         a, b, c, d = a.T, b.T, c.T, d.T
@@ -450,11 +454,10 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     states = [psi]
     unresolved = None  # the first step that under-resolves, raised at the end
     # a chunk reduces to products of `span` steps, and every `per` of those
-    # to a block, in the tree of _reduce_blocks over the whole block; the
-    # last block is filled with identity chunks, whose product is exact
+    # to a block, in the tree of _reduce_blocks over the whole block, which
+    # fills the last chunk and the last block out with identity steps
     span = min(block, CHUNK_STEPS)
     per, pending = block // span, []
-    identity = tuple(np.array([x], complex) for x in (1, 0, 0, 1))
 
     def propagate(start, dt, dtheta, f_mid, delta, dalpha):
         nonlocal psi, unresolved
@@ -489,17 +492,8 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
             uc = sinc * hy - 1j * sinc * hx
             ud = cos_p + 1j * sinc * hz
 
-        # pad the last chunk to a whole number of spans with identity steps
-        pad = (-n) % span
-        if pad:
-            one = np.ones(pad, dtype=complex)
-            zero = np.zeros(pad, dtype=complex)
-            ua, ub = np.concatenate((ua, one)), np.concatenate((ub, zero))
-            uc, ud = np.concatenate((uc, zero)), np.concatenate((ud, one))
         pending.append(_reduce_blocks(ua, ub, uc, ud, span))
-        if start + n == n_steps:
-            pending.extend([identity] * (-len(pending) % per))
-        if len(pending) < per:
+        if len(pending) < per and start + n < n_steps:
             return
         ba, bb, bc, bd = _reduce_blocks(*map(np.concatenate, zip(*pending)), per)
         pending.clear()

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .berryphase import (NodeSet, OverlapTrace, bisect_nodes, overlap_trace,
-                         refine_nodes)
+from .berryphase import NodeSet, bisect_nodes, overlap_trace, refine_nodes
 from .eigenpath import (
     GAP_TOL,
     DiscretizedPath,
+    EigenBranch,
     HamiltonianField,
     band_steps,
     first_index,
@@ -264,27 +264,22 @@ def _circle_thetas(n_samples: int, offset: float) -> np.ndarray:
     return np.concatenate(([0.0], interior, [2.0 * math.pi]))
 
 
-def _anchored_circle(r: float, n_samples: int, offset: float) -> DiscretizedPath:
-    """Closed circle path of radius r on _circle_thetas(n_samples, offset)."""
-    return DiscretizedPath(polar_samples(r, _circle_thetas(n_samples, offset)),
+def _circle_branch(field: HamiltonianField, r: float, n_samples: int,
+                   band: int, offset: float) -> EigenBranch:
+    """The band tracked on the closed circle of radius r over
+    _circle_thetas(n_samples, offset), anchored at theta = 0."""
+    path = DiscretizedPath(polar_samples(r, _circle_thetas(n_samples, offset)),
                            closed=True)
+    return track_branch(field, path, band=band)
 
 
-def _circle_trace(field: HamiltonianField, r: float, n_samples: int,
-                  band: int, offset: float) -> OverlapTrace:
-    """Anchor-overlap trace of the band tracked on _anchored_circle."""
-    branch = track_branch(field, _anchored_circle(r, n_samples, offset),
-                          band=band)
-    return overlap_trace(branch, anchor_index=0)
-
-
-def _half_step_nodes(p: JTParams, trace: OverlapTrace) -> NodeSet:
+def _half_step_nodes(p: JTParams, branch: EigenBranch) -> NodeSet:
     """Nodes of the half-step grid's trace, probed next to the nodes.
 
-    `trace` lies on theta_j = j h and has a sample on a node.  Returns what
-    refine_nodes gives on the trace of the half-step grid (0, h/2, 3h/2,
-    ..., 2 pi), SampleOnNode included: from probes where the bound below
-    holds, by tracking and refining that grid where it fails.
+    `branch` lies on theta_j = j h, and its anchor trace has a sample on a
+    node.  Returns what refine_nodes gives on the half-step grid (0, h/2,
+    3h/2, ..., 2 pi), SampleOnNode included: from probes where the bound
+    below holds, by tracking and refining that grid where it fails.
 
     As |df/dtheta| <= k r + g r^2, f moves by at most reach = (k r + g r^2)
     h / 2, plus a slack for rounding, within h/2 of theta_j.  If reach is at
@@ -298,7 +293,6 @@ def _half_step_nodes(p: JTParams, trace: OverlapTrace) -> NodeSet:
     before it.  A half step not probed stands in as the sample before it,
     which has its sign: all that bisect_nodes reads of it.
     """
-    branch = trace.branch
     r, n = float(branch.path.coords[0, 0]), len(branch) - 1
     reach = ((p.k * r + p.g * r * r)
              * (math.pi / n * (1.0 + 2.0 ** -20) + 2.0 ** -40))
@@ -307,8 +301,8 @@ def _half_step_nodes(p: JTParams, trace: OverlapTrace) -> NodeSet:
         turn = 2.0 * reach / gaps
     # a gap past the float range is inf and would read as turn 0
     if not ((turn <= 0.5) & (gaps >= 4.0 * GAP_TOL) & (gaps < math.inf)).all():
-        return refine_nodes(_circle_trace(branch.field, r, n, branch.band, 0.5))
-    near = np.abs(trace.values) <= turn + 2.0 ** -30
+        return refine_nodes(_circle_branch(branch.field, r, n, branch.band, 0.5))
+    near = np.abs(overlap_trace(branch)) <= turn + 2.0 ** -30
     # half step i lies between samples i - 1 and i
     probed = np.flatnonzero(near[:-1] | near[1:]) + 1
     theta = _circle_thetas(n, 0.5)
@@ -330,17 +324,17 @@ def circle_nodes(p: JTParams, r: float, n_samples: int = 2048, band: int = 0):
     half-step grid (anchor still at 0) and refines there, where SampleOnNode
     propagates.  As f(r, -theta) = conj f(r, theta), the nodes are {pi},
     {pi/2, 3 pi/2} or {a, 2 pi - a}: both on one kind of grid, h/2 off the
-    other.  Returns (branch, trace, nodes), node angles inside (0, 2 pi), of
-    a grid with no sample on a node.
+    other.  Returns (branch, overlap_trace(branch), nodes), node angles
+    inside (0, 2 pi), of a grid with no sample on a node.
     """
     field = jt_field(p, frame="polar")
-    trace = _circle_trace(field, r, n_samples, band, 0.0)
+    branch = _circle_branch(field, r, n_samples, band, 0.0)
     try:
-        nodes = refine_nodes(trace)
+        nodes = refine_nodes(branch)
     except SampleOnNode:
-        trace = _circle_trace(field, r, n_samples, band, 0.5)
-        nodes = refine_nodes(trace)
-    return trace.branch, trace, nodes
+        branch = _circle_branch(field, r, n_samples, band, 0.5)
+        nodes = refine_nodes(branch)
+    return branch, overlap_trace(branch), nodes
 
 
 @dataclass(frozen=True)
@@ -378,23 +372,23 @@ def check_nodes(r: float, nodes: NodeSet, analytic: tuple[float, ...]) -> None:
 
 def checked_circle(p: JTParams, r: float, n_samples: int = 2048,
                    band: int = 0):
-    """Nodes on one circle, checked against the closed form: (trace, nodes,
+    """Nodes on one circle, checked against the closed form: (branch, nodes,
     analytic).
 
     Raises OnDegeneracyCircle first, before any tracking.  Tracks theta_j =
     j h once; a node on a sample is read from the half-step grid by
     _half_step_nodes, which tracks that grid only where its turning bound
-    fails.  The trace's branch is the j h grid's, so it may have a sample on
-    a node.  A disagreement beyond NODAL_MAP_TOL raises NodeMismatch.
+    fails.  The branch is the j h grid's, so it may have a sample on a node.
+    A disagreement beyond NODAL_MAP_TOL raises NodeMismatch.
     """
     analytic = node_angles_analytic(p, r)
-    trace = _circle_trace(jt_field(p, frame="polar"), r, n_samples, band, 0.0)
+    branch = _circle_branch(jt_field(p, frame="polar"), r, n_samples, band, 0.0)
     try:
-        nodes = refine_nodes(trace)
+        nodes = refine_nodes(branch)
     except SampleOnNode:
-        nodes = _half_step_nodes(p, trace)
+        nodes = _half_step_nodes(p, branch)
     check_nodes(r, nodes, analytic)
-    return trace, nodes, analytic
+    return branch, nodes, analytic
 
 
 def nodal_map(p: JTParams, r_values, theta_samples: int = 2048,

@@ -53,13 +53,14 @@ class LoopCase:
     path: DiscretizedPath
     field: HamiltonianField
     polar_path: DiscretizedPath
-    # loop parameter for node detection; None = use the polar angle
-    angles: np.ndarray | None
+    # loop parameter for node detection
+    angles: np.ndarray
 
 
 def _circle_case(p, name, r, n, theta0=0.0, revolutions=1.0):
     path = circle_path(r, n, theta0=theta0, revolutions=revolutions)
-    return LoopCase(name, path, jt_field(p, frame="polar"), path, None)
+    return LoopCase(name, path, jt_field(p, frame="polar"), path,
+                    path.coords[:, -1])
 
 
 def _polygon_case(p, name, vertices, samples_per_edge=96):

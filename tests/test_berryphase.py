@@ -77,7 +77,7 @@ def test_constant_field_trace_is_one():
     branch = track_branch(constant_field([[1.0, 0.2], [0.2, -1.0]]),
                           circle_path(1.0, 16), band=0)
     trace = overlap_trace(branch)
-    assert np.allclose(trace.values, 1.0, atol=1e-12)
+    assert np.allclose(trace, 1.0, atol=1e-12)
 
 
 def test_linear_model_quarter_turn_overlap(jt10):
@@ -87,13 +87,13 @@ def test_linear_model_quarter_turn_overlap(jt10):
                           circle_path(1.0, 2048), band=0)
     trace = overlap_trace(branch)
     assert branch.path.coords[512, 1] == math.pi / 2
-    assert abs(trace.values[512] - 0.7071067811865476) <= 1e-12
+    assert abs(trace[512] - 0.7071067811865476) <= 1e-12
 
 
 def test_single_zero_crossing_inner_loop(jt11):
     branch = track_branch(jt_field(jt11, frame="polar"),
                           circle_path(1.0, 1023), band=0)
-    values = overlap_trace(branch).values
+    values = overlap_trace(branch)
     crossings = np.sum(values[:-1] * values[1:] < 0)
     assert crossings == 1
 
@@ -111,14 +111,14 @@ def test_trace_anchor_validation(jt10):
 def test_no_sign_change_means_no_nodes():
     branch = track_branch(constant_field([[1.0, 0.2], [0.2, -1.0]]),
                           circle_path(1.0, 16), band=0)
-    nodes = detect_nodes(overlap_trace(branch))
+    nodes = detect_nodes(overlap_trace(branch), branch.path.coords[:, -1])
     assert nodes.count == 0 and nodes.parity == 0
 
 
 def test_inner_loop_single_node_at_pi(jt11):
     branch = track_branch(jt_field(jt11, frame="polar"),
                           circle_path(1.0, 1023), band=0)
-    nodes = detect_nodes(overlap_trace(branch))
+    nodes = detect_nodes(overlap_trace(branch), branch.path.coords[:, -1])
     assert nodes.count == 1
     assert abs(nodes.angles[0] - math.pi) <= 1e-6
 
@@ -126,7 +126,7 @@ def test_inner_loop_single_node_at_pi(jt11):
 def test_outer_loop_two_nodes(jt11):
     branch = track_branch(jt_field(jt11, frame="polar"),
                           circle_path(3.0, 1024), band=0)
-    nodes = detect_nodes(overlap_trace(branch))
+    nodes = detect_nodes(overlap_trace(branch), branch.path.coords[:, -1])
     expected = (math.acos(1.0 / 3.0), 2.0 * math.pi - math.acos(1.0 / 3.0))
     assert nodes.count == 2
     assert abs(nodes.angles[0] - expected[0]) <= 1e-4
@@ -138,21 +138,20 @@ def test_sample_exactly_on_node_raises(jt11):
     # overlap vanishes; both node finders refuse the trace
     branch = track_branch(jt_field(jt11, frame="polar"),
                           circle_path(1.0, 1024), band=0)
-    trace = overlap_trace(branch)
-    for find in (detect_nodes, refine_nodes):
-        with pytest.raises(SampleOnNode) as err:
-            find(trace)
-        assert err.value.index == 512
+    with pytest.raises(SampleOnNode) as err:
+        detect_nodes(overlap_trace(branch), branch.path.coords[:, -1])
+    assert err.value.index == 512
+    with pytest.raises(SampleOnNode) as err:
+        refine_nodes(branch)
+    assert err.value.index == 512
 
 
 def test_touching_zero_is_not_a_node():
-    branch = track_branch(constant_field([[1.0, 0.2], [0.2, -1.0]]),
-                          circle_path(1.0, 4), band=0)
-    trace = overlap_trace(branch)
-    trace.values = np.array([1.0, 0.5, 1e-6, 0.5, 1.0])
-    assert detect_nodes(trace).count == 0
-    trace.values = np.array([1.0, 0.5, -1e-6, 0.5, 1.0])
-    assert detect_nodes(trace).count == 2
+    angles = circle_path(1.0, 4).coords[:, -1]
+    touch = np.array([1.0, 0.5, 1e-6, 0.5, 1.0])
+    assert detect_nodes(touch, angles).count == 0
+    cross = np.array([1.0, 0.5, -1e-6, 0.5, 1.0])
+    assert detect_nodes(cross, angles).count == 2
 
 
 def test_explicit_angles_length_check():
@@ -165,8 +164,7 @@ def test_explicit_angles_length_check():
 def test_refine_nodes_sharpens_to_analytic(jt11):
     branch = track_branch(jt_field(jt11, frame="polar"),
                           circle_path(3.0, 1024), band=0)
-    trace = overlap_trace(branch)
-    nodes = refine_nodes(trace)
+    nodes = refine_nodes(branch)
     expected = math.acos(1.0 / 3.0)
     assert abs(nodes.angles[0] - expected) <= 1e-9
     assert abs(nodes.angles[1] - (2 * math.pi - expected)) <= 1e-9
@@ -189,7 +187,7 @@ def test_refine_nodes_requires_fixed_radius(jt11):
                                        (-1.2, -1.2), (1.2, -1.2)]))
     branch = track_branch(jt_field(jt11, frame="polar"), path, band=0)
     with pytest.raises(ValueError):
-        refine_nodes(overlap_trace(branch))
+        refine_nodes(branch)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -245,7 +243,8 @@ def test_section_constant_field_unchanged():
     branch = track_branch(constant_field([[1.0, 0.2], [0.2, -1.0]]),
                           circle_path(1.0, 16), band=0)
     trace = overlap_trace(branch)
-    section = reference_section(branch, detect_nodes(trace))
+    nodes = detect_nodes(trace, branch.path.coords[:, -1])
+    section = reference_section(branch, nodes)
     assert np.array_equal(section, branch.vectors)
 
 
@@ -271,7 +270,7 @@ def test_section_idempotent(jt11):
     again_branch = dressed_copy(branch, np.ones(len(branch.vectors)))
     again_branch.vectors = section
     trace2 = overlap_trace(again_branch)
-    nodes2 = detect_nodes(trace2)
+    nodes2 = detect_nodes(trace2, again_branch.path.coords[:, -1])
     # the section's own anchor trace never crosses zero, only touches it
     assert nodes2.count == 0
     section2 = reference_section(again_branch, nodes)
@@ -287,7 +286,7 @@ def test_section_gauge_invariant_under_sign_dressing(jt11):
     signs[-1] = 1.0  # single-valued dressing on a closed loop
     dressed = dressed_copy(branch, signs)
     trace_d = overlap_trace(dressed)
-    nodes_d = detect_nodes(trace_d)
+    nodes_d = detect_nodes(trace_d, dressed.path.coords[:, -1])
     assert nodes_d.parity == nodes.parity
     section_d = reference_section(dressed, nodes)
     assert np.array_equal(section_d, section)
@@ -436,5 +435,5 @@ def test_anchor_choice_preserves_parity(jt11):
     parities = []
     for anchor in (0, 341, 512):
         trace = overlap_trace(branch, anchor_index=anchor)
-        parities.append(detect_nodes(trace).parity)
+        parities.append(detect_nodes(trace, branch.path.coords[:, -1]).parity)
     assert parities == [1, 1, 1]

@@ -1014,6 +1014,29 @@ def test_stdout_and_file_destinations(tmp_path, capsys, command, option, index):
     assert out == texts[1 - index]
 
 
+@pytest.mark.parametrize("argv, options, paths", [
+    (("nodal-map", "--k", "1", "--g", "1", "--r", "1"),
+     ("--nodes-out", "--degeneracies-out"), ("same.csv", "same.csv")),
+    (SPIN_ARGS, ("--series-out", "--summary-out"), ("s.out", "./s.out")),
+])
+def test_one_file_named_twice_holds_both_outputs(tmp_path, monkeypatch, capsys,
+                                                 argv, options, paths):
+    # two outputs that name one file, however its path is spelled, are
+    # joined there by one blank line, as they are on stdout
+    code, joined, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv, options[0], paths[0], options[1],
+                       paths[1])
+    assert (code, out) == (0, "")
+    assert (tmp_path / paths[0]).read_text() == joined
+
+
+def test_dev_null_named_twice(capsys):
+    assert run(capsys, *OUTPUT_ARGS["nodal-map"], "--nodes-out", "/dev/null",
+               "--degeneracies-out", "/dev/null") == (0, "", "")
+
+
 # ---------------------------------------------------------------------------
 # inputs past the float range
 

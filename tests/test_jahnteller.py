@@ -365,7 +365,7 @@ def test_circle_nodes_single_node(jt11):
     assert nodes.count == 1
     assert nodes.parity == 1
     assert abs(nodes.angles[0] - math.pi) < 1e-9
-    assert trace.values[0] == pytest.approx(1.0, abs=1e-12)
+    assert trace[0] == pytest.approx(1.0, abs=1e-12)
     # theta = pi sits on the 2048 grid and is itself a node, so the run
     # must have fallen back to the half-step offset grid
     h = 2.0 * math.pi / 2048

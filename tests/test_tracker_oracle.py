@@ -44,7 +44,7 @@ from berryline import (
 )
 from berryline.berryphase import NODE_BISECTION_TOL, _sign_changes
 from berryline.eigenpath import MATRIX_TOL, _validated_symmetric, band_steps
-from berryline.jahnteller import _anchored_circle, check_nodes, jt_field
+from berryline.jahnteller import _circle_branch, check_nodes, jt_field
 
 from conftest import COUPLING
 
@@ -194,12 +194,11 @@ def test_degeneracy_wins_over_ambiguity_at_one_sample():
     assert err.value.index == 2
 
 
-def reference_refine(trace):
+def reference_refine(branch):
     """Node angles of the trace, bisected one probe at a time."""
-    branch = trace.branch
     r, theta = float(branch.path.coords[0, 0]), branch.path.coords[:, 1]
-    anchor_vec = branch.vectors[trace.anchor_index]
-    values = trace.values
+    anchor_vec = branch.vectors[0]
+    values = overlap_trace(branch)
 
     def overlap_at(th, near_vec):
         _, _, _, raw, _ = band_steps(branch.field, np.array([[r, th]]),
@@ -227,9 +226,9 @@ def reference_refine(trace):
     return NodeSet(angles=tuple(sorted(refined)))
 
 
-def refined_angles(refine, trace):
+def refined_angles(refine, branch):
     try:
-        return refine(trace).angles
+        return refine(branch).angles
     except SampleOnNode as err:
         return ("SampleOnNode", err.index)
 
@@ -246,12 +245,11 @@ def test_refine_nodes_matches_one_probe_per_step(k, g, r, n, band, offset):
     assume(k > 0 or g > 0)
     field = jt_field(JTParams(k, g), frame="polar")
     try:
-        branch = track_branch(field, _anchored_circle(r, n, offset), band=band)
+        branch = _circle_branch(field, r, n, band, offset)
     except (AmbiguousContinuation, DegeneracyOnPath):
         assume(False)
-    trace = overlap_trace(branch)
-    got = refined_angles(refine_nodes, trace)
-    assert got == refined_angles(reference_refine, trace)
+    got = refined_angles(refine_nodes, branch)
+    assert got == refined_angles(reference_refine, branch)
 
 
 def reference_circle_nodes(p, r, n_samples=2048, band=0):
@@ -259,10 +257,8 @@ def reference_circle_nodes(p, r, n_samples=2048, band=0):
     field = jt_field(p, frame="polar")
 
     def pipeline(offset):
-        branch = track_branch(field, _anchored_circle(r, n_samples, offset),
-                              band=band)
-        trace = overlap_trace(branch, anchor_index=0)
-        return branch, trace, refine_nodes(trace)
+        branch = _circle_branch(field, r, n_samples, band, offset)
+        return branch, overlap_trace(branch), refine_nodes(branch)
 
     try:
         return pipeline(0.0)
