@@ -6,9 +6,11 @@ temporary directory.  Its digest covers the argv, the exit code, stdout,
 stderr, and the name and bytes of every file the call writes, each field
 length-prefixed (8-byte big-endian) in that order, text as UTF-8 and files
 sorted by name.  The total is the SHA-256 of the per-call hex digests joined
-in list order.  The package is imported from the ``src/`` of the checkout
-that holds this script, so copying the script into another checkout compares
-that checkout's code.
+in list order.  The script exits 1 if any call ends in an uncaught
+exception (what the installed command would show as a traceback), after
+printing every digest and the total.  The package is imported from the
+``src/`` of the checkout that holds this script, so copying the script into
+another checkout compares that checkout's code.
 
 The calls: jobs 0-3 of seeds 301 and 302 of every benchmark workload (built
 by ``benchmarks/workloads.make_job``), the README examples, and extra calls
@@ -189,6 +191,12 @@ EXTRA = [
     # two outputs that name one file
     "nodal-map --k 1 --g 1 --r 1 --nodes-out same.csv "
     "--degeneracies-out same.csv",
+    # rings of odd M split into mirror halves at both seams, a model ring of
+    # odd M, and a cut ring that keeps an odd number of points
+    "spectrum --flat --parity odd --grid 1025 --levels 8",
+    "spectrum --flat --parity even --grid 1025 --levels 8",
+    "spectrum --k 1 --g 1 --r0 1 --grid 1025",
+    "spectrum --flat --parity odd --grid 256 --barrier 1:2 --levels 6",
 ]
 
 
@@ -206,9 +214,14 @@ def _field(h, data: bytes) -> None:
     h.update(data)
 
 
-def call_digest(argv: list[str]) -> str:
-    """Run one call in a fresh directory and hash what it shows and writes."""
+def call_digest(argv: list[str]) -> tuple[str, bool]:
+    """Run one call in a fresh directory and hash what it shows and writes.
+
+    Returns the hex digest and whether the call ended in an uncaught
+    exception.
+    """
     out, err = io.StringIO(), io.StringIO()
+    crashed = False
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -219,7 +232,7 @@ def call_digest(argv: list[str]) -> str:
                 except SystemExit as stop:
                     code = stop.code
                 except Exception as crash:  # what a traceback would show
-                    code = 1
+                    code, crashed = 1, True
                     print(f"uncaught {type(crash).__name__}: {crash}",
                           file=sys.stderr)
             files = sorted(p for p in Path(tmp).rglob("*") if p.is_file())
@@ -234,7 +247,7 @@ def call_digest(argv: list[str]) -> str:
     for name, data in written:
         _field(h, name.encode())
         _field(h, data)
-    return h.hexdigest()
+    return h.hexdigest(), crashed
 
 
 def main(argv=None):
@@ -243,13 +256,19 @@ def main(argv=None):
                     help="print the total digest only")
     args = ap.parse_args(argv)
     total = hashlib.sha256()
-    for call in calls():
-        digest = call_digest(call)
+    crashes = []
+    argvs = calls()
+    for call in argvs:
+        digest, crashed = call_digest(call)
         total.update(digest.encode())
+        if crashed:
+            crashes.append(" ".join(call))
         if not args.quiet:
             print(digest, " ".join(call), flush=True)
-    print(total.hexdigest(), f"total over {len(calls())} calls")
-    return 0
+    print(total.hexdigest(), f"total over {len(argvs)} calls")
+    for call in crashes:
+        print(f"uncaught exception: {call}", file=sys.stderr)
+    return 1 if crashes else 0
 
 
 if __name__ == "__main__":

@@ -261,6 +261,8 @@ def _read_config(path: str) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(io.StringIO(text, newline=None), 1):
+        if "\0" in raw:  # no path or value may hold one
+            raise ConfigError(f"{path}:{lineno}: NUL byte")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

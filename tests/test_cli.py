@@ -705,6 +705,17 @@ def test_config_newlines_split_as_in_text_mode(tmp_path, capsys):
     assert err == f"error: {cfg}:5: expected key=value\n"
 
 
+def test_config_nul_byte(tmp_path, capsys):
+    # a NUL in a destination used to end in a ValueError traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"out=a\0b\n")
+    code, out, err = run(capsys, "berry", "--k", "1", "--g", "1", "--r", "1",
+                         "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}:1: NUL byte\n"
+    assert not list(tmp_path.glob("a*"))
+
+
 def test_config_malformed_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k = 1\njust a line\n")

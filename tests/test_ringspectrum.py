@@ -311,18 +311,167 @@ def test_spectrum_level_count_validation():
 
 
 def test_level_count_checked_before_the_matrix(monkeypatch):
-    def no_build(problem):
-        raise AssertionError("the matrix was built")
+    def no_build(*args):
+        raise AssertionError("a matrix was formed")
 
     monkeypatch.setattr(ringspectrum, "build_ring_hamiltonian", no_build)
-    with pytest.raises(ValueError, match="for 64 kept grid points"):
-        spectrum(flat_ring_problem("odd", grid_size=64), 65)
+    monkeypatch.setattr(ringspectrum, "_palindrome_halves", no_build)
+    # a flat ring and a flat cut ring split into halves; a potential with no
+    # mirror takes the dense matrix
+    for problem in (flat_ring_problem("odd", grid_size=64),
+                    flat_ring_problem("odd", grid_size=64, barrier=(1.0, 0.5)),
+                    RingProblem(radius=1.0, grid_size=64,
+                                potential=np.arange(64.0), flux_parity="odd")):
+        kept = len(problem.kept_indices())
+        # a valid count reaches a patched step, so the refusal below is not
+        # passed by a path that forms no matrix
+        with pytest.raises(AssertionError, match="a matrix was formed"):
+            spectrum(problem, 8)
+        with pytest.raises(ValueError, match=f"for {kept} kept grid points"):
+            spectrum(problem, kept + 1)
 
 
 def test_spectrum_deterministic():
     a = spectrum(flat_ring_problem("odd", 256), 5)
     b = spectrum(flat_ring_problem("odd", 256), 5)
     assert np.array_equal(a.levels, b.levels)
+
+
+# ---------------------------------------------------------------------------
+# the mirror split against the dense kept-grid matrix
+
+EPS = float(np.finfo(float).eps)
+
+
+def dense_levels(problem, count):
+    """Oracle: eigvalsh of the dense kept-grid matrix, and the tolerance
+    1e3 eps ||H||_inf that benchmarks/check.py allows a symmetric solver."""
+    h_mat = build_ring_hamiltonian(problem)
+    norm = float(np.max(np.sum(np.abs(h_mat), axis=1)))
+    return np.linalg.eigvalsh(h_mat)[:count], 1e3 * EPS * norm
+
+
+def mirrored(values, grid):
+    """A ring potential with v[j] = v[M - j], from values at j = 0..M/2."""
+    j = np.arange(grid)
+    return values[np.minimum(j, grid - j)]
+
+
+def palindrome_on_kept_arc(grid, lo, width, values):
+    """A barrier ring's potential: a palindrome in ring order on the kept
+    points (after the barrier, then before it) and inf under the barrier."""
+    kept = grid - width
+    chain = np.concatenate((values[:(kept + 1) // 2], values[:kept // 2][::-1]))
+    v = np.full(grid, math.inf)
+    order = np.roll(np.delete(np.arange(grid), np.arange(lo, lo + width)), -lo)
+    v[order] = chain
+    return v
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=st.integers(64, 1100), parity=st.sampled_from(["even", "odd"]),
+       radius=st.floats(0.05, 20.0), scale=st.sampled_from([0.0, 1.0, 1e3]),
+       cut=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(grid=1024, parity="odd", radius=1.0, scale=1.0, cut=None, seed=1)
+@example(grid=1025, parity="even", radius=1.0, scale=0.0, cut=None, seed=2)
+# flat barriers that keep an odd and an even number of points, one of them
+# running through index M-1
+@example(grid=256, parity="odd", radius=0.7, scale=0.0, cut=(0.2, 0.3),
+         seed=3)
+@example(grid=257, parity="even", radius=0.7, scale=0.0, cut=(0.2, 0.3),
+         seed=4)
+@example(grid=300, parity="even", radius=1.3, scale=0.0, cut=(0.5, 1.0),
+         seed=5)
+def test_mirror_halves_match_the_dense_matrix(grid, parity, radius, scale,
+                                              cut, seed):
+    values = scale * np.random.default_rng(seed).normal(size=grid)
+    if cut is None:
+        problem = RingProblem(radius=radius, grid_size=grid,
+                              potential=mirrored(values[:grid // 2 + 1], grid),
+                              flux_parity=parity)
+    else:
+        # cut points lo .. lo + width - 1 with 1 <= lo, lo + width <= M, and
+        # at least MIN_GRID_POINTS // 2 points kept
+        width = 1 + int(cut[0] * (grid - ringspectrum.MIN_GRID_POINTS // 2 - 1))
+        lo = min(1 + int(cut[1] * (grid - width)), grid - width)
+        h = 2.0 * math.pi / grid
+        problem = RingProblem(
+            radius=radius, grid_size=grid,
+            potential=palindrome_on_kept_arc(grid, lo, width, values),
+            flux_parity=parity, barrier=((lo - 0.25) * h, (width - 0.5) * h))
+        assert len(problem.barrier_indices()) == width
+    assert ringspectrum._mirror_chains(problem) is not None
+    count = min(12, len(problem.kept_indices()))
+    want, tol = dense_levels(problem, count)
+    got = spectrum(problem, count).levels
+    assert np.max(np.abs(got - want)) <= tol
+
+
+@pytest.mark.parametrize("grid", [64, 65, 1024, 1025])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_flat_ring_halves_match_the_dispersion(grid, parity):
+    # 2t (1 - cos(q h)), q integer (even seam) or half-odd (odd seam)
+    prob = flat_ring_problem(parity, grid, radius=0.9)
+    tol = 1e3 * EPS * 4.0 * prob.hopping
+    got = spectrum(prob, 16).levels
+    assert np.max(np.abs(got - dispersion_levels(grid, 0.9, parity, 16))) <= tol
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("grid, barrier, kept", [
+    (256, (1.0, 1.0), 215),
+    (256, (1.0, 1.01), 214),
+    (257, (5.0, 1.28), 205),  # through index M-1: points 0 .. 204 kept
+], ids=["odd-kept", "even-kept", "last-index"])
+def test_flat_barrier_halves_match_the_open_chain(parity, grid, barrier, kept):
+    # 2t (1 - cos(j pi / (N + 1))) for an open chain of N sites
+    prob = flat_ring_problem(parity, grid, radius=1.1, barrier=barrier)
+    assert len(prob.kept_indices()) == kept
+    j = np.arange(1, 17)
+    want = 2.0 * prob.hopping * (1.0 - np.cos(j * math.pi / (kept + 1)))
+    got = spectrum(prob, 16).levels
+    assert np.max(np.abs(got - want)) <= 1e3 * EPS * 4.0 * prob.hopping
+
+
+def one_ulp_off(v, j):
+    v = v.copy()
+    v[j] = np.nextafter(v[j], math.inf)
+    return v
+
+
+@pytest.mark.parametrize("case", ["one-site", "one-ulp", "model-barrier",
+                                  "flat", "model"])
+def test_only_unmirrored_potentials_take_the_dense_path(monkeypatch, jt11,
+                                                        case):
+    model = jt_ring_problem(jt11, 1.0, grid_size=256)
+    one_site = np.zeros(256)
+    one_site[5] = 0.1
+    problem = {
+        "one-site": RingProblem(radius=1.0, grid_size=256,
+                                potential=one_site, flux_parity="odd"),
+        "one-ulp": RingProblem(radius=1.0, grid_size=256,
+                               potential=one_ulp_off(model.potential, 200),
+                               flux_parity="odd"),
+        "model-barrier": jt_ring_problem(jt11, 1.0, grid_size=256,
+                                         barrier=(2.0, 0.8)),
+        "flat": flat_ring_problem("odd", 256),
+        "model": model,
+    }[case]
+    want, tol = dense_levels(problem, 8)
+    builds = []
+    dense = ringspectrum.build_ring_hamiltonian
+
+    def counted(prob):
+        builds.append(prob)
+        return dense(prob)
+
+    monkeypatch.setattr(ringspectrum, "build_ring_hamiltonian", counted)
+    got = spectrum(problem, 8).levels
+    assert len(builds) == (case not in ("flat", "model"))
+    assert np.max(np.abs(got - want)) <= tol
+    if builds:  # the fallback is the oracle itself
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +554,14 @@ def test_jt_ring_potential_samples_band_energy(jt11):
     upper = jt_ring_problem(jt11, 1.5, grid_size=128, band=1)
     assert upper.flux_parity == "odd"
     assert np.all(upper.potential >= prob.potential)
+
+
+@pytest.mark.parametrize("grid", [128, 129, 1024, 1025])
+@pytest.mark.parametrize("band", [0, 1])
+@pytest.mark.parametrize("radius", [1.0, 3.0])
+def test_jt_ring_potential_is_an_exact_mirror(jt11, grid, band, radius):
+    v = jt_ring_problem(jt11, radius, grid_size=grid, band=band).potential
+    assert v[1:].tobytes() == v[:0:-1].tobytes()
 
 
 def test_jt_ring_pure_linear_is_shifted_free_ring(jt10):
