@@ -197,6 +197,24 @@ EXTRA = [
     "spectrum --flat --parity even --grid 1025 --levels 8",
     "spectrum --k 1 --g 1 --r0 1 --grid 1025",
     "spectrum --flat --parity odd --grid 256 --barrier 1:2 --levels 6",
+    # the spin drive's one pass over chunks: the pure quadratic coupling in
+    # the lab frame with every step recorded, the pure linear one from
+    # theta0 = -0.0, step counts one short of a chunk, a whole chunk (its
+    # last sample a chunk alone) and one past it, and drives whose mixing
+    # angle winds past the branch cut several times; then 65536 records,
+    # written a block at a time
+    "spin --k 0 --g 1 --r 1 --period 200 --steps 16384 --frame lab "
+    "--store-stride 1",
+    "spin --k 1 --g 0 --r 1 --period 200 --steps 16384 --theta0 -0.0",
+    "spin --k 1 --g 1 --r 1 --period 400 --steps 16383",
+    "spin --k 1 --g 1 --r 1 --period 400 --steps 16384",
+    "spin --k 1 --g 1 --r 1 --period 400 --steps 16385 --frame lab",
+    "spin --k 1 --g 1 --r 1 --period 500 --steps 65536 --revolutions 3",
+    "spin --k 1 --g 1 --r 3 --period 100 --steps 65536 --revolutions 2.5 "
+    "--frame lab",
+    "spin --k 1 --g 1 --r 0.5 --period 500 --steps 65536 --revolutions 5 "
+    "--theta0 -3",
+    "spin --k 1 --g 1 --r 1 --period 200 --steps 65536 --store-stride 1",
 ]
 
 

@@ -5,9 +5,10 @@ also be supplied through a flat key=value config file (--config); explicit
 flags win over the file, the file wins over built-in defaults.  All numeric
 output is printed with 17 significant digits so reruns are byte-identical
 and JSON re-reads reproduce the floats exactly.  Each command returns its
-outputs as (destination, text) pairs and main writes them.  Exit codes: 0
-success, 2 usage or config problem or an unwritable destination, 3 domain
-error (the message names the error class and offending values).
+outputs as (destination, text) pairs, a text whole or in pieces, and main
+writes them.  Exit codes: 0 success, 2 usage or config problem or an
+unwritable destination, 3 domain error (the message names the error class
+and offending values).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .ringspectrum import (MIN_GRID_POINTS, flat_ring_problem, jt_ring_problem,
 
 FORMAT_VERSION = 1
 CONFIG_MAX_BYTES = 1 << 20  # keeps a path like /dev/zero out of memory
+SERIES_BLOCK = 4096  # spin records formatted at a time
 
 
 class ConfigError(Exception):
@@ -84,28 +86,37 @@ def emit_json_compact(obj: dict) -> str:
     return "{" + items + "}"
 
 
-def write_outputs(outputs: list[tuple[str, str]]) -> None:
+def write_outputs(outputs: list[tuple[str, str | Iterable[str]]]) -> None:
     """Write each destination once, in the order they first appear; "-" is
     stdout, and a file is keyed by its real path, however it is spelled.
 
+    A text is a str or an iterable of str pieces, written as they come.
     The texts bound for one destination are joined by one blank line.  A
     file that cannot be opened or written is a ConfigError that names the
     path as first given.
     """
-    groups: dict[str, tuple[str, list[str]]] = {}
+    groups: dict[str, tuple[str, list]] = {}
     for dest, text in outputs:
         key = dest if dest == "-" else os.path.realpath(dest)
         groups.setdefault(key, (dest, []))[1].append(text)
     for key, (dest, texts) in groups.items():
         if key == "-":
-            sys.stdout.write("\n".join(texts))
+            _write_pieces(sys.stdout, texts)
             continue
         try:
             with open(dest, "w", newline="\n") as fh:
-                fh.write("\n".join(texts))
+                _write_pieces(fh, texts)
         except OSError as err:
             raise ConfigError(
                 f"cannot write {dest}: {err.strerror or err}") from err
+
+
+def _write_pieces(fh, texts) -> None:
+    for i, text in enumerate(texts):
+        if i:
+            fh.write("\n")
+        for piece in [text] if isinstance(text, str) else text:
+            fh.write(piece)
 
 
 def _csv_cell(cell) -> str:
@@ -125,15 +136,23 @@ def csv_lines(header: list[str], rows) -> str:
     A row of Python floats alone, as from ndarray.tolist(), takes one
     %-format for the whole row, with the bytes fmt gives cell by cell.
     """
-    out = [",".join(header)]
-    float_row = ",".join(["%.17g"] * len(header))
-    for row in rows:
-        row = tuple(row)
-        if len(row) == len(header) and set(map(type, row)) == {float}:
-            out.append(float_row % row)
-        else:
-            out.append(",".join(map(_csv_cell, row)))
-    return "\n".join(out) + "\n"
+    return "".join(csv_pieces(header, [rows]))
+
+
+def csv_pieces(header: list[str], blocks) -> Iterator[str]:
+    """csv_lines' text in pieces: the header line, then the rows of each
+    block of rows in `blocks`, one block at a time."""
+    yield ",".join(header) + "\n"
+    float_row = ",".join(["%.17g"] * len(header)) + "\n"
+    for rows in blocks:
+        out = []
+        for row in rows:
+            row = tuple(row)
+            if len(row) == len(header) and set(map(type, row)) == {float}:
+                out.append(float_row % row)
+            else:
+                out.append(",".join(map(_csv_cell, row)) + "\n")
+        yield "".join(out)
 
 
 # --- option plumbing ---------------------------------------------------------
@@ -513,7 +532,7 @@ _SPIN_OPTS = [
 ]
 
 
-def cmd_spin(values: dict) -> list[tuple[str, str]]:
+def cmd_spin(values: dict) -> list[tuple[str, Iterable[str]]]:
     p = _jt_params(values)
     r, theta0, rev = values["r"], values["theta0"], values["revolutions"]
     try:  # sampled times or loop angles that collapse or overflow
@@ -546,11 +565,15 @@ def cmd_spin(values: dict) -> list[tuple[str, str]]:
 
     ac = None if loop is None else ac_loop_phase(p, loop)
 
-    series = csv_lines(
-        ["t", "sigma_x", "sigma_y", "sigma_z", "norm"],
-        zip(ev.times.tolist(), ev.sigma_x.tolist(), ev.sigma_y.tolist(),
-            ev.sigma_z.tolist(), ev.norms.tolist()),
-    )
+    def blocks():  # the rows of a block of records: no column spans them all
+        for start in range(0, len(ev.times), SERIES_BLOCK):
+            part = ev.records(start, start + SERIES_BLOCK)
+            yield zip(part.times.tolist(), part.sigma_x.tolist(),
+                      part.sigma_y.tolist(), part.sigma_z.tolist(),
+                      part.norms.tolist())
+
+    series = csv_pieces(["t", "sigma_x", "sigma_y", "sigma_z", "norm"],
+                        blocks())
     summary = {
         "format_version": FORMAT_VERSION,
         "k": values["k"],
@@ -565,7 +588,7 @@ def cmd_spin(values: dict) -> list[tuple[str, str]]:
         "dynamical_phase": dyn,
         "geometric_phase": geo,
         "adiabaticity_ratio": ev.adiabaticity_ratio,
-        "final_norm": float(ev.norms[-1]),
+        "final_norm": float(ev.records(-1, None).norms[0]),
         "ac_loop_phase": ac,
     }
     return [(values["series_out"], series),

@@ -19,19 +19,24 @@ gap frequency and the drive rate.
 The scalar trap energy r^2/2 is a global phase for the two-level problem and
 is dropped throughout; dynamical phases returned here are those of the
 electronic part -+Delta alone.
+
+A drive is read in one pass over chunks of samples: each chunk gives the
+coupling at its samples and at the midpoints of its steps, and its steps are
+propagated, before the next one is read.  Every figure is bitwise the one
+whole arrays give.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .berryphase import canonicalize_phase
 from .eigenpath import DiscretizedPath
-from .errors import NonFinite, OpenPath, StepTooLarge
+from .errors import AlphaUndefined, NonFinite, OpenPath, StepTooLarge
 from .jahnteller import (JTParams, coupling_field, jt_electronic_hamiltonian,
                          jt_point_data, rotation_matrix)
 
@@ -154,7 +159,7 @@ class NuclearTrajectory:
         overflow or underflow its terms.  Raises ValueError unless
         0 <= start <= stop <= n_samples.
         """
-        n, h = self.n_samples, self._uniform_step
+        n = self.n_samples
         stop = n if stop is None else stop
         if not 0 <= start <= stop <= n:
             raise ValueError(f"sample range [{start}, {stop}) is not within "
@@ -162,23 +167,35 @@ class NuclearTrajectory:
         if start == stop:
             return np.empty(0)
         t, _, th = self.sample(max(start - 1, 0), min(stop + 1, n))
-        out = np.empty(stop - start)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if h is not None:
-                inner = (th[2:] - th[:-2]) / (2. * h)
-            else:
-                dx = np.diff(t)
-                dx1, dx2 = dx[:-1], dx[1:]
-                a = -(dx2) / (dx1 * (dx1 + dx2))
-                b = (dx2 - dx1) / (dx1 * dx2)
-                c = dx1 / (dx2 * (dx1 + dx2))
-                inner = a * th[:-2] + b * th[1:-1] + c * th[2:]
-            out[(start == 0):len(out) - (stop == n)] = inner
-            if start == 0:
-                out[0] = (th[1] - th[0]) / (t[1] - t[0] if h is None else h)
-            if stop == n:
-                out[-1] = (th[-1] - th[-2]) / (t[-1] - t[-2] if h is None else h)
-        return out
+        return _central_differences(t, th, self._uniform_step, start == 0,
+                                    stop == n)
+
+
+def _central_differences(t, th, h, first: bool, last: bool) -> np.ndarray:
+    """np.gradient(th, t) at the samples inside a window, bit for bit.
+
+    The window holds one sample more on each side of those it answers for,
+    save on a side that ends the trajectory (`first`, `last`), where the
+    difference is one-sided.  h is the uniform time step, or None for the
+    general form.
+    """
+    out = np.empty(len(t) - 2 + first + last)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if h is not None:
+            inner = (th[2:] - th[:-2]) / (2. * h)
+        else:
+            dx = np.diff(t)
+            dx1, dx2 = dx[:-1], dx[1:]
+            a = -(dx2) / (dx1 * (dx1 + dx2))
+            b = (dx2 - dx1) / (dx1 * dx2)
+            c = dx1 / (dx2 * (dx1 + dx2))
+            inner = a * th[:-2] + b * th[1:-1] + c * th[2:]
+        out[first:len(out) - last] = inner
+        if first:
+            out[0] = (th[1] - th[0]) / (t[1] - t[0] if h is None else h)
+        if last:
+            out[-1] = (th[-1] - th[-2]) / (t[-1] - t[-2] if h is None else h)
+    return out
 
 
 def _linspace(start: float, stop: float, num: int, lo: int, hi: int) -> np.ndarray:
@@ -264,24 +281,31 @@ def _pairwise_sum(n: int, chunks) -> float:
 
 def _unwrap_corrections(steps: np.ndarray) -> np.ndarray:
     """np.unwrap's correction for each step of a raw angle (period 2 pi)."""
+    small = np.abs(steps) < math.pi
+    if small.all():  # nothing wraps: every correction is +0.0
+        return np.zeros(len(steps))
     ddmod = np.mod(steps + math.pi, 2.0 * math.pi) - math.pi
     np.copyto(ddmod, math.pi, where=(ddmod == -math.pi) & (steps > 0))
     corrections = ddmod - steps
-    np.copyto(corrections, 0.0, where=np.abs(steps) < math.pi)
+    np.copyto(corrections, 0.0, where=small)
     return corrections
 
 
 def _drive(p: JTParams, traj: NuclearTrajectory, recorded=(),
            step=None) -> _Drive:
-    """Evaluate the coupling at the samples, then at the step midpoints, in
-    chunks of CHUNK_STEPS points.
+    """Evaluate the coupling at the samples and at the step midpoints in one
+    pass over chunks of CHUNK_STEPS samples.
 
+    Each chunk reads its samples once, with one more on each side: they
+    give the coupling at the samples, the angular velocity there (as
+    theta_dot does) and the midpoints of the steps that start in the chunk.
     The samples give the adiabaticity ratio, and the time and the unwrapped
     mixing angle at the ascending sample indices `recorded`.  Each chunk of
     midpoints goes to `step(start, dt, dtheta, f, delta, dalpha)`, in time
     order, and then is dropped.  coupling_field raises AlphaUndefined or
-    NonFinite at the first sample, then, after a ratio that is not finite
-    raises NonFinite, at the first midpoint; indices count from the first
+    NonFinite at the first sample; after that a ratio that is not finite
+    raises NonFinite, and only then the error of the first midpoint, held
+    back until every sample is checked.  Indices count from the first
     sample or step.  Every figure is bitwise the one whole arrays give:
     maxima and np.unwrap's running sum carry exactly from chunk to chunk,
     and gap_area follows np.sum's pairwise order (_pairwise_sum).  No
@@ -291,46 +315,69 @@ def _drive(p: JTParams, traj: NuclearTrajectory, recorded=(),
     recorded = np.asarray(recorded, dtype=int)
     times, alphas = np.empty(len(recorded)), np.empty(len(recorded))
     maxima = []
+    held = None  # the first midpoint's error
+    finite = True  # every sample maximum so far is finite
     # the raw angle and the unwrap correction of the sample before a chunk;
     # adding -0.0 leaves the first angle as it is, even a -0.0
     last, carry = np.empty(0), -0.0
-    # past the float range the products and midpoints are inf or NaN: a
-    # ratio that is not finite raises here, a midpoint the coupling reports
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def areas():  # each chunk in turn; yields Delta dt at its midpoints
+        nonlocal last, carry, held, finite
         for s in range(0, n_steps + 1, CHUNK_STEPS):
             e = min(s + CHUNK_STEPS, n_steps + 1)
-            t, r, th = traj.sample(s, e)
+            lo = max(s - 1, 0)
+            window = traj.sample(lo, min(e + 1, n_steps + 1))
+            t, r, th = (x[s - lo:e - lo] for x in window)
             f, delta, dalpha = coupling_field(p, r, th, first=s)
-            theta_dot = traj.theta_dot(s, e)
+            theta_dot = _central_differences(window[0], window[2],
+                                             traj._uniform_step, s == 0,
+                                             e == n_steps + 1)
             maxima.append(np.max(np.abs(dalpha) * np.abs(theta_dot) / delta))
+            finite &= math.isfinite(maxima[-1])
             angle = np.angle(f)
             steps = np.diff(np.concatenate((last, angle)))
             sums = np.cumsum(np.concatenate(([carry],
                                              _unwrap_corrections(steps))))
-            lo, hi = np.searchsorted(recorded, (s, e))
-            j = recorded[lo:hi] - s
-            times[lo:hi] = t[j]
-            alphas[lo:hi] = angle[j] + sums[j + len(last)]
+            i, j = np.searchsorted(recorded, (s, e))
+            k = recorded[i:j] - s
+            times[i:j] = t[k]
+            alphas[i:j] = angle[k] + sums[k + len(last)]
             last, carry = angle[-1:], sums[-1]
-        ratio = float(np.max(maxima))
-        if not math.isfinite(ratio):
-            raise NonFinite(f"adiabaticity ratio {ratio!r} is not finite: "
-                            "the angular velocity or d alpha/d theta leaves "
-                            "the float range")
-
-    def areas():  # Delta dt at the midpoints, one chunk of steps at a time
-        for s in range(0, n_steps, CHUNK_STEPS):
-            t, r, th = traj.sample(s, min(s + CHUNK_STEPS, n_steps) + 1)
-            f, delta, dalpha = coupling_field(p, 0.5 * (r[:-1] + r[1:]),
-                                              0.5 * (th[:-1] + th[1:]),
-                                              first=s)
+            # the steps that start in the chunk end at the window's end; the
+            # last sample alone starts none
+            t, r, th = (x[s - lo:] for x in window)
+            if len(t) == 1:
+                continue
             dt = np.diff(t)
+            if held is None and finite:
+                try:
+                    f, delta, dalpha = coupling_field(
+                        p, 0.5 * (r[:-1] + r[1:]), 0.5 * (th[:-1] + th[1:]),
+                        first=s)
+                except (AlphaUndefined, NonFinite) as err:
+                    held = err
+            # once an error is certain, the midpoints and steps are moot:
+            # only the samples are still checked
+            if held is not None or not finite:
+                yield dt  # a stand-in of the same length
+                continue
             if step is not None:
                 step(s, dt, np.diff(th), f, delta, dalpha)
             yield delta * dt
 
+    # past the float range the products and midpoints are inf or NaN: a
+    # ratio that is not finite raises here, a midpoint the coupling reports
     with np.errstate(over="ignore", invalid="ignore"):
-        gap_area = float(_pairwise_sum(n_steps, areas()))
+        chunks = areas()
+        gap_area = float(_pairwise_sum(n_steps, chunks))
+        next(chunks, None)  # the last sample alone, if no step starts there
+        ratio = float(np.max(maxima))
+    if not math.isfinite(ratio):
+        raise NonFinite(f"adiabaticity ratio {ratio!r} is not finite: "
+                        "the angular velocity or d alpha/d theta leaves "
+                        "the float range")
+    if held is not None:
+        raise held
     return _Drive(times, alphas, gap_area, ratio)
 
 
@@ -388,6 +435,13 @@ class SpinEvolution:
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
 
+    def records(self, start: int, stop: int | None) -> SpinEvolution:
+        """The records start..stop-1 (slice bounds); each figure above is
+        formed record by record, so a part gives the same bits as the whole."""
+        part = slice(start, stop)
+        return replace(self, times=self.times[part], states=self.states[part],
+                       alphas=self.alphas[part])
+
 
 def _pairwise_product(a, b, c, d):
     """One tree-reduction pass: multiply adjacent 2x2 blocks (later @ earlier)."""
@@ -417,6 +471,42 @@ def _reduce_blocks(a, b, c, d, block: int):
     return a[:, 0], b[:, 0], c[:, 0], d[:, 0]
 
 
+def _step_unitaries(dt, hz, hx=None, hy=None):
+    """Entries ua, ub, uc, ud of the step unitaries exp(-i dt (hx sigma_x
+    + hy sigma_y + hz sigma_z)), for hy = 0 (hx given) or hx = 0 (hy given).
+
+    U = cos(w dt) - i sin(w dt)/w (hx sigma_x + hy sigma_y + hz sigma_z).
+    Each part is written in place, bit for bit, signed zeros included, as
+    complex arithmetic on cos_p -+ 1j*sinc*hz and -+sinc*hy - 1j*sinc*hx
+    gives it with the zero field components as arrays, wherever a step is
+    resolved (w dt < 0.1, so cos_p > 0 and sinc >= 0).  Where w overflows,
+    ua and ud are NaN.
+    """
+    lab = hy is None
+    h = hx if lab else hy
+    omega = np.sqrt(h * h + hz * hz)
+    phase = omega * dt
+    cos_p = np.cos(phase)
+    sinc = np.sin(phase) / omega
+    ua, ub, uc, ud = (np.empty(len(dt), dtype=complex) for _ in range(4))
+    ua.real = ud.real = cos_p
+    sz = sinc * hz
+    np.subtract(0.0, sz, out=ua.imag)  # 0 - (+-0) is +0
+    np.add(sz, 0.0, out=ud.imag)       # -0 + 0 is +0
+    if lab:
+        np.subtract(0.0, sinc * hx, out=ub.imag)
+        uc.imag = ub.imag
+        # -sinc*0 - (+-0) is -0, or +0 where hx has its sign bit
+        np.copysign(0.0, hx, out=ub.real)
+        np.negative(ub.real, out=ub.real)
+        uc.real = 0.0
+    else:
+        np.multiply(-sinc, hy, out=ub.real)
+        np.multiply(sinc, hy, out=uc.real)
+        ub.imag = uc.imag = 0.0
+    return ua, ub, uc, ud
+
+
 def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
                    frame: str = "comoving",
                    store_stride: int = 1) -> SpinEvolution:
@@ -431,9 +521,11 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     frame conversion needs after the angle has wound around.  Raises
     StepTooLarge for a step that under-resolves the gap or the drive, and
     NonFinite where the ratio or the step field leaves the float range.
-    The drive is evaluated and propagated CHUNK_STEPS steps at a time (see
-    _drive), and a longer block is reduced from its chunks' products, so
-    memory grows with the step count only through the recorded states.
+    The drive is evaluated and propagated in one pass, CHUNK_STEPS steps
+    at a time (see _drive), and a longer block is reduced from its chunks'
+    products, so memory grows with the step count only through the
+    recorded states, one (records, 2) complex array, and their times and
+    angles.
     """
     if frame not in ("lab", "comoving"):
         raise ValueError(f"frame must be 'lab' or 'comoving', got {frame!r}")
@@ -451,16 +543,20 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     # state, as one block padded to a power of two does
     block = min(store_stride, 1 << (n_steps - 1).bit_length())
     idx = np.minimum(np.arange(-(-n_steps // block) + 1) * block, n_steps)
-    states = [psi]
+    states = np.empty((len(idx), 2), dtype=complex)
+    states[0] = psi
+    filled = 1  # rows of `states` written so far
     unresolved = None  # the first step that under-resolves, raised at the end
     # a chunk reduces to products of `span` steps, and every `per` of those
     # to a block, in the tree of _reduce_blocks over the whole block, which
     # fills the last chunk and the last block out with identity steps
     span = min(block, CHUNK_STEPS)
     per, pending = block // span, []
+    norm_buf = np.empty(2, dtype=complex)  # the state ndarray.dot reads
+    norm_re, norm_im = norm_buf.real, norm_buf.imag
 
     def propagate(start, dt, dtheta, f_mid, delta, dalpha):
-        nonlocal psi, unresolved
+        nonlocal filled, unresolved
         if unresolved is not None:
             return
         n = len(dt)
@@ -479,39 +575,43 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
                 return
 
             if frame == "lab":
-                hx, hy, hz = np.imag(f_mid), np.zeros(n), np.real(f_mid)
+                u = _step_unitaries(dt, np.real(f_mid), hx=np.imag(f_mid))
             else:
-                hx, hy, hz = np.zeros(n), -0.5 * drive, delta
-            omega = np.sqrt(hx * hx + hy * hy + hz * hz)
-            phase = omega * dt
-            cos_p = np.cos(phase)
-            sinc = np.sin(phase) / omega
-            # U = cos(w dt) - i sin(w dt)/w (hx sx + hy sy + hz sz), componentwise
-            ua = cos_p - 1j * sinc * hz
-            ub = -sinc * hy - 1j * sinc * hx
-            uc = sinc * hy - 1j * sinc * hx
-            ud = cos_p + 1j * sinc * hz
+                u = _step_unitaries(dt, delta, hy=-0.5 * drive)
 
-        pending.append(_reduce_blocks(ua, ub, uc, ud, span))
+        pending.append(_reduce_blocks(*u, span))
         if len(pending) < per and start + n < n_steps:
             return
-        ba, bb, bc, bd = _reduce_blocks(*map(np.concatenate, zip(*pending)), per)
+        blocks = _reduce_blocks(*map(np.concatenate, zip(*pending)), per)
         pending.clear()
-        with np.errstate(invalid="ignore"):  # a NaN step reaches the last state
-            for k in range(len(ba)):
-                psi = np.array([ba[k] * psi[0] + bb[k] * psi[1],
-                                bc[k] * psi[0] + bd[k] * psi[1]])
-                # the two dot products np.linalg.norm takes on a complex vector
-                psi = psi / np.sqrt(psi.real.dot(psi.real) + psi.imag.dot(psi.imag))
-                states.append(psi)
+        # Python complex products and sums round as numpy's scalar ones do.
+        # The norm keeps the two ndarray.dot calls np.linalg.norm takes on a
+        # complex vector, which may round through an FMA, and the division
+        # is numpy's complex one by s + 0j: (re + im 0) (1/s), (im - re 0) (1/s)
+        p0, p1 = states[filled - 1].tolist()
+        out = []
+        for a, b, c, d in zip(*(x.tolist() for x in blocks)):
+            x0 = a * p0 + b * p1
+            x1 = c * p0 + d * p1
+            norm_buf[0] = x0
+            norm_buf[1] = x1
+            scale = 1.0 / math.sqrt(norm_re.dot(norm_re)
+                                    + norm_im.dot(norm_im))
+            re0, im0, re1, im1 = x0.real, x0.imag, x1.real, x1.imag
+            p0 = complex((re0 + im0 * 0.0) * scale, (im0 - re0 * 0.0) * scale)
+            p1 = complex((re1 + im1 * 0.0) * scale, (im1 - re1 * 0.0) * scale)
+            out.append(p0)
+            out.append(p1)
+        states[filled:filled + len(blocks[0])] = np.reshape(out, (-1, 2))
+        filled += len(blocks[0])
 
     result = _drive(p, traj, idx, propagate)
     if unresolved is not None:
         raise unresolved
-    if not np.isfinite(psi).all():
+    if not np.isfinite(states[-1]).all():
         raise NonFinite("spin state is not finite: the step field's squared "
                         "norm overflows")
-    return SpinEvolution(times=result.times, states=np.array(states),
+    return SpinEvolution(times=result.times, states=states,
                          frame=frame, alphas=result.alphas,
                          gap_area=result.gap_area,
                          adiabaticity_ratio=result.ratio)

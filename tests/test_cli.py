@@ -6,6 +6,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -608,6 +609,30 @@ def test_spin_store_stride_above_the_step_count(capsys, steps, base, strides):
     assert expected[0] == 0
     for stride in strides:
         assert run(capsys, *argv, stride) == expected
+
+
+def test_spin_memory_grows_by_the_record_arrays(tmp_path):
+    # at stride 1 the command keeps one (records, 2) complex array of
+    # states, their times and angles and the recorded indices, 56 B a
+    # record, and formats and writes the CSV a block of records at a time;
+    # so the traced peak, writing included, grows by at most 64 B a record
+    # (it grew by about 480 B when each state was an ndarray of its own and
+    # the CSV one string)
+    def peak(steps):
+        argv = ["spin", "--k", "1", "--g", "1", "--r", "1",
+                "--period", str(steps / 64), "--steps", str(steps),
+                "--store-stride", "1",
+                "--series-out", str(tmp_path / "series.csv"),
+                "--summary-out", str(tmp_path / "summary.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1 << 14), peak(1 << 17)
+    assert (large - small) / ((1 << 17) - (1 << 14)) <= 64
 
 
 # ---------------------------------------------------------------------------

@@ -536,6 +536,25 @@ def test_integrate_spin_memory_is_bounded(jt11):
         assert abs(large - small) < 2**20
 
 
+@pytest.mark.parametrize("n_steps", [3 * CHUNK_STEPS + 5, 2 * CHUNK_STEPS])
+def test_drive_reads_each_chunk_once(jt11, n_steps):
+    # one pass: each chunk of samples is read once, with one sample more on
+    # each side, for its coupling, its angular velocity and its midpoints;
+    # at a whole number of chunks of steps the last sample is a chunk alone
+    inner = pseudorotation_trajectory(1.0, n_steps / 50.0, n_steps)
+    reads = []
+
+    def sample(start, stop):
+        reads.append((start, stop))
+        return inner.sample(start, stop)
+
+    traj = NuclearTrajectory.from_sampler(n_steps + 1, sample)
+    reads.clear()
+    integrate_spin(jt11, traj, PSI_LOWER)
+    assert reads == [(max(s - 1, 0), min(s + CHUNK_STEPS + 1, n_steps + 1))
+                     for s in range(0, n_steps + 1, CHUNK_STEPS)]
+
+
 def test_integrate_spin_argument_validation(jt11):
     traj = pseudorotation_trajectory(1.0, 50.0, 2048)
     with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from berryline import (
     AlphaUndefined,
     JTParams,
+    NuclearTrajectory,
     StepTooLarge,
     adiabaticity_ratio,
     comoving,
@@ -27,10 +28,10 @@ from berryline import (
     integrate_spin,
     pseudorotation_trajectory,
 )
-from berryline.comoving import (STEP_RESOLUTION_LIMIT, SpinEvolution,
-                                _reduce_blocks)
+from berryline.comoving import (CHUNK_STEPS, STEP_RESOLUTION_LIMIT,
+                                SpinEvolution, _reduce_blocks)
 from berryline.errors import NonFinite
-from berryline.jahnteller import coupling_field
+from berryline.jahnteller import DEGENERACY_TOL, coupling_field
 
 
 class ReferenceDrive(NamedTuple):
@@ -128,19 +129,87 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+class Ring(NamedTuple):
+    """The arguments of pseudorotation_trajectory."""
+
+    r: float
+    period: float
+    n_steps: int
+    revolutions: float
+    theta0: float
+
+
+class Arrays(NamedTuple):
+    """A trajectory built from arrays: times, radii and angles."""
+
+    times: np.ndarray
+    r: np.ndarray
+    theta: np.ndarray
+
+
+def trajectory(path):
+    if isinstance(path, Arrays):
+        return NuclearTrajectory(*path)
+    return pseudorotation_trajectory(path.r, path.period, path.n_steps,
+                                     theta0=path.theta0,
+                                     revolutions=path.revolutions)
+
+
+@st.composite
+def couplings(draw):
+    """(k, g, r, dt): one coupling may be 0; the radius lies inside or
+    outside the degeneracy circle 2k/g (2 where a coupling is 0), and time
+    steps around the limit 2 Delta dt < STEP_RESOLUTION_LIMIT."""
+    zero = draw(st.sampled_from(["k", "g", None, None, None, None]))
+    k = 0.0 if zero == "k" else draw(st.floats(0.25, 2.0))
+    g = 0.0 if zero == "g" else draw(st.floats(0.25, 2.0))
+    rc = 2.0 * k / g if k and g else 2.0
+    r = rc * draw(st.one_of(st.floats(0.15, 0.95), st.floats(1.05, 2.0)))
+    delta_max = k * r + 0.5 * g * r * r
+    return k, g, r, draw(st.floats(0.005, 0.06)) / (delta_max or 1.0)
+
+
 @st.composite
 def drives(draw):
-    """(r, period, n_steps, revolutions, theta0): k = g = 1, so the radius
-    lies inside or outside the degeneracy circle 2k/g = 2."""
+    """((k, g), Ring): a uniform circular drive."""
+    k, g, r, dt = draw(couplings())
     # below about 1000 steps the drive term leaves most steps unresolved
     n = draw(st.one_of(st.integers(2, 4000), st.integers(1000, 4000),
                        st.sampled_from([1 << j for j in range(1, 13)])))
     revolutions = draw(st.floats(1.0, 3.0))
-    r = draw(st.one_of(st.floats(0.3, 1.9), st.floats(2.1, 4.0)))
-    # time steps around the limit 2 Delta dt < STEP_RESOLUTION_LIMIT
-    dt = draw(st.floats(0.005, 0.06)) / (r + 0.5 * r * r)
     theta0 = draw(st.floats(-math.pi, math.pi))
-    return r, n * dt / revolutions, n, revolutions, theta0
+    return (k, g), Ring(r, n * dt / revolutions, n, revolutions, theta0)
+
+
+@st.composite
+def uneven_drives(draw):
+    """((k, g), Arrays): a drive whose time steps and radius vary, so the
+    angular velocity takes np.gradient's general form."""
+    k, g, r, dt = draw(couplings())
+    n = draw(st.one_of(st.integers(2, 3000), st.integers(1000, 3000)))
+    revolutions = draw(st.floats(0.5, 2.5))
+    theta0 = draw(st.floats(-math.pi, math.pi))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = np.concatenate(([0.0], np.cumsum(dt * rng.uniform(0.5, 1.5, n))))
+    phase = 2.0 * math.pi * revolutions * times / times[-1]
+    radii = r * (1.0 + 0.03 * np.sin(3.0 * phase))
+    return (k, g), Arrays(times, radii, theta0 + phase)
+
+
+def _planted(n, angles={}, degenerate_steps=(), lengths={}):
+    """An array trajectory at r = 2 for k = g = 1, away from the degeneracy
+    set save where `angles` puts a sample (theta = pi is on it), and a step
+    whose midpoint rounds to pi for each index in `degenerate_steps`.  Time
+    steps alternate in length, save those that `lengths` gives a length of
+    their own."""
+    dt = np.where(np.arange(n) % 2, 0.0015, 0.001)
+    dt[list(lengths)] = list(lengths.values())
+    theta = 0.01 * np.arange(n + 1)
+    theta[list(angles)] = list(angles.values())
+    for j in degenerate_steps:
+        theta[j], theta[j + 1] = math.pi - 1e-3, math.pi + 1e-3
+    return Arrays(np.concatenate(([0.0], np.cumsum(dt))), np.full(n + 1, 2.0),
+                  theta)
 
 
 PSI = {("comoving", 0): np.array([0.0, 1.0], dtype=complex),
@@ -150,33 +219,79 @@ PSI = {("comoving", 0): np.array([0.0, 1.0], dtype=complex),
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=drives(), stride_log2=st.integers(0, 13),
+@given(case=st.one_of(drives(), uneven_drives()),
+       stride_log2=st.integers(0, 13),
        frame=st.sampled_from(["comoving", "lab"]), band=st.integers(0, 1),
        chunk_log2=st.integers(3, 7))
 # a sample on the degeneracy set at the first sample of the second chunk
-@example(case=(2.0, 1e6, 6 * 16384, 1.0, 0.0), stride_log2=6,
-         frame="comoving", band=0, chunk_log2=14)
+@example(case=((1.0, 1.0), Ring(2.0, 1e6, 6 * 16384, 1.0, 0.0)),
+         stride_log2=6, frame="comoving", band=0, chunk_log2=14)
 # a midpoint on it, inside the second chunk
-@example(case=(2.0, 1e6, 6 * 20000 + 3, 1.0, 0.0), stride_log2=6,
-         frame="lab", band=0, chunk_log2=14)
+@example(case=((1.0, 1.0), Ring(2.0, 1e6, 6 * 20000 + 3, 1.0, 0.0)),
+         stride_log2=6, frame="lab", band=0, chunk_log2=14)
 # the first step under-resolves the gap
-@example(case=(1.0, 3000.0, 40000, 1.0, 0.0), stride_log2=6,
-         frame="comoving", band=1, chunk_log2=14)
+@example(case=((1.0, 1.0), Ring(1.0, 3000.0, 40000, 1.0, 0.0)),
+         stride_log2=6, frame="comoving", band=1, chunk_log2=14)
 # record blocks of two chunks, the last one padded across a chunk edge
-@example(case=(1.0, 2000.0, 100000, 1.0, 0.3), stride_log2=15,
-         frame="comoving", band=0, chunk_log2=14)
+@example(case=((1.0, 1.0), Ring(1.0, 2000.0, 100000, 1.0, 0.3)),
+         stride_log2=15, frame="comoving", band=0, chunk_log2=14)
 # one block past the last step, over three chunks and 5 steps
-@example(case=(1.0, 1000.0, 3 * 16384 + 5, 1.0, 0.0), stride_log2=16,
-         frame="lab", band=1, chunk_log2=14)
+@example(case=((1.0, 1.0), Ring(1.0, 1000.0, 3 * 16384 + 5, 1.0, 0.0)),
+         stride_log2=16, frame="lab", band=1, chunk_log2=14)
 # one block of eight chunks, the last three of them identity fill
-@example(case=(1.0, 1000.0, 4 * 16384 + 1, 1.0, 0.0), stride_log2=17,
-         frame="comoving", band=0, chunk_log2=14)
+@example(case=((1.0, 1.0), Ring(1.0, 1000.0, 4 * 16384 + 1, 1.0, 0.0)),
+         stride_log2=17, frame="comoving", band=0, chunk_log2=14)
+# a step count one short of a chunk, a whole chunk whose last sample is a
+# chunk alone, and one step past a chunk, at the real chunk size
+@example(case=((1.0, 1.0), Ring(1.0, 400.0, CHUNK_STEPS - 1, 1.0, 0.3)),
+         stride_log2=0, frame="comoving", band=0, chunk_log2=14)
+@example(case=((1.0, 1.0), Ring(1.0, 400.0, CHUNK_STEPS, 1.0, 0.3)),
+         stride_log2=0, frame="lab", band=1, chunk_log2=14)
+@example(case=((1.0, 1.0), Ring(1.0, 400.0, CHUNK_STEPS + 1, 1.0, 0.3)),
+         stride_log2=14, frame="comoving", band=1, chunk_log2=14)
+# the drive starting at theta = -0.0 and at +0.0; the pure quadratic and the
+# pure linear coupling
+@example(case=((1.0, 1.0), Ring(1.0, 100.0, 4096, 1.0, -0.0)),
+         stride_log2=0, frame="lab", band=0, chunk_log2=3)
+@example(case=((1.0, 1.0), Ring(1.0, 100.0, 4096, 1.0, 0.0)),
+         stride_log2=0, frame="comoving", band=0, chunk_log2=3)
+@example(case=((0.0, 1.0), Ring(1.0, 100.0, 4096, 2.5, -0.0)),
+         stride_log2=0, frame="lab", band=1, chunk_log2=5)
+@example(case=((1.0, 0.0), Ring(1.0, 100.0, 4096, 3.0, -0.0)),
+         stride_log2=2, frame="comoving", band=1, chunk_log2=4)
+# standing drives: the unitaries are diagonal, so one component of the
+# state stays an exact, signed zero, and in the first one the sign of that
+# zero tells numpy's complex division from a complex times a float
+@example(case=((1.0, 1.0), Arrays(np.linspace(0.0, 30.0, 301),
+                                  np.full(301, 0.5), np.full(301, 1.0))),
+         stride_log2=6, frame="comoving", band=0, chunk_log2=5)
+@example(case=((1.0, 1.0), Arrays(np.linspace(0.0, 30.0, 3001),
+                                  np.full(3001, 1.0), np.full(3001, -2.0))),
+         stride_log2=3, frame="comoving", band=1, chunk_log2=5)
+# a midpoint on the degeneracy set in the first chunk and a sample on it in
+# the third: the sample's error comes first, as over whole arrays
+@example(case=((1.0, 1.0), _planted(40, angles={20: math.pi},
+                                     degenerate_steps=[2])),
+         stride_log2=0, frame="comoving", band=0, chunk_log2=3)
+# an unresolved step (50 time units) before a midpoint on the degeneracy
+# set: the midpoint's error comes first
+@example(case=((1.0, 1.0), _planted(40, degenerate_steps=[20],
+                                     lengths={1: 50.0})),
+         stride_log2=1, frame="lab", band=0, chunk_log2=3)
+# an angular velocity that overflows, at a first step of 5e-324 before a
+# midpoint on the degeneracy set, and at a jump past the float range after
+# one: the ratio that is not finite comes first
+@example(case=((1.0, 1.0), _planted(40, degenerate_steps=[20],
+                                     lengths={0: 5e-324})),
+         stride_log2=0, frame="comoving", band=0, chunk_log2=3)
+@example(case=((1.0, 1.0), _planted(40, angles={25: 8e307, 26: -8e307},
+                                     degenerate_steps=[2])),
+         stride_log2=2, frame="lab", band=1, chunk_log2=3)
 def test_chunked_spin_matches_whole_arrays(case, stride_log2, frame, band,
                                            chunk_log2):
-    p = JTParams(1.0, 1.0)
-    r, period, n, revolutions, theta0 = case
-    traj = pseudorotation_trajectory(r, period, n, theta0=theta0,
-                                     revolutions=revolutions)
+    (k, g), path = case
+    p = JTParams(k, g)
+    traj = trajectory(path)
     psi, stride = PSI[frame, band], 1 << stride_log2
     expected = outcome(lambda: reference_integrate_spin(p, traj, psi, frame,
                                                         stride))
@@ -198,3 +313,39 @@ def test_chunked_spin_matches_whole_arrays(case, stride_log2, frame, band,
     else:
         assert same_bits(gap_area, drive.gap_area)
         assert same_bits(ratio, drive.ratio)
+
+
+def test_step_unitaries_match_complex_arithmetic():
+    """The in-place step unitaries against the complex expression over whole
+    arrays that they replaced, bitwise, signed zeros included, on every
+    resolved step off the degeneracy set in a grid of special values; where
+    w overflows, ua and ud are NaN, so the state that takes the step is NaN
+    as before."""
+    special = [0.0, 1e-300, 0.3, 1.0, 7.5, 1e3, 1e120, 1e200]
+    special += [-x for x in special]
+    dts = [5e-324, 1e-300, 1e-6, 1e-3, 0.01, 0.04]
+    grid = np.array(np.meshgrid(dts, special, special)).reshape(3, -1)
+    for lab in (True, False):
+        dt, h, hz = grid
+        # off the degeneracy set: Delta (the co-moving hz) is above its
+        # tolerance
+        keep = (np.hypot(h, hz) if lab else hz) > DEGENERACY_TOL
+        dt, h, hz = (x[keep] for x in (dt, h, hz))
+        zero = np.zeros(len(dt))
+        hx, hy = (h, zero) if lab else (zero, h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega = np.sqrt(hx * hx + hy * hy + hz * hz)
+            phase = omega * dt
+            cos_p = np.cos(phase)
+            sinc = np.sin(phase) / omega
+            want = (cos_p - 1j * sinc * hz, -sinc * hy - 1j * sinc * hx,
+                    sinc * hy - 1j * sinc * hx, cos_p + 1j * sinc * hz)
+            got = (comoving._step_unitaries(dt, hz, hx=h) if lab
+                   else comoving._step_unitaries(dt, hz, hy=h))
+        resolved = phase < 0.1
+        overflow = np.isinf(omega)
+        assert resolved.sum() > 100 and overflow.sum() > 10
+        for w, u in zip(want, got):
+            assert same_bits(u[resolved], w[resolved])
+        for u in (got[0], got[3]):
+            assert np.isnan(u[overflow]).all()
