@@ -14,8 +14,8 @@ another checkout compares that checkout's code.
 
 The calls: jobs 0-3 of seeds 301 and 302 of every benchmark workload (built
 by ``benchmarks/workloads.make_job``), the README examples, and extra calls
-that pin edge cases of the option checks, the barrier spectra, the node
-probes, the degeneracy locator and the output writer.
+that pin edge cases of the option checks, the barrier spectra, the circle
+grids, the degeneracy locator and the output writer.
 
 Typical use:
     python3 scripts/cli_digest.py            # one line per call, then the total
@@ -174,10 +174,10 @@ EXTRA = [
     "--store-stride 65536",
     "spin --k 1 --g 1 --r 1 --period 1000 --steps 65537 "
     "--store-stride 131072",
-    # nodes on grid samples, read from probes of the half-step grid: both
-    # nodes of the pure quadratic model in the upper band, grids too coarse
-    # for the turning bound, and a fine grid inside and outside 2k/g; then
-    # two circles whose half-step grid fails to track
+    # nodes on samples of the j h grid, read on the half-step grid: both
+    # nodes of the pure quadratic model in the upper band, coarse grids, and
+    # a fine grid inside and outside 2k/g; then two circles whose half-step
+    # grid fails to track
     "nodal-map --k 0 --g 1 --r 1:3:1 --band 1",
     "nodal-map --k 1 --g 1 --r 0.5:3.5:0.5 --theta-samples 4",
     "nodal-map --k 2 --g 1 --r 1:6:0.5 --theta-samples 4096",
@@ -215,6 +215,17 @@ EXTRA = [
     "spin --k 1 --g 1 --r 0.5 --period 500 --steps 65536 --revolutions 5 "
     "--theta0 -3",
     "spin --k 1 --g 1 --r 1 --period 200 --steps 65536 --store-stride 1",
+    # the grid each circle is read on first: the j h grid at odd n, the
+    # half-step grid with pi/2 on a sample, a half-step grid that turns too
+    # far near pi/3 to track, and a j h grid that turns too far to track
+    # where the half-step grid reads the node
+    "nodal-map --k 1 --g 1 --r 1 --theta-samples 2047",
+    "nodal-map --k 0 --g 1 --r 1 --theta-samples 2050",
+    "nodal-map --k 1 --g 1 --r 2.002 --theta-samples 1536",
+    "nodal-map --k 0.09161824802866754 --g 0.7047567770360899 "
+    "--r 0.2599903782919553 --theta-samples 21",
+    "berry --k 0.09161824802866754 --g 0.7047567770360899 "
+    "--r 0.2599903782919553 --theta-samples 21",
 ]
 
 

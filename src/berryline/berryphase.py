@@ -3,7 +3,9 @@
 The central objects are the anchor-overlap trace of a tracked branch (the
 (n,) array of its inner products with the branch vector at a chosen anchor
 point) and the nodes of that trace, found from the array (detect_nodes) or
-from the tracked branch anchored at point 0 (refine_nodes).  For a real
+bisected on the tracked branch anchored at point 0 (refine_nodes).  Both
+raise SampleOnNode on a sample that sits on a node; choosing a grid without
+one is the caller's step (jahnteller.circle_nodes).  For a real
 branch on a closed loop the number of nodes K decides everything: the loop
 holonomy is (-1)^K, the geometric phase is -K pi (i.e. 0 or pi mod 2 pi),
 and the gauge-invariant reference section built from the branch flips sign
@@ -23,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .eigenpath import EigenBranch, HamiltonianField, band_steps, first_index
+from .eigenpath import EigenBranch, band_steps, first_index
 from .errors import (
     OrthogonalEndpoints,
     SampleOnNode,
@@ -134,28 +136,9 @@ def refine_nodes(branch: EigenBranch) -> NodeSet:
     intermediate angles).  Each sign change of the trace is bisected inside
     its sample interval down to NODE_BISECTION_TOL, or to a probe that reads
     exactly zero.  A sample on a node raises SampleOnNode, and the caller
-    chooses what to sample instead: circle_nodes tracks and refines the
-    half-step grid, checked_circle probes it next to the node where a turning
-    bound allows.  A probe's overlap is taken with its eigenvector turned to
-    face the bracket's first sample; the walk is bisect_nodes'.
-    """
-    values = overlap_trace(branch)
-    radii, theta = branch.path.coords[:, 0], branch.path.coords[:, 1]
-    if np.any(radii != radii[0]):
-        raise ValueError("node refinement requires a fixed-radius polar path")
-    return bisect_nodes(branch.field, branch.band, radii[0], theta, values,
-                        branch.vectors, branch.vectors[0])
-
-
-def bisect_nodes(field: HamiltonianField, band: int, r: float,
-                 theta: np.ndarray, values: np.ndarray, vectors: np.ndarray,
-                 anchor: np.ndarray) -> NodeSet:
-    """Bisect each sign change of an anchor-overlap trace on a circle.
-
-    values[j] = vectors[j] . anchor at angle theta[j] on the circle of
-    radius r; a value within OVERLAP_ZERO_TOL of zero raises SampleOnNode.
-    Past that test only each value's sign is read, and values[j] and
-    vectors[j] where the sign changes between samples j and j + 1.
+    chooses what to sample instead: circle_nodes reads the other grid.  A
+    probe's overlap is taken with its eigenvector turned to face the
+    bracket's first sample.
 
     Each round evaluates, in one band_steps call, the midpoints that the
     next NODE_TREE_DEPTH bisection steps of every open bracket can reach,
@@ -167,17 +150,22 @@ def bisect_nodes(field: HamiltonianField, band: int, r: float,
     where Re f or Im f overflows between the samples, which needs
     k r + g r^2 / 2 within a factor of 2 of the float range.
     """
+    values = overlap_trace(branch)
+    radii, theta = branch.path.coords[:, 0], branch.path.coords[:, 1]
+    if np.any(radii != radii[0]):
+        raise ValueError("node refinement requires a fixed-radius polar path")
     j = _sign_changes(values)
-    near = vectors[j]
+    near = branch.vectors[j]
     lo, hi = theta[j].tolist(), theta[j + 1].tolist()
     f_lo = values[j].tolist()
     rows = [i for i in range(len(j)) if hi[i] - lo[i] > NODE_BISECTION_TOL]
     while rows:
         cuts = _bisection_cuts(np.array(lo)[rows], np.array(hi)[rows])
-        coords = np.stack((np.full(cuts.shape, r), cuts), axis=-1)
-        raw = band_steps(field, coords[..., None, :], band)[3][..., 0, :]
+        coords = np.stack((np.full(cuts.shape, radii[0]), cuts), axis=-1)
+        raw = band_steps(branch.field, coords[..., None, :],
+                         branch.band)[3][..., 0, :]
         # turning a probe's vector negates its anchor overlap exactly
-        f = np.vecdot(anchor, raw)
+        f = np.vecdot(branch.vectors[0], raw)
         f = np.where(np.vecdot(near[rows, None, :], raw) < 0.0, -f, f)
         for i, row_cuts, row_f in zip(rows, cuts.tolist(), f.tolist()):
             # the first step halves the bracket at its middle cut; each

@@ -131,28 +131,19 @@ def _csv_cell(cell) -> str:
 
 def csv_lines(header: list[str], rows) -> str:
     """CSV text: None is an empty cell, a str is written as is, an integer in
-    decimal and anything else by fmt.
-
-    A row of Python floats alone, as from ndarray.tolist(), takes one
-    %-format for the whole row, with the bytes fmt gives cell by cell.
-    """
-    return "".join(csv_pieces(header, [rows]))
+    decimal and anything else by fmt."""
+    return "".join([",".join(header) + "\n"]
+                   + [",".join(map(_csv_cell, row)) + "\n" for row in rows])
 
 
 def csv_pieces(header: list[str], blocks) -> Iterator[str]:
-    """csv_lines' text in pieces: the header line, then the rows of each
-    block of rows in `blocks`, one block at a time."""
+    """CSV text of float rows in pieces: the header line, then the rows of
+    each block of rows in `blocks`, one block at a time.  One %-format per
+    row gives the bytes fmt gives cell by cell."""
     yield ",".join(header) + "\n"
     float_row = ",".join(["%.17g"] * len(header)) + "\n"
     for rows in blocks:
-        out = []
-        for row in rows:
-            row = tuple(row)
-            if len(row) == len(header) and set(map(type, row)) == {float}:
-                out.append(float_row % row)
-            else:
-                out.append(",".join(map(_csv_cell, row)) + "\n")
-        yield "".join(out)
+        yield "".join([float_row % tuple(row) for row in rows])
 
 
 # --- option plumbing ---------------------------------------------------------

@@ -29,19 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .berryphase import NodeSet, bisect_nodes, overlap_trace, refine_nodes
+from .berryphase import NodeSet, overlap_trace, refine_nodes
 from .eigenpath import (
-    GAP_TOL,
     DiscretizedPath,
     EigenBranch,
     HamiltonianField,
-    band_steps,
     first_index,
     polar_samples,
     track_branch,
 )
-from .errors import (AlphaUndefined, NodeMismatch, NonFinite, OnDegeneracyCircle,
-                     SampleOnNode)
+from .errors import (AlphaUndefined, BerrylineError, NodeMismatch, NonFinite,
+                     OnDegeneracyCircle, SampleOnNode)
 
 # Half-gap at or below which a point counts as on the degeneracy set, where
 # the mixing angle has no value.
@@ -255,7 +253,9 @@ def _circle_thetas(n_samples: int, offset: float) -> np.ndarray:
 
     With offset > 0 the interior samples shift by offset * h while the anchor
     and the closure point stay at 0 and 2 pi, so the anchor convention
-    alpha_0 = alpha(r, 0) survives the shifted grid.
+    alpha_0 = alpha(r, 0) survives the shifted grid.  Of the grid theta_j =
+    j h (offset 0) and the half-step grid (offset 0.5), the first has a
+    sample at theta = pi for even n_samples, the second for odd.
     """
     h = 2.0 * math.pi / n_samples
     if offset == 0.0:
@@ -273,68 +273,37 @@ def _circle_branch(field: HamiltonianField, r: float, n_samples: int,
     return track_branch(field, path, band=band)
 
 
-def _half_step_nodes(p: JTParams, branch: EigenBranch) -> NodeSet:
-    """Nodes of the half-step grid's trace, probed next to the nodes.
-
-    `branch` lies on theta_j = j h, and its anchor trace has a sample on a
-    node.  Returns what refine_nodes gives on the half-step grid (0, h/2,
-    3h/2, ..., 2 pi), SampleOnNode included: from probes where the bound
-    below holds, by tracking and refining that grid where it fails.
-
-    As |df/dtheta| <= k r + g r^2, f moves by at most reach = (k r + g r^2)
-    h / 2, plus a slack for rounding, within h/2 of theta_j.  If reach is at
-    most a quarter of every sample's gap 2 |f|, and every gap is finite and
-    at least 4 GAP_TOL, the band's vector anywhere within h/2 of theta_j lies within
-    turn_j = 2 reach / gap_j radians of its vector at theta_j.  The half-step
-    grid then tracks without a failure and along this grid's signs, and on
-    both sides of a sample j with |value| > turn_j its trace has sample j's
-    sign.  So only the half steps next to the other samples are probed, in
-    one band_steps call, each turned to face the branch vector at the sample
-    before it.  A half step not probed stands in as the sample before it,
-    which has its sign: all that bisect_nodes reads of it.
-    """
-    r, n = float(branch.path.coords[0, 0]), len(branch) - 1
-    reach = ((p.k * r + p.g * r * r)
-             * (math.pi / n * (1.0 + 2.0 ** -20) + 2.0 ** -40))
-    gaps = branch.gaps
-    with np.errstate(over="ignore", invalid="ignore"):
-        turn = 2.0 * reach / gaps
-    # a gap past the float range is inf and would read as turn 0
-    if not ((turn <= 0.5) & (gaps >= 4.0 * GAP_TOL) & (gaps < math.inf)).all():
-        return refine_nodes(_circle_branch(branch.field, r, n, branch.band, 0.5))
-    near = np.abs(overlap_trace(branch)) <= turn + 2.0 ** -30
-    # half step i lies between samples i - 1 and i
-    probed = np.flatnonzero(near[:-1] | near[1:]) + 1
-    theta = _circle_thetas(n, 0.5)
-    raw = band_steps(branch.field, polar_samples(r, theta[probed])[:, None, :],
-                     branch.band)[3][:, 0, :]
-    facing = np.vecdot(branch.vectors[probed - 1], raw)[:, None] >= 0.0
-    vectors = np.concatenate((branch.vectors[:1], branch.vectors))
-    vectors[probed] = np.where(facing, raw, -raw)
-    # formed as overlap_trace forms it, so probed values round as its do
-    values = vectors @ vectors[0]
-    return bisect_nodes(branch.field, branch.band, r, theta, values, vectors,
-                        vectors[0])
-
-
 def circle_nodes(p: JTParams, r: float, n_samples: int = 2048, band: int = 0):
     """Numeric node pipeline on one circle: track, trace, refine.
 
-    Tracks on theta_j = j h.  If a sample sits on a node, tracks the
-    half-step grid (anchor still at 0) and refines there, where SampleOnNode
-    propagates.  As f(r, -theta) = conj f(r, theta), the nodes are {pi},
-    {pi/2, 3 pi/2} or {a, 2 pi - a}: both on one kind of grid, h/2 off the
-    other.  Returns (branch, overlap_trace(branch), nodes), node angles
-    inside (0, 2 pi), of a grid with no sample on a node.
+    As f(r, -theta) = conj f(r, theta), the nodes are {pi}, {pi/2, 3 pi/2}
+    or {a, 2 pi - a}: all on one of the two grids of _circle_thetas, h/2 off
+    the other.  Reads first the grid with no sample at theta = pi, the
+    half-step grid for even n_samples and theta_j = j h for odd, and the
+    other grid only where the first fails.  Where both fail, raises the j h
+    grid's error, or the half-step grid's where the j h grid has a sample on
+    a node.  A DegeneracyOnPath or AmbiguousContinuation of one grid need not
+    hold on the other, h/2 away, so the half-step grid can read a circle
+    whose j h grid fails.  Returns (branch, overlap_trace(branch), nodes) of
+    the grid read, with node angles inside (0, 2 pi).
     """
     field = jt_field(p, frame="polar")
-    branch = _circle_branch(field, r, n_samples, band, 0.0)
+
+    def read(offset):
+        branch = _circle_branch(field, r, n_samples, band, offset)
+        nodes = refine_nodes(branch)
+        return branch, overlap_trace(branch), nodes
+
+    first = 0.5 if n_samples % 2 == 0 else 0.0
     try:
-        nodes = refine_nodes(branch)
-    except SampleOnNode:
-        branch = _circle_branch(field, r, n_samples, band, 0.5)
-        nodes = refine_nodes(branch)
-    return branch, overlap_trace(branch), nodes
+        return read(first)
+    except BerrylineError as err:
+        failed = err
+    try:
+        return read(0.5 - first)
+    except BerrylineError as err:
+        jh, half = (err, failed) if first else (failed, err)
+        raise (half if isinstance(jh, SampleOnNode) else jh) from None
 
 
 @dataclass(frozen=True)
@@ -372,21 +341,14 @@ def check_nodes(r: float, nodes: NodeSet, analytic: tuple[float, ...]) -> None:
 
 def checked_circle(p: JTParams, r: float, n_samples: int = 2048,
                    band: int = 0):
-    """Nodes on one circle, checked against the closed form: (branch, nodes,
-    analytic).
+    """circle_nodes' branch and nodes, checked against the closed form:
+    (branch, nodes, analytic).
 
-    Raises OnDegeneracyCircle first, before any tracking.  Tracks theta_j =
-    j h once; a node on a sample is read from the half-step grid by
-    _half_step_nodes, which tracks that grid only where its turning bound
-    fails.  The branch is the j h grid's, so it may have a sample on a node.
-    A disagreement beyond NODAL_MAP_TOL raises NodeMismatch.
+    Raises OnDegeneracyCircle first, before any tracking, and NodeMismatch
+    where the nodes disagree with the closed form beyond NODAL_MAP_TOL.
     """
     analytic = node_angles_analytic(p, r)
-    branch = _circle_branch(jt_field(p, frame="polar"), r, n_samples, band, 0.0)
-    try:
-        nodes = refine_nodes(branch)
-    except SampleOnNode:
-        nodes = _half_step_nodes(p, branch)
+    branch, _, nodes = circle_nodes(p, r, n_samples, band)
     check_nodes(r, nodes, analytic)
     return branch, nodes, analytic
 

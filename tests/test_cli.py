@@ -148,9 +148,9 @@ def test_berry_rerun_is_byte_identical(capsys):
 
 
 def test_berry_tracks_each_circle_once(capsys):
-    # theta = pi, the node inside 2k/g, sits on the 2048 grid at r = 1; its
-    # half-step neighbours are probed, and the phase and the holonomy come
-    # from the one branch tracked
+    # theta = pi, the node inside 2k/g, is a sample of the 2048 grid at r = 1
+    # but not of the half-step grid, which is read first; the phase and the
+    # holonomy come from the one branch tracked
     with mock.patch.object(jahnteller, "track_branch",
                            wraps=track_branch) as tracked:
         code, out, _ = run(capsys, "berry", "--k", "1", "--g", "1", "--r", "1")
@@ -160,8 +160,8 @@ def test_berry_tracks_each_circle_once(capsys):
 
 
 def two_track_berry(values):
-    """cmd_berry on circle_nodes' branch, which re-tracks the half-step grid
-    when a sample sits on a node, checked against the closed form after."""
+    """cmd_berry written out on circle_nodes' branch and nodes, checked
+    against the closed form after."""
     p = JTParams(values["k"], values["g"])
     branch, _, nodes = circle_nodes(p, values["r"],
                                     n_samples=values["theta_samples"],
@@ -192,9 +192,9 @@ def outputs_or_error(command, values):
 
 
 @settings(deadline=None, max_examples=150)
-@example(k=1.0, g=1.0, r=1.0, n=2048, band=0)   # pi on the grid, probed
-@example(k=0.0, g=1.0, r=1.0, n=2048, band=1)   # both nodes on the grid
-@example(k=1.0, g=1.0, r=1.0, n=8, band=0)      # the turning bound fails
+@example(k=1.0, g=1.0, r=1.0, n=2048, band=0)   # pi on the j h grid
+@example(k=0.0, g=1.0, r=1.0, n=2048, band=1)   # both nodes on it
+@example(k=1.0, g=1.0, r=1.0, n=8, band=0)      # a coarse grid
 @example(k=1.0, g=1.0, r=1.8, n=6, band=0)      # the half step fails to track
 @example(k=1e16, g=1e16, r=1e16, n=16, band=0)  # a probe reads exactly 0.0
 @example(k=1.7e308, g=0.0, r=1.0, n=2048, band=0)  # every gap overflows

@@ -445,8 +445,8 @@ def test_nodal_map_counts_and_agreement(jt11):
 
 
 def test_nodal_map_tracks_each_circle_once(jt11):
-    # theta = pi, the node inside 2k/g, sits on the 2048 grid at r = 1; its
-    # half-step neighbours are probed, not tracked as a second circle
+    # theta = pi, the node inside 2k/g, is a sample of the 2048 grid at r = 1
+    # but not of the half-step grid, which circle_nodes reads first
     with mock.patch.object(jahnteller, "track_branch",
                            wraps=track_branch) as tracked:
         m = nodal_map(jt11, [1.0, 3.0], theta_samples=2048)
@@ -454,16 +454,30 @@ def test_nodal_map_tracks_each_circle_once(jt11):
     assert tracked.call_count == 2
 
 
-def test_nodal_map_tracks_the_half_step_grid_where_the_bound_fails(jt11):
-    # at 8 samples the field turns too far in a half step for the probes, so
-    # theta = pi on the grid sends nodal_map to track the half-step grid
-    with mock.patch.object(jahnteller, "track_branch",
-                           wraps=track_branch) as tracked:
-        m = nodal_map(jt11, [1.0], theta_samples=8)
-    assert tracked.call_count == 2
-    want = circle_nodes(jt11, 1.0, n_samples=8)[2].angles
-    assert (np.array(m.rows[0].numeric_angles).tobytes()
-            == np.array(want).tobytes())
+def test_nodal_map_reads_the_grid_that_misses_pi_first():
+    # (k, g, r, n, the tracked grids in order, node count); a grid is named
+    # by its first step after the anchor in units of h = 2 pi / n: 0.5 for
+    # the half-step grid, 1 for theta_j = j h
+    cases = [
+        # pi is a sample of the j h grid for even n, of the half-step grid
+        # for odd n: each circle is read on the other grid, with one track
+        (1.0, 1.0, 1.0, 8, [0.5], 1),
+        (1.0, 1.0, 1.0, 2048, [0.5], 1),
+        (1.0, 1.0, 1.0, 2047, [1.0], 1),
+        # pi/2, a node of the pure quadratic model, is a half-step sample
+        (0.0, 1.0, 1.0, 2050, [0.5, 1.0], 2),
+        # just outside 2k/g the half-step grid turns too far near pi/3 to
+        # track (AmbiguousContinuation); the j h grid reads both nodes
+        (1.0, 1.0, 2.002, 1536, [0.5, 1.0], 2),
+    ]
+    for k, g, r, n, grids, count in cases:
+        with mock.patch.object(jahnteller, "track_branch",
+                               wraps=track_branch) as tracked:
+            m = nodal_map(JTParams(k, g), [r], theta_samples=n)
+        h = 2.0 * math.pi / n
+        steps = [c.args[1].coords[1, 1] / h for c in tracked.call_args_list]
+        assert steps == pytest.approx(grids, abs=1e-9), (k, g, r, n)
+        assert m.rows[0].count == count
 
 
 def test_nodal_map_mismatch_carries_both_angle_sets():
