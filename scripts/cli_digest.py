@@ -17,16 +17,28 @@ by ``benchmarks/workloads.make_job``), the README examples, and extra calls
 that pin edge cases of the option checks, the barrier spectra, the circle
 grids, the degeneracy locator and the output writer.
 
+With ``--against DIR`` the same calls also run on the checkout at DIR, in a
+child process under the same ``-W`` options, and the script prints the
+argv of each call whose digest differs there.  With ``--expect FILE`` it
+exits 1 unless those calls are exactly the ones FILE lists, one argv a line
+(blank lines and ``#`` comments ignored): a change FILE does not list fails,
+and so does a listed call that did not change.
+
 Typical use:
     python3 scripts/cli_digest.py            # one line per call, then the total
     python3 scripts/cli_digest.py --quiet    # the total only
+    python3 -W error::RuntimeWarning scripts/cli_digest.py --quiet \
+        --against ../parent --expect scripts/digest_changes.txt
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -226,6 +238,10 @@ EXTRA = [
     "--r 0.2599903782919553 --theta-samples 21",
     "berry --k 0.09161824802866754 --g 0.7047567770360899 "
     "--r 0.2599903782919553 --theta-samples 21",
+    # a bisection probe that lands where Im f is exactly 0, so its overlap
+    # reads exactly 0.0
+    "berry --k 0.7255114487347943 --g 2 --r 1",
+    "nodal-map --k 0.7255114487347943 --g 2 --r 1",
 ]
 
 
@@ -279,17 +295,59 @@ def call_digest(argv: list[str]) -> tuple[str, bool]:
     return h.hexdigest(), crashed
 
 
+def tree_digests(tree: Path, argvs: list[list[str]]) -> list[str]:
+    """Per-call digests of `argvs` run on the checkout at `tree`.
+
+    This script runs in a child process from a scratch directory that holds
+    a copy of it, of `tree`'s ``src/`` and of this checkout's
+    ``benchmarks/``, so `tree` itself is left as it was.
+    """
+    ignore = shutil.ignore_patterns("__pycache__", "results")
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(Path(tree) / "src", Path(tmp) / "src", ignore=ignore)
+        shutil.copytree(ROOT / "benchmarks", Path(tmp) / "benchmarks",
+                        ignore=ignore)
+        (Path(tmp) / "scripts").mkdir()
+        script = shutil.copy(__file__, Path(tmp) / "scripts")
+        child = subprocess.run(
+            [sys.executable, *(f"-W{w}" for w in sys.warnoptions), script,
+             "--calls-from-stdin"],
+            input=json.dumps(argvs), capture_output=True, text=True)
+    # a call that crashes there still has its digest; a child that could not
+    # run the calls has fewer
+    digests = [line.split(" ", 1)[0] for line in child.stdout.splitlines()[:-1]]
+    if len(digests) != len(argvs):
+        raise RuntimeError(f"the calls did not run on {tree}:\n{child.stderr}")
+    return digests
+
+
+def expected_changes(path: Path) -> set[str]:
+    lines = (line.strip() for line in Path(path).read_text().splitlines())
+    return {line for line in lines if line and not line.startswith("#")}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quiet", action="store_true",
                     help="print the total digest only")
+    ap.add_argument("--against", type=Path, metavar="DIR",
+                    help="also run the calls on the checkout at DIR and "
+                         "print the calls whose digest differs there")
+    ap.add_argument("--expect", type=Path, metavar="FILE",
+                    help="with --against: exit 1 unless the calls that "
+                         "differ are exactly those FILE lists")
+    ap.add_argument("--calls-from-stdin", action="store_true",
+                    help=argparse.SUPPRESS)  # how --against runs DIR
     args = ap.parse_args(argv)
+    if args.expect is not None and args.against is None:
+        ap.error("--expect needs --against")
+    argvs = json.load(sys.stdin) if args.calls_from_stdin else calls()
     total = hashlib.sha256()
-    crashes = []
-    argvs = calls()
+    crashes, digests = [], []
     for call in argvs:
         digest, crashed = call_digest(call)
         total.update(digest.encode())
+        digests.append(digest)
         if crashed:
             crashes.append(" ".join(call))
         if not args.quiet:
@@ -297,7 +355,24 @@ def main(argv=None):
     print(total.hexdigest(), f"total over {len(argvs)} calls")
     for call in crashes:
         print(f"uncaught exception: {call}", file=sys.stderr)
-    return 1 if crashes else 0
+    failed = bool(crashes)
+    if args.against is not None:
+        theirs = tree_digests(args.against, argvs)
+        changed = [" ".join(call) for call, ours, base
+                   in zip(argvs, digests, theirs) if ours != base]
+        print(f"{len(changed)} of {len(argvs)} calls differ from {args.against}")
+        for call in changed:
+            print(f"changed: {call}")
+        if args.expect is not None:
+            want = expected_changes(args.expect)
+            for call in changed:
+                if call not in want:
+                    print(f"unlisted change: {call}", file=sys.stderr)
+                    failed = True
+            for call in sorted(want - set(changed)):
+                print(f"listed but unchanged: {call}", file=sys.stderr)
+                failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

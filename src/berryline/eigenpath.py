@@ -157,12 +157,13 @@ def _validated_symmetric(m: np.ndarray) -> np.ndarray:
 
 
 def eig_real_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a real symmetric matrix.
+    """Full eigendecomposition of a real symmetric matrix, by LAPACK.
 
     Returns (eigenvalues ascending, eigenvectors as columns).  The
     decomposition satisfies ||M v_i - w_i v_i|| <= 1e-9 and reconstructs M to
     the same tolerance; eigenvector signs are whatever the backend produced
-    and carry no meaning on their own.
+    and carry no meaning on their own.  This is the LAPACK reference
+    (np.linalg.eigh) the tests hold band_steps' closed-form 2 x 2 solve to.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -170,6 +171,52 @@ def eig_real_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = _validated_symmetric(m)
     w, v = np.linalg.eigh(m)
     return w, v
+
+
+def eigh_2x2(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a (..., 2, 2) stack of real symmetric [[a, b], [b, c]].
+
+    The closed form, in the conventions of np.linalg.eigh: eigenvalues
+    ascending, m - rho and m + rho with m = (a + c)/2 and
+    rho = hypot((a - c)/2, b), and eigenvectors as columns.  With
+    d = (a - c)/2, the upper vector is (rho + |d|, b) normalised where
+    d >= 0 and (b, rho + |d|) where d < 0, so b = 0 gives the exact axes;
+    the lower vector is the upper one turned by +90 degrees, (-y, x).  A
+    multiple of the identity reads the axes: upper (1, 0), lower (0, 1).
+
+    The sums are formed on H / 4, so entries up to the end of the float
+    range give finite vectors; eigenvalues past the range come out as
+    +-inf, as np.linalg.eigh's do, without a warning.  H / 4 is exact for
+    normal entries, and every step is a correctly rounded operation or
+    hypot, which commutes with scaling by 2^m (a test pins it): scaling H
+    by 2^m scales the eigenvalues by 2^m and leaves the vectors bitwise the
+    same wherever no entry or step leaves the normal range.
+    """
+    q = 0.25 * np.reshape(matrices, (-1, 4))  # rows a, b, b, c
+    a, b, c = q[:, 0], q[:, 1], q[:, 3]
+    d = 0.5 * (a - c)
+    rho = np.hypot(d, b)
+    w = np.empty((len(q), 2))
+    mean = 0.5 * (a + c)
+    np.subtract(mean, rho, out=w[:, 0])
+    np.add(mean, rho, out=w[:, 1])
+    with np.errstate(over="ignore"):  # an eigenvalue past the range is inf
+        w *= 4.0
+    # the upper vector's tangent to its nearer axis, |t| <= 1; a multiple of
+    # the identity has rho = d = b = 0, divides by the smallest float and
+    # reads t = 0.  Formed in place, as the stack may be long.
+    t = np.abs(d)
+    t += rho
+    np.divide(b, np.maximum(t, 5e-324, out=t), out=t)
+    h = np.hypot(1.0, t)
+    far, near = np.divide(t, h, out=t), np.divide(1.0, h, out=h)
+    turned = d < 0.0  # the upper vector lies nearer the second axis
+    v = q  # q is read by now; its rows take v00, v01, v10, v11
+    v[:, 1] = v[:, 2] = np.where(turned, far, near)
+    v[:, 3] = np.where(turned, near, far)
+    np.negative(v[:, 3], out=v[:, 0])
+    shape = np.shape(matrices)
+    return w.reshape(shape[:-1]), v.reshape(shape)
 
 
 def band_gaps(eigenvalues: np.ndarray, band: int) -> np.ndarray:
@@ -214,15 +261,19 @@ def band_steps(field: HamiltonianField, coords, band: int):
     """Band `band` along (..., n, d) coordinate chains, in one batched solve.
 
     The package's one eigensolve of field points (a probe is a chain of one
-    point).  Returns the validated matrices, the band's energies and gaps to
-    its neighbours, the raw band eigenvectors (signs as the eigensolver gives
-    them) and the step overlaps d_j = v_{j-1} . v_j along each chain.
+    point): eigh_2x2's closed form for a two-band field, LAPACK's
+    np.linalg.eigh for a larger one.  Returns the validated matrices, the
+    band's energies and gaps to its neighbours, the raw band eigenvectors and
+    the step overlaps d_j = v_{j-1} . v_j along each chain.  Raw signs are
+    the solver's: for two bands the upper vector has a positive component
+    along the axis it lies nearer, and the lower vector is the upper one
+    turned by +90 degrees.
     """
     dim = field.dimension
     if not 0 <= band < dim:
         raise ValueError(f"band {band} out of range for dimension {dim}")
     matrices = field.evaluate(coords)
-    w, v = np.linalg.eigh(matrices)
+    w, v = eigh_2x2(matrices) if dim == 2 else np.linalg.eigh(matrices)
     raw = v[..., band]
     # vecdot runs the 1-D dot kernel on each pair; einsum rounds differently
     # and can move the first |d| < 0.5 off an overlap of exactly 0.5
@@ -267,8 +318,9 @@ def track_branch(field: HamiltonianField, path: DiscretizedPath,
             )
 
     # formed on H / scale, whose entries are at most 1, so no square
-    # overflows.  It is still not finite where the energies are not: eigh
-    # overflows eigenvalues past the float range.
+    # overflows.  It is still not finite where the energies are not: the
+    # closed form m -+ rho (like eigh for N > 2) gives +-inf for an
+    # eigenvalue past the float range.
     scale = max(1.0, float(np.max(np.abs(matrices))))
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = (np.einsum("nij,nj->ni", matrices / scale, raw)

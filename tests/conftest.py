@@ -25,8 +25,8 @@ from berryline import (
 from berryline.jahnteller import jt_field
 
 
-# Couplings over sixteen decades: near k / (g r) = 1e-16 a bisection probe
-# can read an overlap of exactly 0.0, which ends the bisection there.
+# Couplings over sixteen decades: near k / (g r) = 1e-16 a node rounds to
+# pi/2, where the two terms of Im f cancel to rounding.
 COUPLING = st.one_of(st.just(0.0), st.floats(1e-8, 1e8))
 
 

@@ -46,7 +46,8 @@ from berryline.cli import (
     fmt,
     main,
 )
-from berryline.jahnteller import NODAL_MAP_TOL, check_nodes
+from berryline.jahnteller import (NODAL_MAP_TOL, _circle_thetas, check_nodes,
+                                  coupling_terms)
 
 from conftest import COUPLING
 
@@ -196,7 +197,9 @@ def outputs_or_error(command, values):
 @example(k=0.0, g=1.0, r=1.0, n=2048, band=1)   # both nodes on it
 @example(k=1.0, g=1.0, r=1.0, n=8, band=0)      # a coarse grid
 @example(k=1.0, g=1.0, r=1.8, n=6, band=0)      # the half step fails to track
-@example(k=1e16, g=1e16, r=1e16, n=16, band=0)  # a probe reads exactly 0.0
+@example(k=1e16, g=1e16, r=1e16, n=16, band=0)  # the node rounds to pi/2
+# a probe lands where Im f is exactly 0 and reads an overlap of exactly 0.0
+@example(k=0.7255114487347943, g=2.0, r=1.0, n=2048, band=0)
 @example(k=1.7e308, g=0.0, r=1.0, n=2048, band=0)  # every gap overflows
 @given(k=COUPLING, g=COUPLING, r=st.floats(1e-4, 1e8),
        n=st.integers(3, 4096), band=st.sampled_from([0, 1]))
@@ -963,24 +966,39 @@ def test_berry_checks_nodes_against_the_closed_form(capsys):
     assert err.startswith("error: NodeMismatch: r=") and err.count("\n") == 1
 
 
+# k = 2 cos(theta_p) to the last bit, with g = 2 and r = 1: theta_p, the
+# first bisection probe of the bracket that holds the first node on the
+# default half-step grid, is where k r sin(theta_p) and (g/2) r^2
+# sin(2 theta_p) round to the same float, so Im f is exactly 0 there
+ZERO_PROBE_K, ZERO_PROBE_THETA = 0.7255114487347943, 1.1995729761265714
+
+
 @pytest.mark.parametrize("command", ["berry", "nodal-map"])
 def test_exact_zero_probe_ends_the_bisection(capsys, command):
-    # k / (g r) = 1e-16: the first bisection probe lands on pi/2, where the
-    # eigenvector comes out as (1, 0) exactly and the overlap reads 0.0
-    code, out, err = run(capsys, command, "--k", "1e16", "--g", "1e16",
-                         "--r", "1e16", "--theta-samples", "16")
+    # where Im f = 0 and Re f < 0 the closed-form eigenvectors are the axes
+    # exactly, the lower one (-1, 0) against the anchor's (0, 1) at theta =
+    # 0, so the probe's overlap reads 0.0 and the bisection stops on it
+    f = coupling_terms(JTParams(ZERO_PROBE_K, 2.0), 1.0, ZERO_PROBE_THETA)[2]
+    assert f.imag == 0.0 and f.real < 0.0
+    grid = _circle_thetas(2048, 0.5)
+    j = int(np.searchsorted(grid, ZERO_PROBE_THETA))
+    assert ZERO_PROBE_THETA == 0.5 * (grid[j - 1] + grid[j])
+    code, out, err = run(capsys, command, "--k", repr(ZERO_PROBE_K),
+                         "--g", "2", "--r", "1")
     assert code == 0, err
     if command == "berry":
         angles = json.loads(out)["node_angles"]
     else:
         angles = [float(line.split(",")[1]) for line in out.splitlines()
                   if line.endswith("numeric")]
-    assert angles == [pytest.approx(0.5 * math.pi, abs=NODAL_MAP_TOL),
-                      pytest.approx(1.5 * math.pi, abs=NODAL_MAP_TOL)]
+    node = math.acos(0.5 * ZERO_PROBE_K)
+    assert angles == [pytest.approx(node, abs=NODAL_MAP_TOL),
+                      pytest.approx(2.0 * math.pi - node, abs=NODAL_MAP_TOL)]
     # the first bracket ends on that probe, the second at NODE_BISECTION_TOL;
     # a batched round's unread probes leave both where one probe per step
     # left them
-    assert angles == [0.5 * math.pi, 4.712388980430406]
+    assert angles == [ZERO_PROBE_THETA, 5.0836123310987311]
+    assert abs(angles[1] - (2.0 * math.pi - node)) > 1e-12
 
 
 @pytest.mark.parametrize("argv, option, value", [

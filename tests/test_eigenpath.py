@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from berryline import (
     to_polar_path,
     track_branch,
 )
-from berryline.eigenpath import band_gaps
+from berryline.eigenpath import RESIDUAL_TOL, band_gaps, eigh_2x2
 from berryline.jahnteller import jt_field
 
 
@@ -128,6 +129,87 @@ def test_eigenvalues_permutation_invariant():
     w1, _ = eig_real_symmetric(m)
     w2, _ = eig_real_symmetric(m[np.ix_(perm, perm)])
     assert np.max(np.abs(w1 - w2)) <= 1e-12
+
+
+# --- the closed-form 2 x 2 solve ---------------------------------------------
+
+
+def stacks_of(entries):
+    """(n, 2, 2) symmetric stacks [[a, b], [b, c]] from drawn entries, with
+    b = 0, a = c and both (an exact degeneracy) as often as free entries."""
+    def stack(rows):
+        m = np.empty((len(rows), 2, 2))
+        for i, (a, b, c, pattern) in enumerate(rows):
+            b = 0.0 if pattern in ("b = 0", "a = c, b = 0") else b
+            c = a if pattern in ("a = c", "a = c, b = 0") else c
+            m[i] = [[a, b], [b, c]]
+        return m
+
+    patterns = st.sampled_from(["free", "b = 0", "a = c", "a = c, b = 0"])
+    return st.lists(st.tuples(entries, entries, entries, patterns),
+                    min_size=1, max_size=6).map(stack)
+
+
+# signed zeros, subnormals, entries near the ends of the float range
+edge_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0,
+                     1.7e308, -1.7e308]),
+    st.floats(-1.7e308, 1.7e308),
+    st.floats(-1e3, 1e3),
+    st.floats(-2.3e-308, 2.3e-308))
+
+
+@settings(deadline=None, max_examples=300)
+@given(stacks_of(edge_entries))
+def test_eigh_2x2_contracts(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = eigh_2x2(m)
+    assert w.shape == (len(m), 2) and v.shape == m.shape
+    assert (w[:, 0] <= w[:, 1]).all()
+    eps = np.finfo(float).eps
+    assert np.abs(v.swapaxes(-1, -2) @ v - np.eye(2)).max() <= 4.0 * eps
+    # the residual on H / scale, as track_branch forms it; an eigenvalue
+    # past the float range is inf, and LAPACK's of H / 4 is past a quarter
+    # of it too
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    finite = np.isfinite(w).all(axis=1)
+    res = ((m / scale[:, None, None]) @ v
+           - v * (w / scale[:, None])[:, None, :])
+    assert (np.linalg.norm(res, axis=1)[finite] <= RESIDUAL_TOL).all()
+    quarter = np.linalg.eigvalsh(0.25 * m[~finite])
+    beyond = np.abs(quarter).max(axis=1) >= 0.25 * np.finfo(float).max * (1 - 4 * eps)
+    assert beyond.all()
+
+
+def test_eigh_2x2_exact_axes():
+    # b = 0 gives the axes exactly; a = c with b = 0 reads the identity's
+    w, v = eigh_2x2(np.array([[[3.0, 0.0], [0.0, -1.0]],
+                              [[-1.0, 0.0], [0.0, 3.0]],
+                              [[2.0, 0.0], [0.0, 2.0]]]))
+    assert w.tolist() == [[-1.0, 3.0], [-1.0, 3.0], [2.0, 2.0]]
+    assert np.abs(v).tolist() == [[[0.0, 1.0], [1.0, 0.0]],
+                                  [[1.0, 0.0], [0.0, 1.0]],
+                                  [[0.0, 1.0], [1.0, 0.0]]]
+
+
+# entries whose copies scaled by 2^m, |m| <= 60, and every step on them stay
+# in the normal range
+normal_entries = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-2.0 ** 400, 2.0 ** 400).filter(
+        lambda x: abs(x) >= 2.0 ** -400))
+
+
+@settings(deadline=None, max_examples=200)
+@given(stacks_of(normal_entries), st.integers(-60, 60))
+def test_eigh_2x2_scale_covariance(m, power):
+    # the solve commutes exactly with scaling by a power of two: energies
+    # scale, vectors keep their bits
+    w, v = eigh_2x2(m)
+    w_scaled, v_scaled = eigh_2x2(m * 2.0 ** power)
+    assert w_scaled.tobytes() == (w * 2.0 ** power).tobytes()
+    assert v_scaled.tobytes() == v.tobytes()
 
 
 def test_rejects_asymmetric():

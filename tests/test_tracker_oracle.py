@@ -1,18 +1,26 @@
 """The batched tracker and node bisection against point-by-point
-references, bitwise.
+references: bitwise against the same solve, to rounding against LAPACK.
 
 `reference_track` is the per-sample loop the batched `track_branch`
 replaced: one field evaluation and one eigensolve per sample, each
-eigenvector flipped against its sign-fixed predecessor.  `reference_refine`
-is the bisection the batched `refine_nodes` replaced: one probe per step.
-`reference_circle_nodes` is the earlier order of the two circle grids:
-theta_j = j h first, the half-step grid only where a sample of the first
-sits on a node.  `circle_nodes` reads first the grid with no sample at
-theta = pi, so its angles match bitwise where both read one grid and to
-rounding where they do not.  `reference_validated_symmetric` measures the
-asymmetry of every matrix, where `_validated_symmetric` first asks whether
-the stack is exactly symmetric.  They live here, not in the package, so the
-fast paths always have slow ones to answer to.
+eigenvector flipped against its sign-fixed predecessor.  Its solve is the
+one `band_steps` runs, one matrix at a time: the closed form `eigh_2x2` for
+2 x 2 fields, LAPACK's `np.linalg.eigh` for larger ones, so batched and
+per-point tracking agree bitwise.  `assert_near_lapack` holds the closed
+form to `eig_real_symmetric`, the LAPACK reference, sample by sample:
+energies within a few ulps of ||H||, vectors up to their conditioning,
+and the same tracked signs, trace signs and failure tests wherever the
+deciding value is not within rounding of its threshold.
+`reference_refine` is the bisection the batched `refine_nodes` replaced:
+one probe per step.  `reference_circle_nodes` is the earlier order of the
+two circle grids: theta_j = j h first, the half-step grid only where a
+sample of the first sits on a node.  `circle_nodes` reads first the grid
+with no sample at theta = pi, so its angles match bitwise where both read
+one grid and to rounding where they do not.
+`reference_validated_symmetric` measures the asymmetry of every matrix,
+where `_validated_symmetric` first asks whether the stack is exactly
+symmetric.  They live here, not in the package, so the fast paths always
+have slow ones to answer to.
 """
 
 import math
@@ -45,11 +53,21 @@ from berryline import (
     track_branch,
 )
 from berryline.berryphase import NODE_BISECTION_TOL, _sign_changes
-from berryline.eigenpath import MATRIX_TOL, _validated_symmetric, band_steps
+from berryline.eigenpath import (CONTINUATION_MIN_OVERLAP, GAP_TOL,
+                                  MATRIX_TOL, _validated_symmetric, band_gaps,
+                                  band_steps, eigh_2x2, first_index)
 from berryline.jahnteller import (_circle_branch, check_nodes, checked_circle,
                                   jt_field)
 
 from conftest import COUPLING
+
+
+EPS = np.finfo(float).eps
+
+
+def per_point_solve(matrix):
+    """The solve band_steps runs, on one matrix."""
+    return eigh_2x2(matrix) if len(matrix) == 2 else np.linalg.eigh(matrix)
 
 
 def reference_track(field, path, band, gap_tol=1e-8):
@@ -59,7 +77,7 @@ def reference_track(field, path, band, gap_tol=1e-8):
     vectors = np.empty((n_pts, dim))
     gaps = np.empty(n_pts)
     for j in range(n_pts):
-        w, v = np.linalg.eigh(field.evaluate(path.coords[j]))
+        w, v = per_point_solve(field.evaluate(path.coords[j]))
         gap = math.inf
         if band > 0:
             gap = min(gap, float(w[band] - w[band - 1]))
@@ -81,6 +99,8 @@ def reference_track(field, path, band, gap_tol=1e-8):
 
 
 def assert_same_tracking(field, path, band):
+    if field.dimension == 2:  # larger fields are solved by LAPACK itself
+        assert_near_lapack(field, path.coords, band, closed=path.closed)
     try:
         want = reference_track(field, path, band)
     except (DegeneracyOnPath, AmbiguousContinuation) as err:
@@ -96,6 +116,75 @@ def assert_same_tracking(field, path, band):
     for got, ref in zip((branch.energies, branch.vectors, branch.gaps), want):
         assert got.shape == ref.shape
         assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
+
+
+def backward_error(norm):
+    """The error either solve may make in an energy: a few ulps of ||H||_2,
+    and 16 times the smallest subnormal, as eigh_2x2 forms its sums on H / 4,
+    which drops the last two bits of a subnormal entry."""
+    return 4.0 * EPS * norm + 16.0 * np.nextafter(0.0, 1.0)
+
+
+def turn_bound(norm, gap):
+    """How far rounding may turn a computed eigenvector: a backward error
+    turns it by about that error over the gap (Davis-Kahan), plus a few eps
+    of its own; inf at a degeneracy."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(gap > 0.0, 4.0 * EPS + 2.0 * backward_error(norm) / gap,
+                        math.inf)
+
+
+def sign_chain(steps):
+    """The tracker's sign of each sample: the running product of the
+    step-overlap signs."""
+    return np.concatenate(([1.0], np.cumprod(np.where(steps < 0.0, -1.0, 1.0))))
+
+
+def assert_near_lapack(field, coords, band, closed=False):
+    """band_steps along one chain against eig_real_symmetric (LAPACK), one
+    sample at a time.
+
+    Energies agree within backward_error and gaps within twice that.  Raw
+    vectors agree up to sign with 1 - |v . v_ref| <= 4 eps plus half the
+    square of turn_bound.  The failure tests (gap <= GAP_TOL, |step
+    overlap| < 0.5) give the same answer at every sample unless LAPACK's
+    value lies within rounding of the threshold, so the first failure has
+    the same type and index.  Before it, the tracked vectors agree in sign
+    up to the anchor's, and on a closed path so do the trace values
+    v_j . v_0 wherever they are clear of zero, so the node counts agree.
+    """
+    _, energies, gaps, raw, steps = band_steps(field, coords, band)
+    solved = [eig_real_symmetric(m) for m in field.evaluate(coords)]
+    w_ref = np.array([w for w, _ in solved])
+    v_ref = np.array([v[:, band] for _, v in solved])
+    norm = np.abs(w_ref).max(axis=-1)
+    gap_ref = band_gaps(w_ref, band)
+    turn = turn_bound(norm, gap_ref)
+    assert (np.abs(energies - w_ref[:, band]) <= backward_error(norm)).all()
+    assert (np.abs(gaps - gap_ref) <= 2.0 * backward_error(norm)).all()
+    dots = np.vecdot(raw, v_ref)
+    assert (1.0 - np.abs(dots) <= 4.0 * EPS + 0.5 * turn * turn).all()
+
+    steps_ref = np.vecdot(v_ref[:-1], v_ref[1:])
+    flat = gaps <= GAP_TOL
+    flat_ref = gap_ref <= GAP_TOL
+    assert (np.abs(gap_ref - GAP_TOL)
+            <= 2.0 * backward_error(norm))[flat != flat_ref].all()
+    short = np.abs(steps) < CONTINUATION_MIN_OVERLAP
+    short_ref = np.abs(steps_ref) < CONTINUATION_MIN_OVERLAP
+    assert (np.abs(np.abs(steps_ref) - CONTINUATION_MIN_OVERLAP)
+            <= turn[:-1] + turn[1:])[short != short_ref].all()
+
+    live = min(first_index(flat | flat_ref),
+               first_index(short | short_ref) + 1)
+    tracked = raw[:live] * sign_chain(steps)[:live, None]
+    tracked_ref = v_ref[:live] * sign_chain(steps_ref)[:live, None]
+    agree = np.vecdot(tracked, tracked_ref)
+    assert (agree > 0.0).all() or (agree < 0.0).all()
+    if closed and live == len(coords):
+        trace, trace_ref = tracked @ tracked[0], tracked_ref @ tracked_ref[0]
+        clear = np.abs(trace_ref) > turn + turn[0]
+        assert (np.signbit(trace) == np.signbit(trace_ref))[clear].all()
 
 
 couplings = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).filter(
@@ -119,16 +208,18 @@ corners = st.sampled_from([None] * 3 + [(0.0, 0.0), (-2.0, 0.0),
 def test_band_steps_match_the_solver_point_by_point(kg, frame, points, band):
     # band_steps is the one solve the trackers, the node bisection and the
     # gap polish run; at a stack of points, as one chain or as chains of one
-    # point, it gives eig_real_symmetric's energy and vector at each point
+    # point, it gives eigh_2x2's energy and vector at each point bitwise,
+    # and LAPACK's to rounding
     field = jt_field(JTParams(*kg), frame=frame)
     coords = np.array(points)
     for chains in (coords, coords[:, None]):
         _, energies, _, raw, _ = band_steps(field, chains, band)
         energies, raw = energies.reshape(-1), raw.reshape(-1, 2)
         for j, point in enumerate(coords):
-            w, v = eig_real_symmetric(field.evaluate(point))
+            w, v = eigh_2x2(field.evaluate(point))
             assert energies[j].tobytes() == w[band].tobytes()
             assert raw[j].tobytes() == np.ascontiguousarray(v[:, band]).tobytes()
+    assert_near_lapack(field, coords, band)
 
 
 @settings(deadline=None, max_examples=80)
@@ -184,13 +275,16 @@ def test_constant_3x3_degenerate_neighbour_matches_reference():
 
 
 def test_degeneracy_wins_over_ambiguity_at_one_sample():
-    # diag(-x, x) has lower eigenvector (0, 1) for x < 0; at x = 0 the zero
-    # matrix hands back (1, 0), so sample 2 is degenerate and orthogonal to
-    # its predecessor at once
+    # diag(x, -x) has lower eigenvector (-1, 0) for x < 0 (the closed form's
+    # upper one is (0, 1) there, turned by 90 degrees); at x = 0 the zero
+    # matrix reads the identity's axes, lower (0, 1), so sample 2 is
+    # degenerate and orthogonal to its predecessor at once
     field = HamiltonianField(
         dimension=2,
-        matrix_fn=lambda c: np.asarray(c)[..., 0, None, None] * np.diag([-1.0, 1.0]))
+        matrix_fn=lambda c: np.asarray(c)[..., 0, None, None] * np.diag([1.0, -1.0]))
     path = DiscretizedPath([(-1.0, 0.0), (-0.5, 0.0), (0.0, 0.0), (0.5, 0.0)])
+    _, _, gaps, _, steps = band_steps(field, path.coords, 0)
+    assert gaps[2] == 0.0 and steps[1] == 0.0
     assert_same_tracking(field, path, band=0)
     with pytest.raises(DegeneracyOnPath) as err:
         track_branch(field, path, band=0)
@@ -237,7 +331,9 @@ def refined_angles(refine, branch):
 
 
 @settings(deadline=None, max_examples=100)
-@example(k=1e16, g=1e16, r=1e16, n=16, band=0, offset=0.5)  # a probe reads 0.0
+@example(k=1e16, g=1e16, r=1e16, n=16, band=0, offset=0.5)  # node at pi/2
+# a probe lands where Im f is exactly 0: it reads an overlap of exactly 0.0
+@example(k=0.7255114487347943, g=2.0, r=1.0, n=2048, band=0, offset=0.5)
 @example(k=0.0, g=1.0, r=1.0, n=2048, band=0, offset=0.5)   # two nodes
 @example(k=1.0, g=1.0, r=1.0, n=4095, band=0, offset=0.0)
 @given(k=COUPLING, g=COUPLING, r=st.floats(1e-4, 1e8),
@@ -282,7 +378,9 @@ def outcome(compute):
 @example(k=0.0, g=1.0, r=1.0, n=2048, band=0)   # both nodes on the grid
 @example(k=1.0, g=1.0, r=1.0, n=2048, band=0)   # pi on the grid
 @example(k=1.0, g=1.0, r=1.0, n=4, band=0)      # inside 2k/g, four samples
-@example(k=1e16, g=1e16, r=1e16, n=16, band=0)  # a probe reads exactly 0.0
+@example(k=1e16, g=1e16, r=1e16, n=16, band=0)  # the node rounds to pi/2
+# a probe lands where Im f is exactly 0 and reads an overlap of exactly 0.0
+@example(k=0.7255114487347943, g=2.0, r=1.0, n=2048, band=0)
 @example(k=1.7e308, g=0.0, r=1.0, n=2048, band=0)  # every gap overflows
 # pi and pi/3 on the grid, close inside 2k/g: the half-step grid turns too
 # fast near pi/3 to track (AmbiguousContinuation)
