@@ -242,6 +242,16 @@ EXTRA = [
     # reads exactly 0.0
     "berry --k 0.7255114487347943 --g 2 --r 1",
     "nodal-map --k 0.7255114487347943 --g 2 --r 1",
+    # sweeps whose circles share the bisection's rounds: the middle radius
+    # read on its second grid, a radius that fails to track after one that
+    # reads, and a node mismatch before a radius that fails to track; then
+    # a search window whose four gap polishes stop after different numbers
+    # of rounds
+    "nodal-map --k 1 --g 1 --r 1.6:2.6:0.5 --theta-samples 30",
+    "nodal-map --k 1 --g 1 --r 1.0:2.6:0.8 --theta-samples 6",
+    "nodal-map --k 1 --g 1 --r 2.3:2.4:0.1 --theta-samples 3",
+    "locate-ci --k 1 --g 0.5 --x-min -5 --x-max 3 --y-min -4 --y-max 4.5 "
+    "--samples-per-edge 8",
 ]
 
 

@@ -3,14 +3,15 @@
 The central objects are the anchor-overlap trace of a tracked branch (the
 (n,) array of its inner products with the branch vector at a chosen anchor
 point) and the nodes of that trace, found from the array (detect_nodes) or
-bisected on the tracked branch anchored at point 0 (refine_nodes).  Both
-raise SampleOnNode on a sample that sits on a node; choosing a grid without
-one is the caller's step (jahnteller.circle_nodes).  For a real
-branch on a closed loop the number of nodes K decides everything: the loop
-holonomy is (-1)^K, the geometric phase is -K pi (i.e. 0 or pi mod 2 pi),
-and the gauge-invariant reference section built from the branch flips sign
-exactly at the node angles.  The corresponding preferred vector potential is
-a train of -pi delta spikes, one per node.
+bisected on tracked branches anchored at point 0, any number of them in
+joint rounds (refine_nodes).  Both raise SampleOnNode on a sample that sits
+on a node; choosing a grid without one is the caller's step
+(jahnteller.circle_nodes).  For a real branch on a closed loop the number
+of nodes K decides everything: the loop holonomy is (-1)^K, the geometric
+phase is -K pi (i.e. 0 or pi mod 2 pi), and the gauge-invariant reference
+section built from the branch flips sign exactly at the node angles.  The
+corresponding preferred vector potential is a train of -pi delta spikes, one
+per node.
 
 The open-path phase follows the kinematic prescription: total endpoint phase
 minus the accumulated local (Pancharatnam) phase of consecutive overlaps.
@@ -20,6 +21,7 @@ Both terms are gauge covariant; their difference is gauge invariant.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,44 +130,63 @@ def _bisection_cuts(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return grid[:, 1:-1]
 
 
-def refine_nodes(branch: EigenBranch) -> NodeSet:
-    """Node angles of the branch's trace anchored at path point 0, bisected on
-    the continuous overlap.
+def refine_nodes(branches: Iterable[EigenBranch]) -> list[NodeSet]:
+    """Node angles of each branch's trace anchored at its path point 0,
+    bisected on the continuous overlap: one NodeSet per branch, in order.
 
-    Requires a fixed-radius polar path (the branch field is re-evaluated at
-    intermediate angles).  Each sign change of the trace is bisected inside
-    its sample interval down to NODE_BISECTION_TOL, or to a probe that reads
-    exactly zero.  A sample on a node raises SampleOnNode, and the caller
-    chooses what to sample instead: circle_nodes reads the other grid.  A
-    probe's overlap is taken with its eigenvector turned to face the
-    bracket's first sample.
+    Requires fixed-radius polar paths (the field is re-evaluated at
+    intermediate angles).  The branches share one field and one band; their
+    radii and grids may differ.  Each sign change of a trace is bisected
+    inside its sample interval down to NODE_BISECTION_TOL, or to a probe
+    that reads exactly zero.  A sample on a node raises SampleOnNode, and
+    the caller chooses what to sample instead: circle_nodes reads the other
+    grid.  A probe's overlap is taken with its own branch's anchor vector,
+    and with its eigenvector turned to face its bracket's first sample.
+    The branches are read one at a time and only their brackets are kept,
+    so `branches` may be a generator that tracks each circle when asked.
 
     Each round evaluates, in one band_steps call, the midpoints that the
-    next NODE_TREE_DEPTH bisection steps of every open bracket can reach,
-    then walks each bracket through them with the one-probe-per-step
-    decisions, so the angles are those of probing one midpoint at a time.
-    The walk leaves most of a round's points unread.  They lie in the same
-    sample interval, between two samples whose field is finite; on the
-    model's field they can change the outcome only by raising NonFinite
-    where Re f or Im f overflows between the samples, which needs
-    k r + g r^2 / 2 within a factor of 2 of the float range.
+    next NODE_TREE_DEPTH bisection steps of every open bracket of every
+    branch can reach, then walks each bracket through them with the
+    one-probe-per-step decisions, so the angles are those of probing one
+    midpoint of one branch at a time.  The walk leaves most of a round's
+    points unread.  They lie in the same sample interval, between two
+    samples whose field is finite; on the model's field they can change the
+    outcome only by raising NonFinite where Re f or Im f overflows between
+    the samples, which needs k r + g r^2 / 2 within a factor of 2 of the
+    float range.  Such a NonFinite ends the refinement of every branch.
     """
-    values = overlap_trace(branch)
-    radii, theta = branch.path.coords[:, 0], branch.path.coords[:, 1]
-    if np.any(radii != radii[0]):
-        raise ValueError("node refinement requires a fixed-radius polar path")
-    j = _sign_changes(values)
-    near = branch.vectors[j]
-    lo, hi = theta[j].tolist(), theta[j + 1].tolist()
-    f_lo = values[j].tolist()
-    rows = [i for i in range(len(j)) if hi[i] - lo[i] > NODE_BISECTION_TOL]
+    sets: list[list[float]] = []
+    owner, radius, anchor, near, lo, hi, f_lo = [], [], [], [], [], [], []
+    for branch in branches:
+        values = overlap_trace(branch)
+        radii, theta = branch.path.coords[:, 0], branch.path.coords[:, 1]
+        if np.any(radii != radii[0]):
+            raise ValueError("node refinement requires a fixed-radius polar path")
+        j = _sign_changes(values)
+        field, band = branch.field, branch.band
+        owner += [len(sets)] * len(j)
+        sets.append([])
+        radius += [radii[0]] * len(j)
+        # copies, so that no bracket keeps its branch's arrays alive
+        anchor.append(branch.vectors[np.zeros_like(j)])
+        near.append(branch.vectors[j])
+        lo += theta[j].tolist()
+        hi += theta[j + 1].tolist()
+        f_lo += values[j].tolist()
+        # release the branch before the next one is read or tracked
+        del branch, values, radii, theta
+    rows = [i for i in range(len(lo)) if hi[i] - lo[i] > NODE_BISECTION_TOL]
+    if rows:
+        radius = np.array(radius)
+        anchor, near = np.concatenate(anchor), np.concatenate(near)
     while rows:
         cuts = _bisection_cuts(np.array(lo)[rows], np.array(hi)[rows])
-        coords = np.stack((np.full(cuts.shape, radii[0]), cuts), axis=-1)
-        raw = band_steps(branch.field, coords[..., None, :],
-                         branch.band)[3][..., 0, :]
+        coords = np.stack((np.broadcast_to(radius[rows, None], cuts.shape),
+                           cuts), axis=-1)
+        raw = band_steps(field, coords[..., None, :], band)[3][..., 0, :]
         # turning a probe's vector negates its anchor overlap exactly
-        f = np.vecdot(branch.vectors[0], raw)
+        f = np.vecdot(anchor[rows, None, :], raw)
         f = np.where(np.vecdot(near[rows, None, :], raw) < 0.0, -f, f)
         for i, row_cuts, row_f in zip(rows, cuts.tolist(), f.tolist()):
             # the first step halves the bracket at its middle cut; each
@@ -183,7 +204,9 @@ def refine_nodes(branch: EigenBranch) -> NodeSet:
                 else:
                     lo[i], f_lo[i], t = mid, f_mid, t + step
         rows = [i for i in rows if hi[i] - lo[i] > NODE_BISECTION_TOL]
-    return NodeSet(angles=tuple(sorted(0.5 * (a + b) for a, b in zip(lo, hi))))
+    for i, a, b in zip(owner, lo, hi):
+        sets[i].append(0.5 * (a + b))
+    return [NodeSet(angles=tuple(sorted(angles))) for angles in sets]
 
 
 class MABClass(Enum):

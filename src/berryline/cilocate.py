@@ -165,9 +165,10 @@ class CIResult:
 _POLL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
 
 
-def _compass_min(field: HamiltonianField, band: int, x: float, y: float,
-                 step: float, gap_tol: float) -> tuple[float, float, float]:
-    """Gap minimization by axis-probe pattern search with step halving.
+def _compass_min(field: HamiltonianField, band: int, centers, steps,
+                 gap_tol: float) -> list[tuple[float, float, float]]:
+    """Gap minimization by axis-probe pattern search with step halving, from
+    each of the (G, 2) `centers` with its step: (x, y, gap) of each.
 
     Seeded at a cell centre with a step of one cell side, so the first probes
     land half a side beyond each side of the cell and a degeneracy sitting
@@ -181,40 +182,59 @@ def _compass_min(field: HamiltonianField, band: int, x: float, y: float,
     quadratic (equal to it for a linear 2x2 field), so the model probe
     reaches a cone whose gap valley runs off the axes, where axis probes gain
     only once the step is below the valley's width and then crawl, at a cost
-    growing as the square of the cone's axis ratio.  Stops once the gap is
-    safely below gap_tol or the step reaches rounding scale, and returns the
-    point with the gap measured there.
+    growing as the square of the cone's axis ratio.  A search stops once its
+    gap is safely below gap_tol or its step reaches rounding scale, and
+    gives the point with the gap measured there.
+
+    The searches are independent and run in joint rounds: a round makes one
+    band_steps call for the polls of every running search and one for the
+    model probes that pass the side test, and each search moves, halves or
+    stops on its own values, as if polished alone.
     """
     def gaps_at(pts):  # each probe a chain of one point: no overlaps formed
-        return band_steps(field, pts[:, None], band)[2][:, 0]
+        return band_steps(field, pts[..., None, :], band)[2][..., 0]
 
-    at = np.array([x, y])
-    best = gaps_at(at[None])[0]
-    side = step
-    min_step = 1e-14 * max(1.0, abs(x), abs(y))
-    while step > min_step and best > 0.25 * gap_tol:
-        pts = at + step * _POLL
-        gaps = gaps_at(pts)
+    at = np.array(centers, dtype=float).reshape(-1, 2)
+    step = np.array(steps, dtype=float)
+    side = step.copy()
+    min_step = 1e-14 * np.maximum(1.0, np.abs(at).max(axis=1))
+    best = gaps_at(at)
+    while True:
+        live = np.nonzero((step > min_step) & (best > 0.25 * gap_tol))[0]
+        if not len(live):
+            break
+        h, o = step[live], at[live]
+        pts = np.empty((len(live), 6, 2))
+        pts[:, :5] = o[:, None] + h[:, None, None] * _POLL
+        # the polls, then the model probe; a missing model probe reads inf
+        gaps = np.full((len(live), 6), math.inf)
+        gaps[:, :5] = gaps_at(pts[:, :5])
         # squared gaps; the model's gradient and Hessian in units of step.
         # Past gaps of 1e154 the squares overflow, and a model or move that
-        # reads inf or NaN fails its test and is skipped.
-        with np.errstate(over="ignore", invalid="ignore"):
-            c, (e, w, n, s, d) = best * best, gaps * gaps
+        # reads inf or NaN fails its test and is skipped.  The move is formed
+        # for every search but used only where the Hessian is positive
+        # definite, so a division by a zero det is skipped too.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            c = best[live] * best[live]
+            e, w, n, s, d = (gaps[:, :5] * gaps[:, :5]).T
             gx, gy = 0.5 * (e - w), 0.5 * (n - s)
             hxx, hyy, hxy = e - 2.0 * c + w, n - 2.0 * c + s, d - e - n + c
             det = hxx * hyy - hxy * hxy
-            if hxx > 0.0 and det > 0.0:
-                move = step * np.array([hxy * gy - hyy * gx,
-                                        hxy * gx - hxx * gy]) / det
-                if np.abs(move).max() <= side:
-                    pts = np.vstack([pts, at + move])
-                    gaps = np.append(gaps, gaps_at(pts[-1:]))
-        j = int(np.argmin(gaps))
-        if gaps[j] < best:
-            at, best = pts[j], gaps[j]
-        else:
-            step *= 0.5
-    return (float(at[0]), float(at[1]), float(best))
+            move = h[:, None] * np.stack((hxy * gy - hyy * gx,
+                                          hxy * gx - hxx * gy), axis=1)
+            move /= det[:, None]
+            model = ((hxx > 0.0) & (det > 0.0)
+                     & (np.abs(move).max(axis=1) <= side[live]))
+        if model.any():
+            pts[model, 5] = o[model] + move[model]
+            gaps[model, 5] = gaps_at(pts[model, 5])
+        j = np.argmin(gaps, axis=1)
+        low = gaps[np.arange(len(live)), j]
+        moved = low < best[live]
+        at[live[moved]] = pts[moved, j[moved]]
+        best[live[moved]] = low[moved]
+        step[live[~moved]] *= 0.5
+    return [(x, y, gap) for (x, y), gap in zip(at.tolist(), best.tolist())]
 
 
 def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
@@ -229,8 +249,9 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
     by gap minimization, the others are split.  A degeneracy on a shared side
     survives in more than one cell, so survivors within 4 `spatial_tol` of a
     group's first cell (in centre order) join that group and each group is
-    polished once; a point is dropped when the loop of half-side
-    `spatial_tol` around it reads +1, as around a cone of even winding.
+    polished once, all groups in joint rounds (_compass_min); a point is
+    dropped when the loop of half-side `spatial_tol` around it reads +1, as
+    around a cone of even winding.
     `gaps` holds the gap the polish measured at each point.
     Raises MaxDepthExceeded if a survivor is still wider than `spatial_tol`
     at `max_depth` or at float resolution, CellLimitExceeded if a level
@@ -270,8 +291,8 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
         if not any(math.dist(c.center, g.center) <= 4.0 * spatial_tol
                    for g in groups):
             groups.append(c)
-    found = [_compass_min(field, band, *g.center, max(g.width, g.height),
-                          gap_tol) for g in groups]
+    found = _compass_min(field, band, [g.center for g in groups],
+                         [max(g.width, g.height) for g in groups], gap_tol)
     boxes = [SearchRect(x - spatial_tol, x + spatial_tol,
                         y - spatial_tol, y + spatial_tol) for x, y, _ in found]
     box_signs, box_gaps = signs(boxes)

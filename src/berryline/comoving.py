@@ -626,10 +626,11 @@ def to_lab_frame(evolution: SpinEvolution) -> np.ndarray:
     """
     if evolution.frame != "comoving":
         raise ValueError("evolution is not in the co-moving frame")
-    out = np.empty_like(evolution.states)
-    for j, (alpha, psi) in enumerate(zip(evolution.alphas, evolution.states)):
-        out[j] = rotation_matrix(alpha) @ psi
-    return out
+    half = 0.5 * evolution.alphas
+    c, s = np.cos(half), np.sin(half)
+    # rotation_matrix(alpha) of every record, applied in one matmul
+    u = np.stack((c, -s, s, c), axis=-1).reshape(-1, 2, 2)
+    return (u @ evolution.states[:, :, None])[:, :, 0]
 
 
 def dynamical_phase(p: JTParams, traj: NuclearTrajectory, band: int = 0) -> float:

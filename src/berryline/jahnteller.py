@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .berryphase import NodeSet, overlap_trace, refine_nodes
+from .berryphase import (NodeSet, _sign_changes, overlap_trace,
+                         refine_nodes)
 from .eigenpath import (
     DiscretizedPath,
     EigenBranch,
@@ -274,25 +275,29 @@ def _circle_branch(field: HamiltonianField, r: float, n_samples: int,
 
 
 def circle_nodes(p: JTParams, r: float, n_samples: int = 2048, band: int = 0):
-    """Numeric node pipeline on one circle: track, trace, refine.
+    """The circle of radius r tracked on a grid with no sample on a node:
+    (branch, overlap_trace(branch)), ready for refine_nodes.
 
     As f(r, -theta) = conj f(r, theta), the nodes are {pi}, {pi/2, 3 pi/2}
     or {a, 2 pi - a}: all on one of the two grids of _circle_thetas, h/2 off
     the other.  Reads first the grid with no sample at theta = pi, the
-    half-step grid for even n_samples and theta_j = j h for odd, and the
-    other grid only where the first fails.  Where both fail, raises the j h
-    grid's error, or the half-step grid's where the j h grid has a sample on
-    a node.  A DegeneracyOnPath or AmbiguousContinuation of one grid need not
-    hold on the other, h/2 away, so the half-step grid can read a circle
-    whose j h grid fails.  Returns (branch, overlap_trace(branch), nodes) of
-    the grid read, with node angles inside (0, 2 pi).
+    half-step grid for even n_samples and theta_j = j h for odd: it tracks
+    the circle there and checks the trace for a sample on a node.  It reads
+    the other grid only where either step fails.  Where both fail, raises
+    the j h grid's error, or the half-step grid's where the j h grid has a
+    sample on a node.  A DegeneracyOnPath or AmbiguousContinuation of one
+    grid need not hold on the other, h/2 away, so the half-step grid can
+    read a circle whose j h grid fails.  The bisection is left to the
+    caller, so that the circles of a sweep share its rounds; a probe of it
+    that raises NonFinite does not send the circle to the other grid.
     """
     field = jt_field(p, frame="polar")
 
     def read(offset):
         branch = _circle_branch(field, r, n_samples, band, offset)
-        nodes = refine_nodes(branch)
-        return branch, overlap_trace(branch), nodes
+        trace = overlap_trace(branch)
+        _sign_changes(trace)
+        return branch, trace
 
     first = 0.5 if n_samples % 2 == 0 else 0.0
     try:
@@ -341,35 +346,58 @@ def check_nodes(r: float, nodes: NodeSet, analytic: tuple[float, ...]) -> None:
 
 def checked_circle(p: JTParams, r: float, n_samples: int = 2048,
                    band: int = 0):
-    """circle_nodes' branch and nodes, checked against the closed form:
-    (branch, nodes, analytic).
+    """circle_nodes' branch with its refined nodes, checked against the
+    closed form: (branch, nodes, analytic).
 
     Raises OnDegeneracyCircle first, before any tracking, and NodeMismatch
     where the nodes disagree with the closed form beyond NODAL_MAP_TOL.
     """
     analytic = node_angles_analytic(p, r)
-    branch, _, nodes = circle_nodes(p, r, n_samples, band)
+    branch, _ = circle_nodes(p, r, n_samples, band)
+    [nodes] = refine_nodes([branch])
     check_nodes(r, nodes, analytic)
     return branch, nodes, analytic
 
 
 def nodal_map(p: JTParams, r_values, theta_samples: int = 2048,
               band: int = 0) -> NodalMap:
-    """checked_circle's node angles for each radius.
+    """checked_circle's node angles for each radius, with the nodes of every
+    circle bisected in joint rounds (refine_nodes).
 
     Radii on the degeneracy circle are skipped (the circle itself belongs to
-    the degeneracy list, not the node map).
+    the degeneracy list, not the node map).  circle_nodes runs once per
+    radius, in order, and each branch is dropped once its brackets are
+    taken, so the sweep holds one tracked circle at a time.  Errors keep
+    the radius order: the sweep stops at the first radius that raises, the
+    radii before it are refined and checked (their NodeMismatch first), and
+    then that radius's error is raised.
     """
+    radii, analytic, skipped, failed = [], [], [], []
+
+    def branches():
+        for r in r_values:
+            try:
+                r = float(r)
+                angles = node_angles_analytic(p, r)
+                branch = circle_nodes(p, r, theta_samples, band)[0]
+            except OnDegeneracyCircle:
+                skipped.append(r)
+                continue
+            except Exception as err:  # raised after the radii before it
+                failed.append(err)
+                return
+            radii.append(r)
+            analytic.append(angles)
+            yield branch
+            del branch  # before the next circle is tracked
+
+    node_sets = refine_nodes(branches())
     rows = []
-    skipped = []
-    for r in r_values:
-        r = float(r)
-        try:
-            _, nodes, analytic = checked_circle(p, r, theta_samples, band)
-        except OnDegeneracyCircle:
-            skipped.append(r)
-            continue
+    for r, nodes, angles in zip(radii, node_sets, analytic):
+        check_nodes(r, nodes, angles)
         rows.append(NodalMapRow(r=r, numeric_angles=nodes.angles,
-                                analytic_angles=analytic))
+                                analytic_angles=angles))
+    if failed:
+        raise failed[0]
     return NodalMap(rows=tuple(rows), skipped_radii=tuple(skipped),
                     degeneracies=degeneracy_points(p))

@@ -20,14 +20,23 @@ from berryline import (
     JTParams,
     circle_path,
     polygon_path,
+    refine_nodes,
     to_polar_path,
 )
-from berryline.jahnteller import jt_field
+from berryline.jahnteller import circle_nodes, jt_field
 
 
 # Couplings over sixteen decades: near k / (g r) = 1e-16 a node rounds to
 # pi/2, where the two terms of Im f cancel to rounding.
 COUPLING = st.one_of(st.just(0.0), st.floats(1e-8, 1e8))
+
+
+def refined_circle(p, r, n_samples=2048, band=0):
+    """One circle on its own: circle_nodes' branch and trace, and the
+    branch's nodes refined alone, as (branch, trace, nodes)."""
+    branch, trace = circle_nodes(p, r, n_samples, band)
+    [nodes] = refine_nodes([branch])
+    return branch, trace, nodes
 
 
 @pytest.fixture(scope="session")

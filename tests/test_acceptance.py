@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import cone_states, loop_xy, winding_number
+from conftest import cone_states, loop_xy, refined_circle, winding_number
 
 from berryline import (
     DiscretizedPath,
@@ -23,7 +23,6 @@ from berryline import (
     SearchRect,
     ac_loop_phase,
     canonicalize_phase,
-    circle_nodes,
     circle_path,
     detect_nodes,
     dynamical_phase,
@@ -68,11 +67,11 @@ def scorecard(capsys, number, label):
 def test_criterion_1_node_lines(jt11, capsys):
     with scorecard(capsys, 1, "node lines match the closed form to 1e-4"):
         for r in (0.5, 1.0, 1.5):
-            _, _, nodes = circle_nodes(jt11, r)
+            _, _, nodes = refined_circle(jt11, r)
             assert nodes.count == 1
             assert abs(nodes.angles[0] - math.pi) < 1e-4
         for r in (2.5, 3.0, 5.0, 10.0):
-            _, _, nodes = circle_nodes(jt11, r)
+            _, _, nodes = refined_circle(jt11, r)
             assert nodes.count == 2
             lo = math.acos(1.0 / r)
             for got, want in zip(sorted(nodes.angles),
@@ -139,7 +138,7 @@ def test_criterion_4_gauge_invariance(jt11, capsys):
                               "and the reference section unchanged"):
         data = []
         for r in (1.0, 3.0):
-            branch, _, nodes = circle_nodes(jt11, r, n_samples=1024)
+            branch, _, nodes = refined_circle(jt11, r, n_samples=1024)
             baseline = open_path_berry_phase(branch.vectors).geometric_phase
             section = reference_section(branch, nodes)
             data.append((branch, nodes, baseline, section))

@@ -30,7 +30,7 @@ from berryline.berryphase import MABClass
 from berryline.eigenpath import band_steps
 from berryline.jahnteller import circle_nodes, jt_field
 
-from conftest import cone_states
+from conftest import cone_states, refined_circle
 
 
 def constant_field(matrix):
@@ -142,7 +142,7 @@ def test_sample_exactly_on_node_raises(jt11):
         detect_nodes(overlap_trace(branch), branch.path.coords[:, -1])
     assert err.value.index == 512
     with pytest.raises(SampleOnNode) as err:
-        refine_nodes(branch)
+        refine_nodes([branch])
     assert err.value.index == 512
 
 
@@ -164,7 +164,7 @@ def test_explicit_angles_length_check():
 def test_refine_nodes_sharpens_to_analytic(jt11):
     branch = track_branch(jt_field(jt11, frame="polar"),
                           circle_path(3.0, 1024), band=0)
-    nodes = refine_nodes(branch)
+    [nodes] = refine_nodes([branch])
     expected = math.acos(1.0 / 3.0)
     assert abs(nodes.angles[0] - expected) <= 1e-9
     assert abs(nodes.angles[1] - (2 * math.pi - expected)) <= 1e-9
@@ -175,7 +175,7 @@ def test_refine_nodes_probes_in_batched_rounds(jt11):
     # NODE_BISECTION_TOL; one band_steps call per round serves both nodes
     with mock.patch.object(berryphase, "band_steps",
                            wraps=band_steps) as probes:
-        _, _, nodes = circle_nodes(jt11, 3.0, 2048)
+        _, _, nodes = refined_circle(jt11, 3.0, 2048)
     assert nodes.count == 2
     assert probes.call_count <= 5
 
@@ -187,7 +187,7 @@ def test_refine_nodes_requires_fixed_radius(jt11):
                                        (-1.2, -1.2), (1.2, -1.2)]))
     branch = track_branch(jt_field(jt11, frame="polar"), path, band=0)
     with pytest.raises(ValueError):
-        refine_nodes(branch)
+        refine_nodes([branch])
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -249,7 +249,7 @@ def test_section_constant_field_unchanged():
 
 
 def test_section_flips_once_inner_loop(jt11):
-    branch, trace, nodes = circle_nodes(jt11, 1.0, n_samples=1024)
+    branch, trace, nodes = refined_circle(jt11, 1.0, n_samples=1024)
     section = reference_section(branch, nodes)
     anchor_overlaps = section @ section[0]
     assert np.min(anchor_overlaps) >= 0.0
@@ -258,14 +258,14 @@ def test_section_flips_once_inner_loop(jt11):
 
 
 def test_section_two_flips_outer_loop(jt11):
-    branch, trace, nodes = circle_nodes(jt11, 3.0, n_samples=1024)
+    branch, trace, nodes = refined_circle(jt11, 3.0, n_samples=1024)
     section = reference_section(branch, nodes)
     jumps = np.sum(np.einsum("ij,ij->i", section[:-1], section[1:]) < 0)
     assert jumps == 2
 
 
 def test_section_idempotent(jt11):
-    branch, trace, nodes = circle_nodes(jt11, 1.0, n_samples=1024)
+    branch, trace, nodes = refined_circle(jt11, 1.0, n_samples=1024)
     section = reference_section(branch, nodes)
     again_branch = dressed_copy(branch, np.ones(len(branch.vectors)))
     again_branch.vectors = section
@@ -278,7 +278,7 @@ def test_section_idempotent(jt11):
 
 
 def test_section_gauge_invariant_under_sign_dressing(jt11):
-    branch, trace, nodes = circle_nodes(jt11, 1.0, n_samples=1024)
+    branch, trace, nodes = refined_circle(jt11, 1.0, n_samples=1024)
     section = reference_section(branch, nodes)
     rng = np.random.default_rng(3)
     signs = rng.choice([-1.0, 1.0], size=len(branch.vectors))
@@ -293,7 +293,7 @@ def test_section_gauge_invariant_under_sign_dressing(jt11):
 
 
 def test_section_rejects_wrong_nodes(jt11):
-    branch, trace, nodes = circle_nodes(jt11, 1.0, n_samples=1024)
+    branch, trace, nodes = refined_circle(jt11, 1.0, n_samples=1024)
     with pytest.raises(ValueError):
         reference_section(branch, NodeSet(angles=()))
     # one flip, as many as nodes, but not in the node's sample interval; the
@@ -309,7 +309,7 @@ def test_section_rejects_wrong_nodes(jt11):
 
 
 def test_gauge_alignment_removes_complex_dressing(jt11):
-    branch, _, _ = circle_nodes(jt11, 1.0, n_samples=512)
+    branch, _ = circle_nodes(jt11, 1.0, n_samples=512)
     base = branch.vectors.astype(complex)
     rng = np.random.default_rng(5)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, len(base)))
@@ -321,7 +321,7 @@ def test_gauge_alignment_removes_complex_dressing(jt11):
 
 
 def test_gauge_alignment_real_stays_real(jt11):
-    branch, _, _ = circle_nodes(jt11, 1.0, n_samples=512)
+    branch, _ = circle_nodes(jt11, 1.0, n_samples=512)
     aligned = gauge_aligned_states(branch.vectors)
     assert np.isrealobj(aligned)
     assert np.min(aligned @ branch.vectors[0]) >= 0.0
@@ -350,14 +350,14 @@ def test_identical_states_zero_phase():
 
 
 def test_closed_inner_loop_phase_is_pi(jt11):
-    branch, _, _ = circle_nodes(jt11, 1.0, n_samples=1024)
+    branch, _ = circle_nodes(jt11, 1.0, n_samples=1024)
     result = open_path_berry_phase(branch.vectors)
     assert result.geometric_phase == pytest.approx(math.pi, abs=1e-12)
     assert result.local_accumulation == 0.0
 
 
 def test_closed_outer_loop_phase_is_zero(jt11):
-    branch, _, _ = circle_nodes(jt11, 3.0, n_samples=1024)
+    branch, _ = circle_nodes(jt11, 3.0, n_samples=1024)
     result = open_path_berry_phase(branch.vectors)
     assert result.geometric_phase == pytest.approx(0.0, abs=1e-12)
 
@@ -421,7 +421,7 @@ def test_phase_law_matches_holonomy(jt11):
     from berryline import holonomy_sign
 
     for r, expected_parity in ((0.5, 1), (1.5, 1), (2.5, 0), (5.0, 0)):
-        branch, _, nodes = circle_nodes(jt11, r, n_samples=1024)
+        branch, _, nodes = refined_circle(jt11, r, n_samples=1024)
         h = holonomy_sign(branch)
         geo = open_path_berry_phase(branch.vectors).geometric_phase
         assert nodes.parity == expected_parity

@@ -1,6 +1,8 @@
 """Tests for the loop-sign degeneracy locator."""
 
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from berryline import (
     polygon_path,
     track_branch,
 )
-from berryline.eigenpath import band_steps
+from berryline.eigenpath import GAP_TOL, band_steps
 
 SQRT3 = math.sqrt(3.0)
 
@@ -241,7 +243,8 @@ def test_locate_ci_scores_each_cell_once(field, monkeypatch):
 
 def test_locate_ci_polishes_once_per_degeneracy(field, monkeypatch):
     # at the README window the origin cone lies on the corners of four
-    # surviving cells and (-2, 0) on a side of two: eight cells, four groups
+    # surviving cells and (-2, 0) on a side of two: eight cells, four groups,
+    # polished together in one call
     polished = []
     compass = cilocate._compass_min
 
@@ -251,9 +254,83 @@ def test_locate_ci_polishes_once_per_degeneracy(field, monkeypatch):
 
     monkeypatch.setattr(cilocate, "_compass_min", recording)
     res = locate_ci(field, SearchRect(-3.0, 3.0, -3.0, 3.0))
-    assert len(polished) == len(res.points) == 4
+    assert len(polished) == 1
+    assert len(polished[0][2]) == len(res.points) == 4
     for (gx, gy), (wx, wy) in zip(sorted(res.points), sorted(CI_POINTS)):
         assert math.hypot(gx - wx, gy - wy) < 1e-6
+
+
+def reference_compass_min(field, band, x, y, step, gap_tol):
+    """The gap polish of one group on its own, one round after another: the
+    polish cilocate ran group by group before the groups of a search shared
+    their rounds."""
+    def gaps_at(pts):  # each probe a chain of one point: no overlaps formed
+        return band_steps(field, pts[:, None], band)[2][:, 0]
+
+    at = np.array([x, y])
+    best = gaps_at(at[None])[0]
+    side = step
+    min_step = 1e-14 * max(1.0, abs(x), abs(y))
+    while step > min_step and best > 0.25 * gap_tol:
+        pts = at + step * cilocate._POLL
+        gaps = gaps_at(pts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c, (e, w, n, s, d) = best * best, gaps * gaps
+            gx, gy = 0.5 * (e - w), 0.5 * (n - s)
+            hxx, hyy, hxy = e - 2.0 * c + w, n - 2.0 * c + s, d - e - n + c
+            det = hxx * hyy - hxy * hxy
+            if hxx > 0.0 and det > 0.0:
+                move = step * np.array([hxy * gy - hyy * gx,
+                                        hxy * gx - hxx * gy]) / det
+                if np.abs(move).max() <= side:
+                    pts = np.vstack([pts, at + move])
+                    gaps = np.append(gaps, gaps_at(pts[-1:]))
+        j = int(np.argmin(gaps))
+        if gaps[j] < best:
+            at, best = pts[j], gaps[j]
+        else:
+            step *= 0.5
+    return (float(at[0]), float(at[1]), float(best))
+
+
+def assert_joint_polish(field, band, groups, gap_tol=GAP_TOL):
+    """_compass_min on all groups at once equals each group polished alone,
+    bit for bit; returns the band_steps calls each group took alone."""
+    want, calls = [], []
+    for x, y, step in groups:
+        with mock.patch.object(sys.modules[__name__], "band_steps",
+                               wraps=band_steps) as solves:
+            want.append(reference_compass_min(field, band, x, y, step,
+                                              gap_tol))
+        calls.append(solves.call_count)
+    got = cilocate._compass_min(field, band, [g[:2] for g in groups],
+                                [g[2] for g in groups], gap_tol)
+    assert [[v.hex() for v in pt] for pt in got] == \
+        [[v.hex() for v in pt] for pt in want]
+    return calls
+
+
+def test_joint_polish_matches_one_group_at_a_time(field):
+    # seeded on the origin cone, whose gap 0 is below 0.25 gap_tol from the
+    # start, and near the three others at different steps: the groups stop
+    # after different numbers of rounds
+    calls = assert_joint_polish(field, 0, [
+        (0.0, 0.0, 0.5), (-2.01, 0.02, 0.1), (1.0, 1.7, 0.7),
+        (0.98, -1.75, 0.05), (2.5, 2.5, 1.0)])
+    assert calls[0] == 1
+    assert len(set(calls)) == len(calls)
+    # a cone whose gap valley runs off the axes, where the model probe moves
+    for size, ratio, skew in ((2, 1e2, 0.3), (3, 1e4, -2.0)):
+        assert_joint_polish(linear_cone_field(size, ratio, skew), size - 2, [
+            (0.3, -0.3, 0.25), (0.0, 0.0, 1.0), (0.5, -0.1, 0.5)])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                          st.floats(0.1, 2.0)), min_size=1, max_size=6),
+       st.sampled_from([GAP_TOL, 1e-3, 0.0]))
+def test_joint_polish_matches_random_groups(field, groups, gap_tol):
+    assert_joint_polish(field, 0, groups, gap_tol)
 
 
 def test_locate_ci_gaps_measured_at_points(field, four_point_result):

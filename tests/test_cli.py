@@ -19,7 +19,6 @@ from berryline import (
     JTParams,
     OnDegeneracyCircle,
     adiabaticity_ratio,
-    circle_nodes,
     classify_mab,
     cli,
     degeneracy_points,
@@ -49,7 +48,7 @@ from berryline.cli import (
 from berryline.jahnteller import (NODAL_MAP_TOL, _circle_thetas, check_nodes,
                                   coupling_terms)
 
-from conftest import COUPLING
+from conftest import COUPLING, refined_circle
 
 
 def run(capsys, *argv):
@@ -161,10 +160,10 @@ def test_berry_tracks_each_circle_once(capsys):
 
 
 def two_track_berry(values):
-    """cmd_berry written out on circle_nodes' branch and nodes, checked
-    against the closed form after."""
+    """cmd_berry written out on circle_nodes' branch and its refined nodes,
+    checked against the closed form after."""
     p = JTParams(values["k"], values["g"])
-    branch, _, nodes = circle_nodes(p, values["r"],
+    branch, _, nodes = refined_circle(p, values["r"],
                                     n_samples=values["theta_samples"],
                                     band=values["band"])
     check_nodes(values["r"], nodes, node_angles_analytic(p, values["r"]))

@@ -4,6 +4,7 @@ import cmath
 import math
 import sys
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,6 @@ from berryline import (
     JTParams,
     NodeMismatch,
     OnDegeneracyCircle,
-    circle_nodes,
     degeneracy_points,
     jahnteller,
     jt_electronic_hamiltonian,
@@ -31,10 +31,12 @@ from berryline import (
     rotation_matrix,
     track_branch,
 )
+from berryline import berryphase
+from berryline.eigenpath import band_steps
 from berryline.errors import NonFinite
 from berryline.jahnteller import NODAL_MAP_TOL, coupling_field
 
-from conftest import COUPLING
+from conftest import COUPLING, refined_circle
 
 
 def coupling(p, r, theta):
@@ -361,7 +363,7 @@ def test_node_angles_solve_alpha_pi(r):
 
 
 def test_circle_nodes_single_node(jt11):
-    branch, trace, nodes = circle_nodes(jt11, 1.0, n_samples=2048)
+    branch, trace, nodes = refined_circle(jt11, 1.0, n_samples=2048)
     assert nodes.count == 1
     assert nodes.parity == 1
     assert abs(nodes.angles[0] - math.pi) < 1e-9
@@ -374,14 +376,14 @@ def test_circle_nodes_single_node(jt11):
 
 
 def test_circle_nodes_without_retry(jt11):
-    branch, _, nodes = circle_nodes(jt11, 1.0, n_samples=1023)
+    branch, _, nodes = refined_circle(jt11, 1.0, n_samples=1023)
     h = 2.0 * math.pi / 1023
     assert branch.path.coords[1, 1] == pytest.approx(h, abs=1e-15)
     assert abs(nodes.angles[0] - math.pi) < 1e-9
 
 
 def test_circle_nodes_two_nodes(jt11):
-    _, _, nodes = circle_nodes(jt11, 3.0, n_samples=2048)
+    _, _, nodes = refined_circle(jt11, 3.0, n_samples=2048)
     assert nodes.count == 2
     assert nodes.parity == 0
     for got, want in zip(nodes.angles, node_angles_analytic(jt11, 3.0)):
@@ -389,15 +391,15 @@ def test_circle_nodes_two_nodes(jt11):
 
 
 def test_circle_nodes_upper_band_agrees(jt11):
-    _, _, low = circle_nodes(jt11, 1.5, n_samples=1024)
-    _, _, high = circle_nodes(jt11, 1.5, n_samples=1024, band=1)
+    _, _, low = refined_circle(jt11, 1.5, n_samples=1024)
+    _, _, high = refined_circle(jt11, 1.5, n_samples=1024, band=1)
     assert low.count == high.count == 1
     assert abs(low.angles[0] - high.angles[0]) < 1e-8
 
 
 def test_circle_nodes_pure_quadratic(jt01):
     # both analytic nodes land on the 2048 grid, forcing the offset retry
-    _, _, nodes = circle_nodes(jt01, 1.0, n_samples=2048)
+    _, _, nodes = refined_circle(jt01, 1.0, n_samples=2048)
     assert nodes.count == 2
     assert abs(nodes.angles[0] - 0.5 * math.pi) < 1e-9
     assert abs(nodes.angles[1] - 1.5 * math.pi) < 1e-9
@@ -419,7 +421,7 @@ def test_circle_nodes_tracks_at_most_twice(k, g, r, n, band):
     with mock.patch.object(jahnteller, "track_branch",
                            wraps=track_branch) as tracked:
         try:
-            _, _, nodes = circle_nodes(p, r, n_samples=n, band=band)
+            _, _, nodes = refined_circle(p, r, n_samples=n, band=band)
         except (AmbiguousContinuation, DegeneracyOnPath):
             nodes = None
     assert 1 <= tracked.call_count <= 2
@@ -452,6 +454,60 @@ def test_nodal_map_tracks_each_circle_once(jt11):
         m = nodal_map(jt11, [1.0, 3.0], theta_samples=2048)
     assert [row.count for row in m.rows] == [1, 2]
     assert tracked.call_count == 2
+
+
+def test_nodal_map_refines_a_sweep_in_joint_rounds(jt11, monkeypatch):
+    # eight radii, four inside 2k/g = 2 with one node each and four outside
+    # with two: one track per radius, each inside its circle_nodes call, and
+    # one band_steps call per bisection round for all twelve nodes, no more
+    # than the slowest circle takes alone
+    radii = [0.5, 0.9, 1.3, 1.7, 2.4, 2.8, 3.2, 3.6]
+    alone = []
+    for r in radii:
+        with mock.patch.object(berryphase, "band_steps",
+                               wraps=band_steps) as probes:
+            refined_circle(jt11, r)
+        alone.append(probes.call_count)
+    assert max(alone) == 5
+
+    circle, open_circles, inside = jahnteller.circle_nodes, [], []
+
+    def circle_nodes(*args):
+        open_circles.append(args)
+        try:
+            return circle(*args)
+        finally:
+            open_circles.pop()
+
+    def tracked(*args, **kwargs):
+        inside.append(len(open_circles))
+        return track_branch(*args, **kwargs)
+
+    monkeypatch.setattr(jahnteller, "circle_nodes", circle_nodes)
+    monkeypatch.setattr(jahnteller, "track_branch", tracked)
+    with mock.patch.object(berryphase, "band_steps",
+                           wraps=band_steps) as probes:
+        m = nodal_map(jt11, radii)
+    assert [row.count for row in m.rows] == [1] * 4 + [2] * 4
+    assert inside == [1] * 8
+    assert probes.call_count <= max(alone)
+
+
+def test_nodal_map_holds_one_tracked_circle_at_a_time(jt11, monkeypatch):
+    # each branch is released once its brackets are taken, before the next
+    # radius is tracked
+    circle, tracked = jahnteller.circle_nodes, []
+
+    def circle_nodes(*args):
+        assert all(ref() is None for ref in tracked)
+        branch, trace = circle(*args)
+        tracked.append(weakref.ref(branch))
+        return branch, trace
+
+    monkeypatch.setattr(jahnteller, "circle_nodes", circle_nodes)
+    m = nodal_map(jt11, [0.5, 1.0, 3.0, 4.0], theta_samples=512)
+    assert [row.count for row in m.rows] == [1, 1, 2, 2]
+    assert len(tracked) == 4
 
 
 def test_nodal_map_reads_the_grid_that_misses_pi_first():

@@ -12,11 +12,13 @@ energies within a few ulps of ||H||, vectors up to their conditioning,
 and the same tracked signs, trace signs and failure tests wherever the
 deciding value is not within rounding of its threshold.
 `reference_refine` is the bisection the batched `refine_nodes` replaced:
-one probe per step.  `reference_circle_nodes` is the earlier order of the
-two circle grids: theta_j = j h first, the half-step grid only where a
-sample of the first sits on a node.  `circle_nodes` reads first the grid
-with no sample at theta = pi, so its angles match bitwise where both read
-one grid and to rounding where they do not.
+one probe per step, on one branch.  `reference_nodal_map` checks one
+circle at a time, each refined on its own, where `nodal_map` refines every
+circle of its sweep in joint rounds.  `reference_circle_nodes` is the
+earlier order of the two circle grids: theta_j = j h first, the half-step
+grid only where a sample of the first sits on a node.  `circle_nodes` reads
+first the grid with no sample at theta = pi, so its angles match bitwise
+where both read one grid and to rounding where they do not.
 `reference_validated_symmetric` measures the asymmetry of every matrix,
 where `_validated_symmetric` first asks whether the stack is exactly
 symmetric.  They live here, not in the package, so the fast paths always
@@ -42,7 +44,6 @@ from berryline import (
     NonSymmetric,
     OnDegeneracyCircle,
     SampleOnNode,
-    circle_nodes,
     circle_path,
     eig_real_symmetric,
     nodal_map,
@@ -56,10 +57,10 @@ from berryline.berryphase import NODE_BISECTION_TOL, _sign_changes
 from berryline.eigenpath import (CONTINUATION_MIN_OVERLAP, GAP_TOL,
                                   MATRIX_TOL, _validated_symmetric, band_gaps,
                                   band_steps, eigh_2x2, first_index)
-from berryline.jahnteller import (_circle_branch, check_nodes, checked_circle,
-                                  jt_field)
+from berryline.jahnteller import (NodalMapRow, _circle_branch, check_nodes,
+                                  checked_circle, jt_field)
 
-from conftest import COUPLING
+from conftest import COUPLING, refined_circle
 
 
 EPS = np.finfo(float).eps
@@ -347,7 +348,7 @@ def test_refine_nodes_matches_one_probe_per_step(k, g, r, n, band, offset):
         branch = _circle_branch(field, r, n, band, offset)
     except (AmbiguousContinuation, DegeneracyOnPath):
         assume(False)
-    got = refined_angles(refine_nodes, branch)
+    got = refined_angles(lambda b: refine_nodes([b])[0], branch)
     assert got == refined_angles(reference_refine, branch)
 
 
@@ -358,7 +359,7 @@ def reference_circle_nodes(p, r, n_samples=2048, band=0):
 
     def pipeline(offset):
         branch = _circle_branch(field, r, n_samples, band, offset)
-        return branch, overlap_trace(branch), refine_nodes(branch)
+        return branch, overlap_trace(branch), refine_nodes([branch])[0]
 
     try:
         return pipeline(0.0)
@@ -406,7 +407,7 @@ def test_circle_nodes_match_two_track_reference(k, g, r, n, band):
     assume(k > 0 or g > 0)
     p = JTParams(k, g)
     want, want_err = outcome(lambda: reference_circle_nodes(p, r, n, band))
-    got, got_err = outcome(lambda: circle_nodes(p, r, n, band))
+    got, got_err = outcome(lambda: refined_circle(p, r, n, band))
     if want_err is not None:
         # the half-step grid may read a circle whose j h grid turns too
         # fast to track, or has a sample within gap_tol of a degeneracy
@@ -443,6 +444,62 @@ def test_circle_nodes_match_two_track_reference(k, g, r, n, band):
         lambda: nodal_map(p, [r], n, band).rows[0].numeric_angles)
     assert got_err == want_err
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def reference_nodal_map(p, r_values, n_samples, band):
+    """nodal_map one radius at a time, each circle tracked and refined on
+    its own (checked_circle): its rows and skipped radii."""
+    rows, skipped = [], []
+    for r in map(float, r_values):
+        try:
+            _, nodes, analytic = checked_circle(p, r, n_samples, band)
+        except OnDegeneracyCircle:
+            skipped.append(r)
+            continue
+        rows.append(NodalMapRow(r=r, numeric_angles=nodes.angles,
+                                analytic_angles=analytic))
+    return tuple(rows), tuple(skipped)
+
+
+def sweep_outcome(compute):
+    """(repr of the result, None), or (None, the error's type and args)."""
+    try:
+        return repr(compute()), None
+    except BerrylineError as err:
+        return None, (type(err), err.args)
+
+
+SCALE = st.one_of(st.just(0.0), st.floats(1e-2, 1e2))
+
+
+@settings(deadline=None, max_examples=80)
+# the middle radius read on its second grid
+@example(k=1.0, g=1.0, radii=[1.6, 2.1, 2.6], n=30, band=0, on_circle=-1)
+# a radius that fails to track after one that reads
+@example(k=1.0, g=1.0, radii=[1.0, 1.8, 2.6], n=6, band=0, on_circle=-1)
+# a node mismatch before a radius that fails to track
+@example(k=1.0, g=1.0, radii=[2.3, 2.4], n=3, band=0, on_circle=-1)
+# a skipped radius between two that read, on both grids
+@example(k=1.0, g=1.0, radii=[1.0, 1.0, 3.0], n=2047, band=1, on_circle=1)
+@given(k=SCALE, g=SCALE,
+       radii=st.lists(st.floats(1e-2, 1e2), min_size=2, max_size=8),
+       n=st.one_of(st.integers(3, 16), st.integers(3, 4096)),
+       band=st.sampled_from([0, 1]), on_circle=st.integers(-1, 7))
+def test_nodal_map_matches_one_circle_at_a_time(k, g, radii, n, band,
+                                                on_circle):
+    # refining every circle of a sweep in joint rounds moves no bit of its
+    # rows, its skipped radii or its first error
+    assume(k > 0 or g > 0)
+    p = JTParams(k, g)
+    if 0 <= on_circle < len(radii) and p.degeneracy_radius is not None:
+        radii[on_circle] = p.degeneracy_radius
+
+    def joint():
+        m = nodal_map(p, radii, n, band)
+        return m.rows, m.skipped_radii
+
+    want = sweep_outcome(lambda: reference_nodal_map(p, radii, n, band))
+    assert sweep_outcome(joint) == want
 
 
 def reference_validated_symmetric(m):
