@@ -252,6 +252,13 @@ EXTRA = [
     "nodal-map --k 1 --g 1 --r 2.3:2.4:0.1 --theta-samples 3",
     "locate-ci --k 1 --g 0.5 --x-min -5 --x-max 3 --y-min -4 --y-max 4.5 "
     "--samples-per-edge 8",
+    # links re-sampled from a read-ahead along the cone: a split line 1e-6
+    # from two cones, where the guessed sub-steps are often wrong, and one
+    # link through two cones
+    "locate-ci --k 1 --g 1 --x-min -3 --x-max 3 --y-min -3.000001 "
+    "--y-max 2.999999 --samples-per-edge 8",
+    "locate-ci --k 1 --g 1 --x-min -2.5 --x-max 3.5 --y-min -1 --y-max 1 "
+    "--min-depth 1 --samples-per-edge 8",
 ]
 
 

@@ -79,6 +79,45 @@ class SearchRect:
         )
 
 
+def _read_ahead(a, b, ga, gb, n: int, gap_tol: float, room: int):
+    """Sub-steps of pending steps that later rounds are likely to sample.
+
+    Step i runs from a[i] to b[i], with gaps ga[i] and gb[i] at its ends.
+    Its chain holds the nested sub-steps (of n to a step) that contain the
+    secant guess t = ga/(ga + gb) of the gap's zero: each level takes
+    sub-step j = floor(t n) of the last and carries t n - j.  A chain stops
+    where its guessed gap scale (ga + gb)/n^m falls to gap_tol or its
+    sub-step is at float resolution, and all chains hold at most `room`
+    sub-steps.  End points are the samples a round forms, float for float.
+    Returns `kid`, which maps (row, j) to the row of sub-step j of that row,
+    and the (m, 2, 2) end points: the steps are rows 0 to len(a) - 1 and
+    sub-step i is row len(a) + i.
+    """
+    kid: dict[tuple[int, int], int] = {}
+    ends: list[tuple[tuple[float, float], tuple[float, float]]] = []
+    for row, ((ax, ay), (bx, by), g, h) in enumerate(
+            zip(a.tolist(), b.tolist(), ga.tolist(), gb.tolist())):
+        scale = g + h
+        t = g / scale if scale > 0.0 else math.nan
+        while len(ends) < room and 0.0 <= t <= 1.0:
+            scale /= n
+            if not scale > gap_tol:
+                break
+            j = min(int(t * n), n - 1)
+            t = t * n - j
+            dx, dy = bx - ax, by - ay
+            if j + 1 < n:
+                bx, by = ax + (j + 1) / n * dx, ay + (j + 1) / n * dy
+            ax, ay = ax + j / n * dx, ay + j / n * dy
+            mx, my = ax + 0.5 * (bx - ax), ay + 0.5 * (by - ay)
+            if (mx == ax and my == ay) or (mx == bx and my == by):
+                break
+            kid[row, j] = len(a) + len(ends)
+            row = kid[row, j]
+            ends.append(((ax, ay), (bx, by)))
+    return kid, np.array(ends, dtype=float).reshape(-1, 2, 2)
+
+
 def _link_signs(field: HamiltonianField, ends: np.ndarray, band: int,
                 samples_per_edge: int,
                 gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -86,34 +125,87 @@ def _link_signs(field: HamiltonianField, ends: np.ndarray, band: int,
 
     ends[i] holds the end points of link i; its sign is the product of the
     step-overlap signs of the raw eigenvectors along it.  A step with
-    |overlap| < 0.5 is sampled again alone, with at least 2 sub-steps.  Sign
-    0 marks a link through a degeneracy: a sample with gap <= gap_tol, or
-    such a step too short for float resolution to split.
+    |overlap| < 0.5 is sampled again alone, with at least 2 sub-steps, round
+    after round.  Sign 0 marks a link through a degeneracy: a sample with
+    gap <= gap_tol, or such a step too short for float resolution to split.
+
+    A short step lies near a cone, and the rounds close in on it one
+    sub-step at a time.  So the field call for a round's steps also reads
+    ahead along each of them (_read_ahead), and the rounds are then
+    replayed link by link from the samples in hand: the minimum gap (NaN
+    wins, as in np.minimum), the parity of the negative steps that are not
+    short, the float-resolution test and the stop at gap_tol.  A link's
+    replay goes on while each of its short steps is the sub-step its chain
+    guessed; at the first round that needs another, its short steps and
+    their end gaps wait for the next call.  Every sample is the float the
+    round-by-round walk forms and band_steps works point by point, so sign
+    and low are bit for bit those of that walk.
     """
     sign = np.ones(len(ends))
     low = np.full(len(ends), math.inf)
     link, a, b = np.arange(len(ends)), ends[:, 0], ends[:, 1]
+    ga = gb = None  # end gaps of the pending steps: none before a round
     n = samples_per_edge
     while len(link):
         frac = np.arange(n + 1)[:, None] / n
         per = max(1, _CHUNK_POINTS // (n + 1))
+        pending = len(link)
+        kid, chain = ({}, ends[:0]) if ga is None else _read_ahead(
+            a, b, ga, gb, n, gap_tol, per - pending)
+        a = np.concatenate((a, chain[:, 0]))
+        b = np.concatenate((b, chain[:, 1]))
         parts = []
-        for c in range(0, len(link), per):
-            ln, ca, cb = link[c:c + per], a[c:c + per], b[c:c + per]
+        for c in range(0, len(a), per):
+            ca, cb = a[c:c + per], b[c:c + per]
             pts = ca[:, None] + frac * (cb - ca)[:, None]
             pts[:, -1] = cb  # a + (b - a) can round off the shared end b
             _, _, gaps, _, steps = band_steps(field, pts, band)
-            np.minimum.at(low, ln, gaps.min(axis=1))
             short = np.abs(steps) < CONTINUATION_MIN_OVERLAP
             odd = ((steps < 0.0) & ~short).sum(axis=1) % 2 == 1
-            np.multiply.at(sign, ln, np.where(odd, -1.0, 1.0))
             p, j = np.nonzero(short)
-            parts.append((ln[p], pts[p, j], pts[p, j + 1]))
-        link, a, b = (np.concatenate(x) for x in zip(*parts))
-        mid = a + 0.5 * (b - a)
-        sign[link[(mid == a).all(axis=1) | (mid == b).all(axis=1)]] = 0.0
-        live = (sign[link] != 0.0) & (low[link] > gap_tol)
-        link, a, b = link[live], a[live], b[live]
+            parts.append((gaps.min(axis=1), odd, c + p, j, pts[p, j],
+                          pts[p, j + 1], gaps[p, j], gaps[p, j + 1]))
+        rowmin, odd, row, j, sa, sb, sga, sgb = (
+            np.concatenate(x) for x in zip(*parts))
+        # the round this call was made for, over all its steps at once
+        np.minimum.at(low, link, rowmin[:pending])
+        np.multiply.at(sign, link, np.where(odd[:pending], -1.0, 1.0))
+        mid = sa + 0.5 * (sb - sa)
+        stuck = ((mid == sa).all(axis=1) | (mid == sb).all(axis=1)).tolist()
+        # then each link with a short step, round after round
+        rowmin, odd = rowmin.tolist(), odd.tolist()
+        rows, js, linked = row.tolist(), j.tolist(), link.tolist()
+        first: dict[int, list[int]] = {}  # link -> its short steps
+        shorts: dict[int, list[int]] = {}  # read-ahead row -> its short steps
+        for k, r in enumerate(rows):
+            if r < pending:
+                first.setdefault(linked[r], []).append(k)
+            else:
+                shorts.setdefault(r, []).append(k)
+        wait, wait_link = [], []
+        for lk, ks in first.items():
+            lo, sg = low[lk].item(), sign[lk].item()
+            while ks:
+                if any(stuck[k] for k in ks):
+                    sg = 0.0
+                    break
+                if not lo > gap_tol:
+                    break
+                subs = [kid.get((rows[k], js[k])) for k in ks]
+                if None in subs:
+                    wait += ks
+                    wait_link += [lk] * len(ks)
+                    break
+                for r in subs:
+                    if not (lo < rowmin[r] or lo != lo):  # np.minimum's rule
+                        lo = rowmin[r]
+                    if odd[r]:
+                        sg = -sg
+                ks = [k for r in subs for k in shorts.get(r, ())]
+            low[lk], sign[lk] = lo, sg
+        wait = np.array(wait, dtype=np.intp)
+        link, a, b = np.array(wait_link, dtype=np.intp), sa[wait], sb[wait]
+        ga, gb = sga[wait], sgb[wait]
         n = max(2, samples_per_edge)
     sign[low <= gap_tol] = 0.0
     return sign, low
@@ -137,6 +229,12 @@ def _cell_signs(field: HamiltonianField, cells: list[SearchRect], band: int,
     return sign[sides].prod(axis=1), low[sides].min(axis=1)
 
 
+def _check_samples(samples_per_edge: int) -> None:
+    if samples_per_edge < 1:
+        raise ValueError(f"samples_per_edge must be >= 1, "
+                         f"got {samples_per_edge!r}")
+
+
 def loop_sign(field: HamiltonianField, rect: SearchRect, band: int = 0,
               samples_per_edge: int = 32, gap_tol: float = GAP_TOL) -> int:
     """Holonomy sign of `band` around the rectangle boundary.
@@ -145,6 +243,7 @@ def loop_sign(field: HamiltonianField, rect: SearchRect, band: int = 0,
     the product of the transport signs of its four sides.  A side that runs
     through a degeneracy raises DegeneracyOnBoundary.
     """
+    _check_samples(samples_per_edge)
     sign, low = _cell_signs(field, [rect], band, samples_per_edge, gap_tol)
     if sign[0] == 0.0:
         raise DegeneracyOnBoundary(rect, float(low[0]), gap_tol)
@@ -260,6 +359,7 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
     below `gap_tol` over a whole region.  `cells_evaluated` counts the
     cells whose loop sign was computed.
     """
+    _check_samples(samples_per_edge)
     def signs(cells: list[SearchRect]) -> tuple[np.ndarray, np.ndarray]:
         return _cell_signs(field, cells, band, samples_per_edge, gap_tol)
 

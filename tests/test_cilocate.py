@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import berryline.cilocate as cilocate
 from berryline import (
     AmbiguousContinuation,
+    BerrylineError,
     CellLimitExceeded,
     CIResult,
     DegeneracyOnBoundary,
@@ -28,7 +29,8 @@ from berryline import (
     polygon_path,
     track_branch,
 )
-from berryline.eigenpath import GAP_TOL, band_steps
+from berryline.eigenpath import (CONTINUATION_MIN_OVERLAP, GAP_TOL,
+                                  band_steps)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -183,6 +185,143 @@ def test_loop_sign_boundary_through_degeneracy(field):
     with pytest.raises(DegeneracyOnBoundary) as err:
         loop_sign(field, SearchRect(0.0, 1.0, -0.5, 0.5))
     assert err.value.gap <= 1e-8
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_samples_per_edge_below_one_is_refused(field, n):
+    rect = SearchRect(-3.0, 3.0, -3.0, 3.0)
+    for search in (loop_sign, locate_ci):
+        with pytest.raises(ValueError, match=f"samples_per_edge .*got {n}"):
+            search(field, rect, samples_per_edge=n)
+
+
+# ---------------------------------------------------------------------------
+# links
+
+
+def reference_link_signs(field, ends, band, samples_per_edge, gap_tol):
+    """The links scored one re-sampling round after another, one band_steps
+    call a round: the walk cilocate ran before its calls read ahead."""
+    sign = np.ones(len(ends))
+    low = np.full(len(ends), math.inf)
+    link, a, b = np.arange(len(ends)), ends[:, 0], ends[:, 1]
+    n = samples_per_edge
+    while len(link):
+        frac = np.arange(n + 1)[:, None] / n
+        per = max(1, cilocate._CHUNK_POINTS // (n + 1))
+        parts = []
+        for c in range(0, len(link), per):
+            ln, ca, cb = link[c:c + per], a[c:c + per], b[c:c + per]
+            pts = ca[:, None] + frac * (cb - ca)[:, None]
+            pts[:, -1] = cb  # a + (b - a) can round off the shared end b
+            _, _, gaps, _, steps = band_steps(field, pts, band)
+            np.minimum.at(low, ln, gaps.min(axis=1))
+            short = np.abs(steps) < CONTINUATION_MIN_OVERLAP
+            odd = ((steps < 0.0) & ~short).sum(axis=1) % 2 == 1
+            np.multiply.at(sign, ln, np.where(odd, -1.0, 1.0))
+            p, j = np.nonzero(short)
+            parts.append((ln[p], pts[p, j], pts[p, j + 1]))
+        link, a, b = (np.concatenate(x) for x in zip(*parts))
+        mid = a + 0.5 * (b - a)
+        sign[link[(mid == a).all(axis=1) | (mid == b).all(axis=1)]] = 0.0
+        live = (sign[link] != 0.0) & (low[link] > gap_tol)
+        link, a, b = link[live], a[live], b[live]
+        n = max(2, samples_per_edge)
+    sign[low <= gap_tol] = 0.0
+    return sign, low
+
+
+def scored(score, *args):
+    """(sign bytes, low bytes) of a link scoring, or its error."""
+    try:
+        sign, low = score(*args)
+    except (BerrylineError, ValueError) as err:  # the two must fail alike
+        return type(err), str(err)
+    return sign.tobytes(), low.tobytes()
+
+
+@st.composite
+def link_sets(draw, k, g):
+    """Links of the model with couplings k, g: along y = 0 through the cone
+    at (-2k/g, 0) with ends off the dyadic points, through the origin,
+    through two cones, grazing a cone, and at random."""
+    r = 2.0 * k / g
+    cones = [(0.0, 0.0), (-r, 0.0), (0.5 * r, 0.5 * SQRT3 * r),
+             (0.5 * r, -0.5 * SQRT3 * r)]
+    unit = st.floats(0.01, 0.99)
+    length = st.floats(1e-3, 4.0)
+    angle = st.floats(-math.pi, math.pi)
+    links = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["split", "origin", "two", "graze", "random"]), max_size=6)):
+        if kind == "split":
+            u, s = draw(unit), draw(length)
+            links.append(((-r - u * s, 0.0), (-r + (1.0 - u) * s, 0.0)))
+        elif kind in ("origin", "graze"):
+            cx, cy = cones[draw(st.integers(0, 3))] if kind == "graze" \
+                else cones[0]
+            u, s, phi = draw(unit), draw(length), draw(angle)
+            off = 10.0 ** draw(st.floats(-12.0, -1.0)) if kind == "graze" \
+                else 0.0
+            dx, dy = math.cos(phi), math.sin(phi)
+            cx, cy = cx - off * dy, cy + off * dx
+            links.append(((cx - u * s * dx, cy - u * s * dy),
+                          (cx + (1.0 - u) * s * dx, cy + (1.0 - u) * s * dy)))
+        elif kind == "two":
+            u, v = draw(unit), draw(unit)
+            if draw(st.booleans()):  # the origin and (-r, 0)
+                links.append(((-r - u, 0.0), (v, 0.0)))
+            else:  # the two cones on x = r/2
+                y = 0.5 * SQRT3 * r
+                links.append(((0.5 * r, -y - u), (0.5 * r, y + v)))
+        else:
+            xy = st.floats(-3.0, 3.0)
+            links.append(((draw(xy), draw(xy)), (draw(xy), draw(xy))))
+    return np.array(links, dtype=float).reshape(-1, 2, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.floats(0.2, 1.5), st.floats(0.2, 1.5),
+       st.sampled_from([1, 2, 4, 8, 32]), st.sampled_from([1e-8, 1e-4, 1e-300]),
+       st.integers(0, 1), st.sampled_from([1 << 16, 64, 9, 1]))
+def test_link_signs_match_round_by_round(data, k, g, n, gap_tol, band, chunk):
+    # the rounds replayed from the read-ahead give every sign and smallest
+    # gap bit for bit (NaN and signed zeros included) as the rounds sampled
+    # one by one, whether a call holds many links or one chunk holds one
+    f = jt_field(JTParams(k, g), frame="cartesian")
+    ends = data.draw(link_sets(k, g))
+    with mock.patch.object(cilocate, "_CHUNK_POINTS", chunk):
+        want = scored(reference_link_signs, f, ends, band, n, gap_tol)
+        got = scored(cilocate._link_signs, f, ends, band, n, gap_tol)
+    assert got == want
+
+
+def test_link_signs_read_ahead_along_the_cone(field):
+    # the side y = 0 runs through the cone at (-2, 0), off every dyadic
+    # point: at 8 samples a side the round-by-round walk takes 5 to 9 calls
+    # on a level of the README search, the read-ahead at most 3
+    def calls(link_signs):
+        made = []
+        solves = mock.Mock(wraps=band_steps)
+
+        def counting(*args):
+            solves.reset_mock()
+            result = link_signs(*args)
+            made.append(solves.call_count)
+            return result
+
+        with mock.patch.object(cilocate, "_link_signs", counting), \
+                mock.patch.object(cilocate, "band_steps", solves), \
+                mock.patch.object(sys.modules[__name__], "band_steps", solves):
+            res = locate_ci(field, SearchRect(-3.0, 3.0, -3.0, 3.0),
+                            samples_per_edge=8)
+        return res, made
+
+    res, made = calls(cilocate._link_signs)
+    want, walked = calls(reference_link_signs)
+    assert res == want and len(res.points) == 4
+    assert len(made) == len(walked)
+    assert max(made) <= 3 < 5 <= max(walked)
 
 
 # ---------------------------------------------------------------------------
