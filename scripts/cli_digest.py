@@ -259,6 +259,11 @@ EXTRA = [
     "--y-max 2.999999 --samples-per-edge 8",
     "locate-ci --k 1 --g 1 --x-min -2.5 --x-max 3.5 --y-min -1 --y-max 1 "
     "--min-depth 1 --samples-per-edge 8",
+    # a window whose gap 2 k r falls toward the origin without a floor: the
+    # gap polish of each of its many groups stays within one cell side of
+    # its seed cell
+    "locate-ci --k 1 --g 0 --x-min 450 --x-max 451 --y-min -0.5 --y-max 0.5 "
+    "--gap-tol 3000 --spatial-tol 0.02 --samples-per-edge 1 --min-depth 0",
 ]
 
 

@@ -38,7 +38,9 @@ MAX_RECT_BOUND = sys.float_info.max / 2
 
 @dataclass(frozen=True)
 class SearchRect:
-    """Axis-aligned Cartesian search rectangle, bounds within MAX_RECT_BOUND."""
+    """Axis-aligned Cartesian rectangle, bounds within MAX_RECT_BOUND: a
+    search window, a confirmation box, or the cell an error names.  The
+    quadtree's own cells are rows of a level array (locate_ci)."""
 
     x_min: float
     x_max: float
@@ -53,30 +55,11 @@ class SearchRect:
             raise ValueError(f"rectangle bounds must be within "
                              f"+-{MAX_RECT_BOUND!r}, got {self}")
 
-    @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
 
-    @property
-    def height(self) -> float:
-        return self.y_max - self.y_min
-
-    @property
-    def diameter(self) -> float:
-        return math.hypot(self.width, self.height)
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
-
-    def quadrants(self) -> tuple["SearchRect", ...]:
-        cx, cy = self.center
-        return (
-            SearchRect(self.x_min, cx, self.y_min, cy),
-            SearchRect(cx, self.x_max, self.y_min, cy),
-            SearchRect(self.x_min, cx, cy, self.y_max),
-            SearchRect(cx, self.x_max, cy, self.y_max),
-        )
+def _rows(rects) -> np.ndarray:
+    """The (m, 4) rows (x_min, x_max, y_min, y_max) of `rects`."""
+    return np.array([(r.x_min, r.x_max, r.y_min, r.y_max) for r in rects],
+                    dtype=float).reshape(-1, 4)
 
 
 def _read_ahead(a, b, ga, gb, n: int, gap_tol: float, room: int):
@@ -211,18 +194,18 @@ def _link_signs(field: HamiltonianField, ends: np.ndarray, band: int,
     return sign, low
 
 
-def _cell_signs(field: HamiltonianField, cells: list[SearchRect], band: int,
+def _cell_signs(field: HamiltonianField, cells: np.ndarray, band: int,
                 samples_per_edge: int,
                 gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Loop sign of each cell (0: a side through a degeneracy) and the smallest
-    gap sampled on its boundary; each distinct side is scored once."""
+    """Loop sign of each (x_min, x_max, y_min, y_max) row of `cells` (0: a
+    side through a degeneracy) and the smallest gap sampled on its boundary.
+    Each distinct side is scored once, the links in the order their cells
+    first name them: bottom, right, top, left."""
     index: dict[tuple[float, float, float, float], int] = {}
-    sides = []
-    for c in cells:
-        x0, x1, y0, y1 = c.x_min, c.x_max, c.y_min, c.y_max
-        sides.append([index.setdefault(link, len(index)) for link in (
-            (x0, y0, x1, y0), (x1, y0, x1, y1),
-            (x0, y1, x1, y1), (x0, y0, x0, y1))])
+    sides = [index.setdefault(link, len(index))
+             for x0, x1, y0, y1 in cells.tolist() for link in (
+                 (x0, y0, x1, y0), (x1, y0, x1, y1),
+                 (x0, y1, x1, y1), (x0, y0, x0, y1))]
     ends = np.array(list(index), dtype=float).reshape(-1, 2, 2)
     sign, low = _link_signs(field, ends, band, samples_per_edge, gap_tol)
     sides = np.array(sides, dtype=np.intp).reshape(-1, 4)
@@ -244,7 +227,8 @@ def loop_sign(field: HamiltonianField, rect: SearchRect, band: int = 0,
     through a degeneracy raises DegeneracyOnBoundary.
     """
     _check_samples(samples_per_edge)
-    sign, low = _cell_signs(field, [rect], band, samples_per_edge, gap_tol)
+    sign, low = _cell_signs(field, _rows([rect]), band, samples_per_edge,
+                            gap_tol)
     if sign[0] == 0.0:
         raise DegeneracyOnBoundary(rect, float(low[0]), gap_tol)
     return int(sign[0])
@@ -275,8 +259,11 @@ def _compass_min(field: HamiltonianField, band: int, centers, steps,
     the four axis points and one diagonal point at `step`, then the minimum
     of the quadratic through them and the centre, if it lies within one cell
     side; it moves to its best probe, or halves the step when none beats the
-    centre.  The axis probes with step halving are the generating-set search
-    of Kolda, Lewis & Torczon (SIAM Rev. 45, 385, 2003), the model probe its
+    centre.  A probe more than one side from its seed on either axis reads
+    inf, so a search stays within its cell and a half-side margin, and where
+    the gap falls on past that margin it ends at its edge instead of walking
+    on.  The axis probes with step halving are the generating-set search of
+    Kolda, Lewis & Torczon (SIAM Rev. 45, 385, 2003), the model probe its
     optional search step.  Near a cone the squared gap is close to that
     quadratic (equal to it for a linear 2x2 field), so the model probe
     reaches a cone whose gap valley runs off the axes, where axis probes gain
@@ -293,7 +280,8 @@ def _compass_min(field: HamiltonianField, band: int, centers, steps,
     def gaps_at(pts):  # each probe a chain of one point: no overlaps formed
         return band_steps(field, pts[..., None, :], band)[2][..., 0]
 
-    at = np.array(centers, dtype=float).reshape(-1, 2)
+    seed = np.array(centers, dtype=float).reshape(-1, 2)
+    at = seed.copy()
     step = np.array(steps, dtype=float)
     side = step.copy()
     min_step = 1e-14 * np.maximum(1.0, np.abs(at).max(axis=1))
@@ -303,7 +291,7 @@ def _compass_min(field: HamiltonianField, band: int, centers, steps,
         if not len(live):
             break
         h, o = step[live], at[live]
-        pts = np.empty((len(live), 6, 2))
+        pts = np.zeros((len(live), 6, 2))
         pts[:, :5] = o[:, None] + h[:, None, None] * _POLL
         # the polls, then the model probe; a missing model probe reads inf
         gaps = np.full((len(live), 6), math.inf)
@@ -327,6 +315,8 @@ def _compass_min(field: HamiltonianField, band: int, centers, steps,
         if model.any():
             pts[model, 5] = o[model] + move[model]
             gaps[model, 5] = gaps_at(pts[model, 5])
+        far = np.abs(pts - seed[live, None]) > side[live, None, None]
+        gaps[far.any(axis=2)] = math.inf
         j = np.argmin(gaps, axis=1)
         low = gaps[np.arange(len(live)), j]
         moved = low < best[live]
@@ -342,60 +332,68 @@ def locate_ci(field: HamiltonianField, rect: SearchRect, band: int = 0,
               max_depth: int = 24) -> CIResult:
     """Find all degeneracies of `band` inside `rect` to `spatial_tol`.
 
-    Quadtree on the loop sign, scored a level at a time from `min_depth` on:
-    cells that do not read +1 (sign -1, or a side through a degeneracy)
-    survive; a survivor whose diameter is at most `spatial_tol` is polished
-    by gap minimization, the others are split.  A degeneracy on a shared side
-    survives in more than one cell, so survivors within 4 `spatial_tol` of a
-    group's first cell (in centre order) join that group and each group is
-    polished once, all groups in joint rounds (_compass_min); a point is
-    dropped when the loop of half-side `spatial_tol` around it reads +1, as
-    around a cone of even winding.
-    `gaps` holds the gap the polish measured at each point.
+    Quadtree on the loop sign, scored a level at a time from `min_depth` on;
+    a level is one (m, 4) array of (x_min, x_max, y_min, y_max) rows.  Cells
+    that do not read +1 (sign -1, or a side through a degeneracy) survive; a
+    survivor whose diameter is at most `spatial_tol` is polished by gap
+    minimization, the others are split at their centres.  A degeneracy on a
+    shared side survives in more than one cell, so survivors within 4
+    `spatial_tol` of a group's first cell (in centre order) join that group
+    and each group is polished once, within one side of that cell and all
+    groups in joint rounds (_compass_min); a point is dropped when the loop
+    of half-side `spatial_tol` around it reads +1, as around a cone of even
+    winding.  `gaps` holds the gap the polish measured at each point.
     Raises MaxDepthExceeded if a survivor is still wider than `spatial_tol`
-    at `max_depth` or at float resolution, CellLimitExceeded if a level
+    at `max_depth`, or at float resolution (no centre strictly between its
+    sides; the first such cell of the level), CellLimitExceeded if a level
     would hold more than MAX_LEVEL_CELLS cells, and DegeneracyOnBoundary if
     the loop around a point runs through a degeneracy, as where the gap is
     below `gap_tol` over a whole region.  `cells_evaluated` counts the
     cells whose loop sign was computed.
     """
     _check_samples(samples_per_edge)
-    def signs(cells: list[SearchRect]) -> tuple[np.ndarray, np.ndarray]:
+    def signs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _cell_signs(field, cells, band, samples_per_edge, gap_tol)
 
     depth_histogram: dict[int, int] = {}
-    hits: list[SearchRect] = []
-    cells, depth = [rect], 0
-    while cells:
+    hits: list[list[float]] = []
+    cells, depth = _rows([rect]), 0
+    while len(cells):
         if depth >= min_depth:
             depth_histogram[depth] = len(cells)
-            cells = [c for c, s in zip(cells, signs(cells)[0]) if s != 1.0]
-            hits += [c for c in cells if c.diameter <= spatial_tol]
-            cells = [c for c in cells if c.diameter > spatial_tol]
-            if cells and depth >= max_depth:
-                raise MaxDepthExceeded(depth, cells[0])
+            cells = cells[signs(cells)[0] != 1.0]
+            diameter = np.array([math.hypot(w, h) for w, h in
+                                 (cells[:, 1::2] - cells[:, ::2]).tolist()])
+            hits += cells[diameter <= spatial_tol].tolist()
+            cells = cells[diameter > spatial_tol]
+            if len(cells) and depth >= max_depth:
+                raise MaxDepthExceeded(depth, SearchRect(*cells[0].tolist()))
         if 4 * len(cells) > MAX_LEVEL_CELLS:
             raise CellLimitExceeded(depth, len(cells), gap_tol)
-        split = []
-        for c in cells:
-            try:
-                split += c.quadrants()
-            except ValueError:  # float resolution: no point between the sides
-                raise MaxDepthExceeded(depth, c) from None
-        cells, depth = split, depth + 1
+        x0, x1, y0, y1 = cells.T
+        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        inside = (x0 < cx) & (cx < x1) & (y0 < cy) & (cy < y1)
+        if not inside.all():  # float resolution: no centre between the sides
+            raise MaxDepthExceeded(depth,
+                                   SearchRect(*cells[~inside][0].tolist()))
+        cells = np.stack((x0, cx, y0, cy, cx, x1, y0, cy, x0, cx, cy, y1,
+                          cx, x1, cy, y1), axis=1).reshape(-1, 4)
+        depth += 1
 
     # A degeneracy on a shared side survives in several cells: polish each
     # group once, from its first cell; points come in that cell's centre order.
-    groups: list[SearchRect] = []
-    for c in sorted(hits, key=lambda c: c.center):
-        if not any(math.dist(c.center, g.center) <= 4.0 * spatial_tol
+    groups: list[list[float]] = []  # centre x, y and side of each first cell
+    for seed in sorted(([0.5 * (x0 + x1), 0.5 * (y0 + y1),
+                         max(x1 - x0, y1 - y0)] for x0, x1, y0, y1 in hits),
+                       key=lambda s: s[:2]):
+        if not any(math.dist(seed[:2], g[:2]) <= 4.0 * spatial_tol
                    for g in groups):
-            groups.append(c)
-    found = _compass_min(field, band, [g.center for g in groups],
-                         [max(g.width, g.height) for g in groups], gap_tol)
+            groups.append(seed)
+    found = _compass_min(field, band, [g[:2] for g in groups],
+                         [g[2] for g in groups], gap_tol)
     boxes = [SearchRect(x - spatial_tol, x + spatial_tol,
                         y - spatial_tol, y + spatial_tol) for x, y, _ in found]
-    box_signs, box_gaps = signs(boxes)
+    box_signs, box_gaps = signs(_rows(boxes))
     if (box_signs == 0.0).any():
         j = int(np.argmax(box_signs == 0.0))
         raise DegeneracyOnBoundary(boxes[j], float(box_gaps[j]), gap_tol)

@@ -85,12 +85,20 @@ def rects(draw):
 
 def test_search_rect_geometry():
     r = SearchRect(-1.0, 3.0, 0.0, 2.0)
-    assert r.width == 4.0 and r.height == 2.0
-    assert r.center == (1.0, 1.0)
-    assert r.diameter == pytest.approx(math.hypot(4.0, 2.0))
-    quads = r.quadrants()
-    assert len(quads) == 4
-    assert sum(q.width * q.height for q in quads) == pytest.approx(8.0)
+    assert (r.x_min, r.x_max, r.y_min, r.y_max) == (-1.0, 3.0, 0.0, 2.0)
+    with pytest.raises(ValueError, match="within"):
+        SearchRect(-1.0, 2.0 * cilocate.MAX_RECT_BOUND, 0.0, 2.0)
+
+
+def quadrants(rect):
+    """The four quadrants of `rect`, split at its centre as locate_ci splits
+    a cell: lower left, lower right, upper left, upper right."""
+    cx = 0.5 * (rect.x_min + rect.x_max)
+    cy = 0.5 * (rect.y_min + rect.y_max)
+    return (SearchRect(rect.x_min, cx, rect.y_min, cy),
+            SearchRect(cx, rect.x_max, rect.y_min, cy),
+            SearchRect(rect.x_min, cx, cy, rect.y_max),
+            SearchRect(cx, rect.x_max, cy, rect.y_max))
 
 
 def test_search_rect_rejects_degenerate():
@@ -152,7 +160,7 @@ def test_loop_sign_multiplicative_over_quadrants(field):
                  SearchRect(-2.4, 0.6, -0.7, 0.9)):
         parent = loop_sign(field, rect)
         product = 1
-        for q in rect.quadrants():
+        for q in quadrants(rect):
             product *= loop_sign(field, q)
         assert parent == product
 
@@ -174,7 +182,7 @@ def test_loop_sign_parent_is_product_of_quadrants(kg, rect, n):
     f = jt_field(JTParams(*kg), frame="cartesian")
     try:
         parent = loop_sign(f, rect, samples_per_edge=2 * n)
-        quads = [loop_sign(f, q, samples_per_edge=n) for q in rect.quadrants()]
+        quads = [loop_sign(f, q, samples_per_edge=n) for q in quadrants(rect)]
     except DegeneracyOnBoundary:
         assume(False)
     assert parent == math.prod(quads)
@@ -402,11 +410,11 @@ def test_locate_ci_polishes_once_per_degeneracy(field, monkeypatch):
 def reference_compass_min(field, band, x, y, step, gap_tol):
     """The gap polish of one group on its own, one round after another: the
     polish cilocate ran group by group before the groups of a search shared
-    their rounds."""
+    their rounds, kept within one side of its seed."""
     def gaps_at(pts):  # each probe a chain of one point: no overlaps formed
         return band_steps(field, pts[:, None], band)[2][:, 0]
 
-    at = np.array([x, y])
+    at = seed = np.array([x, y])
     best = gaps_at(at[None])[0]
     side = step
     min_step = 1e-14 * max(1.0, abs(x), abs(y))
@@ -424,6 +432,8 @@ def reference_compass_min(field, band, x, y, step, gap_tol):
                 if np.abs(move).max() <= side:
                     pts = np.vstack([pts, at + move])
                     gaps = np.append(gaps, gaps_at(pts[-1:]))
+        # a probe more than one side from the seed on either axis reads inf
+        gaps[(np.abs(pts - seed) > side).any(axis=1)] = math.inf
         j = int(np.argmin(gaps))
         if gaps[j] < best:
             at, best = pts[j], gaps[j]
@@ -587,7 +597,37 @@ def test_locate_ci_refuses_a_point_in_a_low_gap_region():
                   SearchRect(-0.0419356, 0.0272725, -0.0419356, 0.0419356),
                   spatial_tol=1e-2, samples_per_edge=4, min_depth=2)
     assert err.value.gap <= err.value.gap_tol == 1e-8
-    assert err.value.rect.width == pytest.approx(2e-2)
+    assert err.value.rect.x_max - err.value.rect.x_min == pytest.approx(2e-2)
+
+
+def test_locate_ci_polish_stays_near_its_seed():
+    # with g = 0 the gap 2 k r falls toward the origin without a floor: a
+    # window at x = 1000 whose every cell reads sign 0 at gap_tol 3000.  The
+    # polish of each group stays within one seed side (1/128) of its cell
+    # instead of walking off toward x = 375, where the gap reaches gap_tol / 4
+    rect = SearchRect(1000.0, 1001.0, -0.5, 0.5)
+    with pytest.raises(DegeneracyOnBoundary) as err:
+        locate_ci(jt_field(JTParams(1.0, 0.0), frame="cartesian"), rect,
+                  spatial_tol=0.02, gap_tol=3000.0, samples_per_edge=1,
+                  min_depth=0)
+    box, side = err.value.rect, 1.0 / 128
+    x, y = 0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)
+    assert rect.x_min - side <= x <= rect.x_max + side
+    assert rect.y_min - side <= y <= rect.y_max + side
+
+
+def test_locate_ci_split_at_float_resolution(field):
+    # with tolerances of 1e-300 the cell on the split line y = 0 next to the
+    # cone at (-2, 0) narrows to one ulp of x: its centre is no longer
+    # strictly between its sides, and the first such cell of the level is
+    # named
+    with pytest.raises(MaxDepthExceeded) as err:
+        locate_ci(field, SearchRect(-3, 3, -3, 3), spatial_tol=1e-300,
+                  gap_tol=1e-300, max_depth=100)
+    assert err.value.depth == 54
+    assert err.value.rect == SearchRect(-2.0000000000000004, -2.0,
+                                        -3.3306690738754696e-16, 0.0)
+    assert "np.float64" not in str(err.value)  # named in Python floats
 
 
 def test_locate_ci_deterministic(field):
