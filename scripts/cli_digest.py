@@ -186,6 +186,12 @@ EXTRA = [
     "--store-stride 65536",
     "spin --k 1 --g 1 --r 1 --period 1000 --steps 65537 "
     "--store-stride 131072",
+    # records formed a group of RECORD_GROUP = 64 at a time: 1000 records
+    # after the first (15 groups and 40), one group and one record in the
+    # lab frame, and a stride above the step count
+    "spin --k 1 --g 1 --r 1 --period 25 --steps 1000 --store-stride 1",
+    "spin --k 1 --g 1 --r 1 --period 100 --steps 4160 --frame lab",
+    "spin --k 1 --g 1 --r 0.5 --period 10 --steps 200 --store-stride 256",
     # nodes on samples of the j h grid, read on the half-step grid: both
     # nodes of the pure quadratic model in the upper band, coarse grids, and
     # a fine grid inside and outside 2k/g; then two circles whose half-step
@@ -240,8 +246,8 @@ EXTRA = [
     "--r 0.2599903782919553 --theta-samples 21",
     # a bisection probe that lands where Im f is exactly 0, so its overlap
     # reads exactly 0.0
-    "berry --k 0.7255114487347943 --g 2 --r 1",
-    "nodal-map --k 0.7255114487347943 --g 2 --r 1",
+    "berry --k 0.7255114487347945 --g 2 --r 1",
+    "nodal-map --k 0.7255114487347945 --g 2 --r 1",
     # sweeps whose circles share the bisection's rounds: the middle radius
     # read on its second grid, a radius that fails to track after one that
     # reads, and a node mismatch before a radius that fails to track; then

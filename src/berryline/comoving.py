@@ -23,7 +23,10 @@ electronic part -+Delta alone.
 A drive is read in one pass over chunks of samples: each chunk gives the
 coupling at its samples and at the midpoints of its steps, and its steps are
 propagated, before the next one is read.  Every figure is bitwise the one
-whole arrays give.
+whole arrays give.  The propagation carries each step as an SU(2) pair
+(a, b), U = [[a, -conj b], [b, conj a]]: the steps between two records
+reduce to one pair, and a group of records takes the prefix products of its
+pairs to the renormalized record before it; each record is renormalized.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ WINDING_STEP_LIMIT = 0.5 * math.pi
 # Steps of the drive evaluated and propagated at a time: the work arrays of
 # one chunk stay small, whatever the step count.
 CHUNK_STEPS = 1 << 14
+
+# Records formed together from one carried state by prefix products; the
+# groups count from the drive's start, whatever CHUNK_STEPS is.
+RECORD_GROUP = 64
 
 
 def comoving_transform(p: JTParams, r: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +298,7 @@ def _unwrap_corrections(steps: np.ndarray) -> np.ndarray:
     return corrections
 
 
-def _drive(p: JTParams, traj: NuclearTrajectory, recorded=(),
+def _drive(p: JTParams, traj: NuclearTrajectory, block: int = 0,
            step=None) -> _Drive:
     """Evaluate the coupling at the samples and at the step midpoints in one
     pass over chunks of CHUNK_STEPS samples.
@@ -300,20 +307,21 @@ def _drive(p: JTParams, traj: NuclearTrajectory, recorded=(),
     give the coupling at the samples, the angular velocity there (as
     theta_dot does) and the midpoints of the steps that start in the chunk.
     The samples give the adiabaticity ratio, and the time and the unwrapped
-    mixing angle at the ascending sample indices `recorded`.  Each chunk of
-    midpoints goes to `step(start, dt, dtheta, f, delta, dalpha)`, in time
-    order, and then is dropped.  coupling_field raises AlphaUndefined or
-    NonFinite at the first sample; after that a ratio that is not finite
-    raises NonFinite, and only then the error of the first midpoint, held
-    back until every sample is checked.  Indices count from the first
-    sample or step.  Every figure is bitwise the one whole arrays give:
-    maxima and np.unwrap's running sum carry exactly from chunk to chunk,
-    and gap_area follows np.sum's pairwise order (_pairwise_sum).  No
-    array spans the whole drive, save the recorded times and angles.
+    mixing angle at the records: the samples at multiples of `block` (the
+    step count if 0) and the last sample.  Each chunk of midpoints goes to
+    `step(start, dt, dtheta, f, delta, dalpha)`, in time order, and then is
+    dropped.  coupling_field raises AlphaUndefined or NonFinite at the first
+    sample; after that a ratio that is not finite raises NonFinite, and only
+    then the error of the first midpoint, held back until every sample is
+    checked.  Indices count from the first sample or step.  Every figure is
+    bitwise the one whole arrays give: maxima and np.unwrap's running sum
+    carry exactly from chunk to chunk, and gap_area follows np.sum's
+    pairwise order (_pairwise_sum).  No array spans the whole drive, save
+    the recorded times and angles.
     """
     n_steps = traj.n_samples - 1
-    recorded = np.asarray(recorded, dtype=int)
-    times, alphas = np.empty(len(recorded)), np.empty(len(recorded))
+    block = block or n_steps
+    times, alphas = np.empty((2, -(-n_steps // block) + 1))
     maxima = []
     held = None  # the first midpoint's error
     finite = True  # every sample maximum so far is finite
@@ -338,10 +346,11 @@ def _drive(p: JTParams, traj: NuclearTrajectory, recorded=(),
             steps = np.diff(np.concatenate((last, angle)))
             sums = np.cumsum(np.concatenate(([carry],
                                              _unwrap_corrections(steps))))
-            i, j = np.searchsorted(recorded, (s, e))
-            k = recorded[i:j] - s
-            times[i:j] = t[k]
-            alphas[i:j] = angle[k] + sums[k + len(last)]
+            k = slice(-s % block, None, block)  # the chunk's records
+            i = slice(-(-s // block), -(-e // block))
+            times[i], alphas[i] = t[k], angle[k] + sums[len(last):][k]
+            if e == n_steps + 1:
+                times[-1], alphas[-1] = t[-1], angle[-1] + sums[-1]
             last, carry = angle[-1:], sums[-1]
             # the steps that start in the chunk end at the window's end; the
             # last sample alone starts none
@@ -443,68 +452,63 @@ class SpinEvolution:
                        alphas=self.alphas[part])
 
 
-def _pairwise_product(a, b, c, d):
-    """One tree-reduction pass: multiply adjacent 2x2 blocks (later @ earlier)."""
-    a0, b0, c0, d0 = a[0::2], b[0::2], c[0::2], d[0::2]
-    a1, b1, c1, d1 = a[1::2], b[1::2], c[1::2], d[1::2]
-    return (a1 * a0 + b1 * c0, a1 * b0 + b1 * d0,
-            c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
+def _compose(a1, b1, a0, b0):
+    """The pair of U1 U0 from those of U1 and U0, elementwise, where (a, b)
+    stands for the SU(2) matrix [[a, -conj b], [b, conj a]]."""
+    return a1 * a0 - np.conj(b1) * b0, b1 * a0 + np.conj(a1) * b0
 
 
-def _reduce_blocks(a, b, c, d, block: int):
-    """Collapse step unitaries into per-block transfer matrices.
+def _rows(a, b, size: int):
+    """Pairs in rows of `size`, the last filled out with identity (1, 0)."""
+    pad = -len(a) % size
+    return (np.concatenate((a, np.ones(pad, complex))).reshape(-1, size),
+            np.concatenate((b, np.zeros(pad, complex))).reshape(-1, size))
 
-    `block` must be a power of two.  A step count short of a whole number of
-    blocks is filled out with identity steps, whose products are exact, so a
-    short last block is the product of its own steps.  The reduction keeps
-    time order exactly and only reassociates the product, which is harmless
-    algebraically and deterministic numerically.
-    """
-    pad = -len(a) % block
-    if pad:
-        a, d = (np.concatenate((x, np.ones(pad, x.dtype))) for x in (a, d))
-        b, c = (np.concatenate((x, np.zeros(pad, x.dtype))) for x in (b, c))
-    a, b, c, d = (x.reshape(-1, block) for x in (a, b, c, d))
+
+def _reduce_blocks(a, b, block: int):
+    """The pair of each block of `block` steps (a power of two; a short last
+    block is its own steps' product), reassociated in one fixed tree."""
+    a, b = _rows(a, b, block)
     while a.shape[1] > 1:
-        a, b, c, d = _pairwise_product(a.T, b.T, c.T, d.T)
-        a, b, c, d = a.T, b.T, c.T, d.T
-    return a[:, 0], b[:, 0], c[:, 0], d[:, 0]
+        a, b = _compose(a[:, 1::2], b[:, 1::2], a[:, 0::2], b[:, 0::2])
+    return a[:, 0], b[:, 0]
+
+
+def _apply(pair, state):
+    """U psi / |U psi| in real arithmetic, for pair = (Re a, Im a, Re b,
+    Im b) of U and state = (Re psi_0, Im psi_0, Re psi_1, Im psi_1): the
+    same rounded operations on floats as on arrays."""
+    ar, ai, br, bi = pair
+    p0r, p0i, p1r, p1i = state
+    x = (ar * p0r - ai * p0i - (br * p1r + bi * p1i),
+         ar * p0i + ai * p0r - (br * p1i - bi * p1r),
+         br * p0r - bi * p0i + (ar * p1r + ai * p1i),
+         br * p0i + bi * p0r + (ar * p1i - ai * p1r))
+    norm = np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3])
+    return tuple(c / norm for c in x)
 
 
 def _step_unitaries(dt, hz, hx=None, hy=None):
-    """Entries ua, ub, uc, ud of the step unitaries exp(-i dt (hx sigma_x
-    + hy sigma_y + hz sigma_z)), for hy = 0 (hx given) or hx = 0 (hy given).
+    """Pairs (a, b) of the step unitaries exp(-i dt (hx sigma_x + hy sigma_y
+    + hz sigma_z)), for hy = 0 (hx given) or hx = 0 (hy given).
 
-    U = cos(w dt) - i sin(w dt)/w (hx sigma_x + hy sigma_y + hz sigma_z).
-    Each part is written in place, bit for bit, signed zeros included, as
-    complex arithmetic on cos_p -+ 1j*sinc*hz and -+sinc*hy - 1j*sinc*hx
-    gives it with the zero field components as arrays, wherever a step is
-    resolved (w dt < 0.1, so cos_p > 0 and sinc >= 0).  Where w overflows,
-    ua and ud are NaN.
+    a = cos(w dt) - 1j*sinc*hz and b = sinc*hy - 1j*sinc*hx, sinc = sin(w
+    dt)/w, bit for bit, signed zeros included, as that complex arithmetic
+    gives them with the zero component an array, wherever a step is
+    resolved (w dt < 0.1, so sinc >= 0).  Where w = |h| overflows, a is NaN.
     """
-    lab = hy is None
-    h = hx if lab else hy
+    h = hx if hy is None else hy
     omega = np.sqrt(h * h + hz * hz)
     phase = omega * dt
-    cos_p = np.cos(phase)
     sinc = np.sin(phase) / omega
-    ua, ub, uc, ud = (np.empty(len(dt), dtype=complex) for _ in range(4))
-    ua.real = ud.real = cos_p
-    sz = sinc * hz
-    np.subtract(0.0, sz, out=ua.imag)  # 0 - (+-0) is +0
-    np.add(sz, 0.0, out=ud.imag)       # -0 + 0 is +0
-    if lab:
-        np.subtract(0.0, sinc * hx, out=ub.imag)
-        uc.imag = ub.imag
-        # -sinc*0 - (+-0) is -0, or +0 where hx has its sign bit
-        np.copysign(0.0, hx, out=ub.real)
-        np.negative(ub.real, out=ub.real)
-        uc.real = 0.0
+    a, b = np.empty(len(dt), complex), np.zeros(len(dt), complex)
+    a.real = np.cos(phase)
+    np.subtract(0.0, sinc * hz, out=a.imag)  # 0 - (+-0) is +0
+    if hy is None:
+        np.subtract(0.0, sinc * hx, out=b.imag)
     else:
-        np.multiply(-sinc, hy, out=ub.real)
-        np.multiply(sinc, hy, out=uc.real)
-        ub.imag = uc.imag = 0.0
-    return ua, ub, uc, ud
+        np.multiply(sinc, hy, out=b.real)
+    return a, b
 
 
 def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
@@ -516,16 +520,17 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     electronic matrix itself; frame="comoving" uses Delta sigma_z -
     (1/2) dalpha thetadot sigma_y and expects psi0 in the rotated basis.
     States are recorded every `store_stride` steps (power of two), plus the
-    final state; recorded states are renormalized.  The returned `alphas`
-    are the unwrapped mixing angles at the recorded times, which is what a
-    frame conversion needs after the angle has wound around.  Raises
-    StepTooLarge for a step that under-resolves the gap or the drive, and
-    NonFinite where the ratio or the step field leaves the float range.
-    The drive is evaluated and propagated in one pass, CHUNK_STEPS steps
-    at a time (see _drive), and a longer block is reduced from its chunks'
-    products, so memory grows with the step count only through the
+    final state, RECORD_GROUP records at a time from prefix products (see
+    the module docstring); every record is renormalized.  The returned
+    `alphas` are the unwrapped mixing angles at the recorded times, which
+    is what a frame conversion needs after the angle has wound around.
+    Raises StepTooLarge for a step that under-resolves the gap or the
+    drive, and NonFinite where the ratio or the step field leaves the float
+    range.  The drive is evaluated and propagated in one pass, CHUNK_STEPS
+    steps at a time (see _drive), and a longer block is reduced from its
+    chunks' pairs, so memory grows with the step count only through the
     recorded states, one (records, 2) complex array, and their times and
-    angles.
+    angles, 48 bytes a record.
     """
     if frame not in ("lab", "comoving"):
         raise ValueError(f"frame must be 'lab' or 'comoving', got {frame!r}")
@@ -542,28 +547,44 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
     # a stride at or above the step count records the first and the last
     # state, as one block padded to a power of two does
     block = min(store_stride, 1 << (n_steps - 1).bit_length())
-    idx = np.minimum(np.arange(-(-n_steps // block) + 1) * block, n_steps)
-    states = np.empty((len(idx), 2), dtype=complex)
+    states = np.empty((-(-n_steps // block) + 1, 2), dtype=complex)
     states[0] = psi
+    rows = states.view(float)  # Re, Im of each component: 4 floats a record
     filled = 1  # rows of `states` written so far
     unresolved = None  # the first step that under-resolves, raised at the end
-    # a chunk reduces to products of `span` steps, and every `per` of those
-    # to a block, in the tree of _reduce_blocks over the whole block, which
+    # a chunk reduces to pairs of `span` steps, and every `per` of those to
+    # a block, in the tree of _reduce_blocks over the whole block, which
     # fills the last chunk and the last block out with identity steps
     span = min(block, CHUNK_STEPS)
     per, pending = block // span, []
-    norm_buf = np.empty(2, dtype=complex)  # the state ndarray.dot reads
-    norm_re, norm_im = norm_buf.real, norm_buf.imag
+
+    def record(end):
+        """The records of the pairs in hand, in whole groups (a short last
+        one at the drive's end); _apply carries the state between groups."""
+        nonlocal filled
+        a, b = map(np.concatenate, zip(*pending))
+        n = len(a) if end else len(a) - len(a) % (per * RECORD_GROUP)
+        pending[:] = [(a[n:], b[n:])]
+        a, b = _rows(*_reduce_blocks(a[:n], b[:n], per), RECORD_GROUP)
+        n = -(-n // per)  # the records formed here
+        for d in (1 << j for j in range(RECORD_GROUP.bit_length() - 1)):
+            a[:, d:], b[:, d:] = _compose(a[:, d:], b[:, d:],
+                                          a[:, :-d], b[:, :-d])
+        pair = (a.real, a.imag, b.real, b.imag)
+        starts = [rows[filled - 1].tolist()]
+        for last in zip(*(x[:-1, -1].tolist() for x in pair)):
+            starts.append(_apply(last, starts[-1]))
+        parts = _apply(pair, np.array(starts).T[:, :, None])
+        rows[filled:filled + n] = np.stack(parts, axis=-1).reshape(-1, 4)[:n]
+        filled += n
 
     def propagate(start, dt, dtheta, f_mid, delta, dalpha):
-        nonlocal filled, unresolved
+        nonlocal unresolved
         if unresolved is not None:
             return
-        n = len(dt)
         # past the float range the products are inf or NaN: an unresolved
         # step stops the propagation, and a step field whose squared norm
-        # overflows (|h| past 1e154) makes a NaN step, caught in the last
-        # state
+        # overflows (|h| past 1e154) makes a NaN step, caught at the end
         with np.errstate(over="ignore", invalid="ignore"):
             drive = dalpha * (dtheta / dt)
             resolution = dt * np.maximum(2.0 * delta, np.abs(drive))
@@ -579,33 +600,13 @@ def integrate_spin(p: JTParams, traj: NuclearTrajectory, psi0: np.ndarray,
             else:
                 u = _step_unitaries(dt, delta, hy=-0.5 * drive)
 
-        pending.append(_reduce_blocks(*u, span))
-        if len(pending) < per and start + n < n_steps:
-            return
-        blocks = _reduce_blocks(*map(np.concatenate, zip(*pending)), per)
-        pending.clear()
-        # Python complex products and sums round as numpy's scalar ones do.
-        # The norm keeps the two ndarray.dot calls np.linalg.norm takes on a
-        # complex vector, which may round through an FMA, and the division
-        # is numpy's complex one by s + 0j: (re + im 0) (1/s), (im - re 0) (1/s)
-        p0, p1 = states[filled - 1].tolist()
-        out = []
-        for a, b, c, d in zip(*(x.tolist() for x in blocks)):
-            x0 = a * p0 + b * p1
-            x1 = c * p0 + d * p1
-            norm_buf[0] = x0
-            norm_buf[1] = x1
-            scale = 1.0 / math.sqrt(norm_re.dot(norm_re)
-                                    + norm_im.dot(norm_im))
-            re0, im0, re1, im1 = x0.real, x0.imag, x1.real, x1.imag
-            p0 = complex((re0 + im0 * 0.0) * scale, (im0 - re0 * 0.0) * scale)
-            p1 = complex((re1 + im1 * 0.0) * scale, (im1 - re1 * 0.0) * scale)
-            out.append(p0)
-            out.append(p1)
-        states[filled:filled + len(blocks[0])] = np.reshape(out, (-1, 2))
-        filled += len(blocks[0])
+            pending.append(_reduce_blocks(*u, span))
+            end = start + len(dt) == n_steps
+            held = sum(len(a) for a, _ in pending)
+            if end or held >= max(CHUNK_STEPS, per * RECORD_GROUP):
+                record(end)
 
-    result = _drive(p, traj, idx, propagate)
+    result = _drive(p, traj, block, propagate)
     if unresolved is not None:
         raise unresolved
     if not np.isfinite(states[-1]).all():

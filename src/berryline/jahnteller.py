@@ -18,12 +18,12 @@ sit at the origin and, for k, g > 0, at radius 2k/g under theta = pi/3, pi,
 5pi/3.  Anchoring the lower branch at theta = 0 (where alpha = 0), its
 overlap with the anchor is cos(alpha/2); the zeros of that overlap are the
 node lines computed here both in closed form and through the generic
-tracking pipeline.
+tracking pipeline.  Both frames evaluate f as one polynomial in z = x + i y
+(model_polynomial), the polar one at x = r cos theta and y = r sin theta.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -71,32 +71,38 @@ class JTParams:
         return None
 
 
-def coupling_terms(p: JTParams, r, theta) -> tuple[np.ndarray, np.ndarray,
-                                                   np.ndarray]:
-    """k r e^{i theta}, (g/2) r^2 e^{-2 i theta} and their sum f, elementwise.
+def model_polynomial(p: JTParams, x, y):
+    """Re f = k x + (g/2)(x^2 - y^2) and Im f = 2 y (k/2 - (g/2) x) of
+    f = k z + (g/2) conj(z)^2 at z = x + i y, elementwise: g/2 leads the
+    quadratic products and Im f is formed at half scale, so both are finite
+    where k r + g r^2/2 is (past that, callers hold np.errstate)."""
+    gx = 0.5 * p.g * x
+    return p.k * x + (gx * x - 0.5 * p.g * y * y), (0.5 * p.k - gx) * y * 2.0
 
-    Past the float range the entries are inf or NaN, without a warning.
-    """
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+
+def _plane(r, theta):
+    """x = r cos theta and y = r sin theta, elementwise (radii >= 0)."""
+    r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
     if (r < 0).any():
         raise ValueError(f"radius must be >= 0, got {float(np.min(r))!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        linear = p.k * r * np.exp(1j * theta)
-        quadratic = 0.5 * p.g * r * r * np.exp(-2j * theta)
-        return linear, quadratic, linear + quadratic
+    with np.errstate(invalid="ignore"):
+        return r * np.cos(theta), r * np.sin(theta)
 
 
 def coupling_field(p: JTParams, r, theta, first: int = 0):
     """f, Delta = |f| and d alpha/d theta elementwise, off the degeneracy set.
 
-    d alpha/d theta = d arg f/d theta = Re[(k r e^{i theta}
-    - g r^2 e^{-2 i theta}) / f], inf or NaN where that overflows.  At the
-    first point with Delta <= DEGENERACY_TOL this raises AlphaUndefined, at
-    the first point where Delta overflows or is NaN, NonFinite; both name
-    the point's index, counted from `first` (for arrays evaluated in pieces).
+    d alpha/d theta = Re(a/f) = (a_re f_re/Delta + a_im f_im/Delta)/Delta
+    for a = k z - g conj(z)^2 = 3 k z - 2 f = -i df/d theta, formed from a/4
+    and Delta/4 so that it is finite where k r + g r^2/2 is.  At the first
+    point with Delta <= DEGENERACY_TOL this raises AlphaUndefined, at the
+    first point where Delta overflows or is NaN, NonFinite; both name the
+    point's index, counted from `first` (for arrays evaluated in pieces).
     """
-    linear, quadratic, f = coupling_terms(p, r, theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = _plane(r, theta)
+        f = np.empty(np.shape(x), dtype=complex)
+        f.real, f.imag = model_polynomial(p, x, y)
     delta = np.abs(f)
     # the first point outside DEGENERACY_TOL < Delta < inf; NaN is outside
     j = first_index(np.ravel(~((delta > DEGENERACY_TOL) & (delta < math.inf))))
@@ -108,8 +114,10 @@ def coupling_field(p: JTParams, r, theta, first: int = 0):
                             f"theta={theta_j!r}) is not finite")
         raise AlphaUndefined(first + j, r_j, theta_j)
     with np.errstate(over="ignore", invalid="ignore"):
-        dalpha = np.real((linear - 2.0 * quadratic) / f)
-    return f, delta, dalpha
+        dalpha = ((0.75 * p.k * x - 0.5 * f.real) * (f.real / delta)
+                  + (0.75 * p.k * y - 0.5 * f.imag) * (f.imag / delta)
+                  ) / (0.25 * delta)
+    return f[()], delta, dalpha
 
 
 @dataclass(frozen=True)
@@ -132,21 +140,17 @@ def jt_point_data(p: JTParams, r: float, theta: float) -> JTPointData:
     alpha = math.atan2(f.imag, f.real)
     if alpha <= -math.pi:
         alpha = math.pi
-    # sanity: polar pair must reproduce the coupling field
-    err = abs(delta * cmath.exp(1j * alpha) - f)
-    if err > 1e-12 * max(1.0, delta):
-        raise RuntimeError(f"polar decomposition residual {err:.3e}")
     trap = 0.5 * r * r
     return JTPointData(delta_E=delta, alpha=alpha,
                        energies=(trap - delta, trap + delta))
 
 
-def _coupling_matrix(re_f, im_f) -> np.ndarray:
-    """Re f on the diagonal, Im f off it: (..., 2, 2) from (...) arrays."""
-    m = np.empty(np.shape(re_f) + (2, 2))
-    m[..., 0, 0] = re_f
-    m[..., 0, 1] = m[..., 1, 0] = im_f
-    m[..., 1, 1] = -re_f
+def _model_matrix(p: JTParams, x, y) -> np.ndarray:
+    """Re f on the diagonal, Im f off it: (..., 2, 2) from (...) x, y."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        re, im = model_polynomial(p, x, y)
+    m = np.empty(np.shape(re) + (2, 2))
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = re, im, im, -re
     return m
 
 
@@ -157,8 +161,7 @@ def jt_electronic_hamiltonian(p: JTParams, r, theta) -> np.ndarray:
     eigenvalues +-Delta.  Well defined on the degeneracy set, where it is the
     zero matrix.  Elementwise over array r, theta: shape (..., 2, 2).
     """
-    f = coupling_terms(p, r, theta)[2]
-    return _coupling_matrix(f.real, f.imag)
+    return _model_matrix(p, *_plane(r, theta))
 
 
 def rotation_matrix(alpha: float) -> np.ndarray:
@@ -181,21 +184,17 @@ def jt_eigenvectors(p: JTParams, r: float, theta: float) -> tuple[np.ndarray, np
 def jt_field(p: JTParams, frame: str = "polar") -> HamiltonianField:
     """The model as a HamiltonianField over polar (r, theta) or Cartesian (x, y).
 
-    At z = x + i y, f = k z + (g/2) conj(z)^2 takes + and x alone.  In both
-    frames an overflow leaves inf or NaN entries, which evaluate reports as
-    NonFinite.
+    Both frames evaluate model_polynomial, the polar one at x = r cos theta
+    and y = r sin theta.  In both an overflow leaves inf or NaN entries,
+    which evaluate reports as NonFinite.
     """
     if frame not in ("polar", "cartesian"):
         raise ValueError(f"frame must be 'polar' or 'cartesian', got {frame!r}")
 
     def fn(coords) -> np.ndarray:
         c = np.asarray(coords, dtype=float)
-        a, b = c[..., 0], c[..., 1]
-        if frame == "polar":
-            return jt_electronic_hamiltonian(p, a, b)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _coupling_matrix(p.k * a + 0.5 * p.g * (a - b) * (a + b),
-                                    b * (p.k - p.g * a))
+        xy = (c[..., 0], c[..., 1])
+        return _model_matrix(p, *(_plane(*xy) if frame == "polar" else xy))
 
     return HamiltonianField(dimension=2, matrix_fn=fn)
 

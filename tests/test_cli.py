@@ -46,7 +46,7 @@ from berryline.cli import (
     main,
 )
 from berryline.jahnteller import (NODAL_MAP_TOL, _circle_thetas, check_nodes,
-                                  coupling_terms)
+                                  coupling_field)
 
 from conftest import COUPLING, refined_circle
 
@@ -198,7 +198,7 @@ def outputs_or_error(command, values):
 @example(k=1.0, g=1.0, r=1.8, n=6, band=0)      # the half step fails to track
 @example(k=1e16, g=1e16, r=1e16, n=16, band=0)  # the node rounds to pi/2
 # a probe lands where Im f is exactly 0 and reads an overlap of exactly 0.0
-@example(k=0.7255114487347943, g=2.0, r=1.0, n=2048, band=0)
+@example(k=0.7255114487347945, g=2.0, r=1.0, n=2048, band=0)
 @example(k=1.7e308, g=0.0, r=1.0, n=2048, band=0)  # every gap overflows
 @given(k=COUPLING, g=COUPLING, r=st.floats(1e-4, 1e8),
        n=st.integers(3, 4096), band=st.sampled_from([0, 1]))
@@ -567,15 +567,16 @@ def test_spin_evaluates_the_coupling_twice(capsys, monkeypatch):
     # across the whole command, each of the 16385 trajectory samples and each
     # of the 16384 step midpoints is evaluated exactly once, in chunks of
     # steps; only the 4096-segment loop of ac_loop_phase is left out.  Every
-    # caller reaches the coupling through jahnteller.coupling_field, so the
-    # count is taken where that helper reads it
-    thetas, in_loop, loops = [], False, 0
-    original_terms, original_loop = jahnteller.coupling_terms, cli.ac_loop_phase
+    # caller reaches the coupling through the one model polynomial,
+    # jahnteller.model_polynomial, at x = r cos theta and y = r sin theta,
+    # so the count is taken where that helper reads them
+    points, in_loop, loops = [], False, 0
+    original, original_loop = jahnteller.model_polynomial, cli.ac_loop_phase
 
-    def counting(p, r, theta):
+    def counting(p, x, y):
         if not in_loop:
-            thetas.append(np.broadcast_arrays(r, theta)[1].ravel())
-        return original_terms(p, r, theta)
+            points.append(np.broadcast_arrays(x, y))
+        return original(p, x, y)
 
     def loop_phase(*args, **kwargs):
         nonlocal in_loop, loops
@@ -585,16 +586,17 @@ def test_spin_evaluates_the_coupling_twice(capsys, monkeypatch):
         finally:
             in_loop = False
 
-    monkeypatch.setattr(jahnteller, "coupling_terms", counting)
+    monkeypatch.setattr(jahnteller, "model_polynomial", counting)
     monkeypatch.setattr(cli, "ac_loop_phase", loop_phase)
     code, _, _ = run(capsys, *SPIN_ARGS)
     assert code == 0
     assert loops == 1
-    assert sum(len(th) for th in thetas) == 16385 + 16384
+    assert sum(x.size for x, _ in points) == 16385 + 16384
     samples = pseudorotation_trajectory(1.0, 200.0, 16384).theta_of_t
-    midpoints = 0.5 * (samples[:-1] + samples[1:])
-    assert np.array_equal(np.sort(np.concatenate(thetas)),
-                          np.sort(np.concatenate((samples, midpoints))))
+    thetas = np.concatenate((samples, 0.5 * (samples[:-1] + samples[1:])))
+    for got, want in zip(zip(*points), (np.cos(thetas), np.sin(thetas))):
+        assert np.array_equal(np.sort(np.concatenate(got).ravel()),
+                              np.sort(want))
 
 
 @pytest.mark.parametrize("steps, base, strides", [
@@ -615,11 +617,12 @@ def test_spin_store_stride_above_the_step_count(capsys, steps, base, strides):
 
 def test_spin_memory_grows_by_the_record_arrays(tmp_path):
     # at stride 1 the command keeps one (records, 2) complex array of
-    # states, their times and angles and the recorded indices, 56 B a
-    # record, and formats and writes the CSV a block of records at a time;
-    # so the traced peak, writing included, grows by at most 64 B a record
-    # (it grew by about 480 B when each state was an ndarray of its own and
-    # the CSV one string)
+    # states and their times and angles, 48 B a record, and formats and
+    # writes the CSV a block of records at a time; so the traced peak,
+    # writing included, grows by at most 52 B a record (it grew by about
+    # 55 B while an array of the recorded indices was kept as well, and by
+    # about 480 B when each state was an ndarray of its own and the CSV one
+    # string)
     def peak(steps):
         argv = ["spin", "--k", "1", "--g", "1", "--r", "1",
                 "--period", str(steps / 64), "--steps", str(steps),
@@ -634,7 +637,7 @@ def test_spin_memory_grows_by_the_record_arrays(tmp_path):
             tracemalloc.stop()
 
     small, large = peak(1 << 14), peak(1 << 17)
-    assert (large - small) / ((1 << 17) - (1 << 14)) <= 64
+    assert (large - small) / ((1 << 17) - (1 << 14)) <= 52
 
 
 # ---------------------------------------------------------------------------
@@ -967,9 +970,9 @@ def test_berry_checks_nodes_against_the_closed_form(capsys):
 
 # k = 2 cos(theta_p) to the last bit, with g = 2 and r = 1: theta_p, the
 # first bisection probe of the bracket that holds the first node on the
-# default half-step grid, is where k r sin(theta_p) and (g/2) r^2
-# sin(2 theta_p) round to the same float, so Im f is exactly 0 there
-ZERO_PROBE_K, ZERO_PROBE_THETA = 0.7255114487347943, 1.1995729761265714
+# default half-step grid, is where k/2 and (g/2) x are the same float at
+# x = cos(theta_p), so Im f = 2 y (k/2 - (g/2) x) is exactly 0 there
+ZERO_PROBE_K, ZERO_PROBE_THETA = 0.7255114487347945, 1.1995729761265714
 
 
 @pytest.mark.parametrize("command", ["berry", "nodal-map"])
@@ -977,7 +980,7 @@ def test_exact_zero_probe_ends_the_bisection(capsys, command):
     # where Im f = 0 and Re f < 0 the closed-form eigenvectors are the axes
     # exactly, the lower one (-1, 0) against the anchor's (0, 1) at theta =
     # 0, so the probe's overlap reads 0.0 and the bisection stops on it
-    f = coupling_terms(JTParams(ZERO_PROBE_K, 2.0), 1.0, ZERO_PROBE_THETA)[2]
+    f = coupling_field(JTParams(ZERO_PROBE_K, 2.0), 1.0, ZERO_PROBE_THETA)[0]
     assert f.imag == 0.0 and f.real < 0.0
     grid = _circle_thetas(2048, 0.5)
     j = int(np.searchsorted(grid, ZERO_PROBE_THETA))

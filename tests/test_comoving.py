@@ -33,7 +33,7 @@ from berryline import (
 )
 from berryline import comoving
 from berryline.comoving import CHUNK_STEPS, _linspace, _pairwise_sum
-from berryline.jahnteller import coupling_terms
+from berryline.jahnteller import model_polynomial
 
 PSI_LOWER = np.array([0.0, 1.0], dtype=complex)
 
@@ -472,8 +472,8 @@ def test_one_degeneracy_rule(jt11):
     # 1e-14 the point data once used and at or below the 1e-12 the spin
     # used, so both must now read the point as a degeneracy
     r, theta = 5e-13, 0.3
-    linear, quadratic, _ = coupling_terms(jt11, r, theta)
-    assert 1e-14 < abs(linear + quadratic) <= 1e-12
+    re, im = model_polynomial(jt11, r * math.cos(theta), r * math.sin(theta))
+    assert 1e-14 < math.hypot(re, im) <= 1e-12
     with pytest.raises(AlphaUndefined) as err:
         jt_point_data(jt11, r, theta)
     assert (err.value.index, err.value.r, err.value.theta) == (0, r, theta)
@@ -618,17 +618,23 @@ def test_recorded_phase_terms_match_direct_formulas(jt11):
     traj = pseudorotation_trajectory(1.0, 200.0, 12345, revolutions=1.5)
     ev = integrate_spin(jt11, traj, PSI_LOWER, store_stride=16)
     dt = np.diff(traj.times)
+
+    def field(r, theta):  # Delta and d alpha/d theta, as coupling_field
+        x, y = r * np.cos(theta), r * np.sin(theta)
+        re, im = model_polynomial(jt11, x, y)
+        delta = np.abs(re + 1j * im)
+        # a/4 = (k z - g conj(z)^2)/4 = 0.75 k z - f/2, here with k = 1
+        return delta, ((0.75 * x - 0.5 * re) * (re / delta)
+                       + (0.75 * y - 0.5 * im) * (im / delta)) / (0.25 * delta)
+
     r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
     th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
-    linear, quadratic, _ = coupling_terms(jt11, r_mid, th_mid)
-    delta = np.abs(linear + quadratic)
+    delta, _ = field(r_mid, th_mid)
     assert ev.gap_area == float(-np.sum(-delta * dt))
     assert dynamical_phase(jt11, traj) == ev.gap_area
     assert dynamical_phase(jt11, traj, band=1) == float(-np.sum(delta * dt))
-    linear, quadratic, _ = coupling_terms(jt11, traj.r_of_t, traj.theta_of_t)
-    f = linear + quadratic
-    dalpha = np.real((linear - 2.0 * quadratic) / f)
-    ratio = float(np.max(np.abs(dalpha) * np.abs(traj.theta_dot()) / np.abs(f)))
+    delta, dalpha = field(traj.r_of_t, traj.theta_of_t)
+    ratio = float(np.max(np.abs(dalpha) * np.abs(traj.theta_dot()) / delta))
     assert ev.adiabaticity_ratio == ratio
     assert adiabaticity_ratio(jt11, traj) == ratio
 

@@ -251,6 +251,52 @@ def test_coupling_field_names_the_first_non_finite_point(jt11):
             coupling_field(jt11, r, theta)
 
 
+@settings(max_examples=300, deadline=None)
+@given(k=st.one_of(st.just(0.0), st.floats(1e-3, 1e6)),
+       g=st.one_of(st.just(0.0), st.floats(1e-3, 1e6)),
+       r=st.floats(1e-3, 10.0), theta=st.floats(-10.0, 10.0),
+       m=st.integers(-60, 60))
+def test_coupling_field_is_covariant_in_its_scale(k, g, r, theta, m):
+    """k and g times 2^m give f and Delta times 2^m and the same d alpha/d
+    theta, bit for bit, while the values stay normal."""
+    assume(k > 0.0 or g > 0.0)
+    # y = r sin(theta) is 0 or far above the subnormals, and so is every
+    # product of the couplings, x, y and their ratios at both scales
+    assume(theta == 0.0 or abs(math.sin(theta)) > 1e-100)
+    s = 2.0 ** m
+    p, scaled = JTParams(k, g), JTParams(k * s, g * s)
+    try:
+        f, delta, dalpha = coupling_field(p, r, theta)
+        f_s, delta_s, dalpha_s = coupling_field(scaled, r, theta)
+    except AlphaUndefined:  # Delta at or below DEGENERACY_TOL at one scale
+        assume(False)
+    assert complex(f_s) == complex(f) * s
+    assert math.copysign(1.0, f_s.imag) == math.copysign(1.0, f.imag)
+    assert float(delta_s) == float(delta) * s
+    assert np.float64(dalpha_s).tobytes() == np.float64(dalpha).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.floats(0.0, 1e308), g=st.floats(0.0, 1e308),
+       r=st.floats(0.0, 1e308, exclude_min=True),
+       theta=st.floats(-1e3, 1e3))
+@example(k=1e308, g=1e308, r=1.0, theta=2.5)
+@example(k=0.0, g=1e-308, r=1.5e308, theta=-math.pi / 4.0)
+def test_coupling_field_is_finite_within_the_float_range(k, g, r, theta):
+    """At couplings up to 1e308, every entry is finite wherever k r + g
+    r^2/2, which bounds each term of f and of a/2, is."""
+    assume(k > 0.0 or g > 0.0)
+    assume(math.isfinite(k * r + 0.5 * g * r * r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            f, delta, dalpha = coupling_field(JTParams(k, g), r, theta)
+        except AlphaUndefined:
+            assume(False)
+    assert math.isfinite(f.real) and math.isfinite(f.imag)
+    assert math.isfinite(delta) and math.isfinite(dalpha)
+
+
 def test_anchor_overlap_is_cos_half_alpha():
     """With g = 0 the mixing angle equals theta, so overlaps against the
     theta = 0 anchor must come out at cos(alpha / 2) for both bands."""

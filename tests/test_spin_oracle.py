@@ -3,10 +3,12 @@
 `reference_drive` and `reference_integrate_spin` are the drive and the
 propagation that the chunked `integrate_spin` replaced: every stage over
 whole arrays of samples, midpoints and steps, padded to a whole number of
-`store_stride` blocks.  They live here, not in the package, so the chunked
-path always has a whole-array one to answer to.  Results must agree bit for
-bit, and where the reference raises, the chunked code must raise the same
-error type at the same index with the same message.
+`store_stride` blocks, and the records formed a group of RECORD_GROUP at a
+time from running products of the group's block pairs.  They live here,
+not in the package, so the chunked path always has a whole-array one to
+answer to.  Results must agree bit for bit, and where the reference raises,
+the chunked code must raise the same error type at the same index with the
+same message.
 """
 
 import math
@@ -14,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from berryline import (
@@ -28,8 +30,9 @@ from berryline import (
     integrate_spin,
     pseudorotation_trajectory,
 )
-from berryline.comoving import (CHUNK_STEPS, STEP_RESOLUTION_LIMIT,
-                                SpinEvolution, _reduce_blocks)
+from berryline.comoving import (CHUNK_STEPS, RECORD_GROUP,
+                                STEP_RESOLUTION_LIMIT, SpinEvolution,
+                                _reduce_blocks)
 from berryline.errors import NonFinite
 from berryline.jahnteller import DEGENERACY_TOL, coupling_field
 
@@ -60,54 +63,73 @@ def reference_drive(p, traj) -> ReferenceDrive:
     return ReferenceDrive(f_samples, f_mid, delta, dalpha, gap_area, ratio)
 
 
-def reference_integrate_spin(p, traj, psi, frame, store_stride):
-    """integrate_spin over whole arrays, one step unitary per step."""
-    t = traj.times
-    dt = np.diff(t)
+def reference_blocks(p, traj, frame, store_stride):
+    """The drive, and the pairs (a, b) of the block products, one per record
+    after the first, over whole arrays from one step pair per step."""
+    dt = np.diff(traj.times)
     n_steps = len(dt)
-    f_samples, f_mid, delta, dalpha, gap_area, ratio = reference_drive(p, traj)
+    ref = reference_drive(p, traj)
     with np.errstate(over="ignore", invalid="ignore"):
-        drive = dalpha * (np.diff(traj.theta_of_t) / dt)
-        resolution = dt * np.maximum(2.0 * delta, np.abs(drive))
+        drive = ref.dalpha * (np.diff(traj.theta_of_t) / dt)
+        resolution = dt * np.maximum(2.0 * ref.delta, np.abs(drive))
         resolved = resolution < STEP_RESOLUTION_LIMIT
         if not resolved.all():
             j = int(np.argmin(resolved))
             raise StepTooLarge(j, float(resolution[j]), STEP_RESOLUTION_LIMIT)
         if frame == "lab":
-            hx, hy, hz = np.imag(f_mid), np.zeros(n_steps), np.real(f_mid)
+            hx, hy, hz = (np.imag(ref.f_mid), np.zeros(n_steps),
+                          np.real(ref.f_mid))
         else:
-            hx, hy, hz = np.zeros(n_steps), -0.5 * drive, delta
+            hx, hy, hz = np.zeros(n_steps), -0.5 * drive, ref.delta
         omega = np.sqrt(hx * hx + hy * hy + hz * hz)
         phase = omega * dt
-        cos_p = np.cos(phase)
         sinc = np.sin(phase) / omega
-        ua = cos_p - 1j * sinc * hz
-        ub = -sinc * hy - 1j * sinc * hx
-        uc = sinc * hy - 1j * sinc * hx
-        ud = cos_p + 1j * sinc * hz
-    block = store_stride
-    pad = (-n_steps) % block
+        # U = [[a, -conj b], [b, conj a]]
+        a = np.cos(phase) - 1j * sinc * hz
+        b = sinc * hy - 1j * sinc * hx
+    pad = (-n_steps) % store_stride
     if pad:
-        one = np.ones(pad, dtype=complex)
-        zero = np.zeros(pad, dtype=complex)
-        ua, ub = np.concatenate((ua, one)), np.concatenate((ub, zero))
-        uc, ud = np.concatenate((uc, zero)), np.concatenate((ud, one))
-    ba, bb, bc, bd = _reduce_blocks(ua, ub, uc, ud, block)
-    recorded = [psi]
+        a = np.concatenate((a, np.ones(pad, dtype=complex)))
+        b = np.concatenate((b, np.zeros(pad, dtype=complex)))
+    return ref, *_reduce_blocks(a, b, store_stride)
+
+
+def reference_integrate_spin(p, traj, psi, frame, store_stride):
+    """integrate_spin over whole arrays, one step pair per step."""
+    ref, a, b = reference_blocks(p, traj, frame, store_stride)
+    # running products within each group of records, in rounds at doubling
+    # distances: element i takes the product of i with the one d before it
+    n_blocks, pad = len(a), -len(a) % RECORD_GROUP
+    a = np.concatenate((a, np.ones(pad, dtype=complex))).reshape(-1, RECORD_GROUP)
+    b = np.concatenate((b, np.zeros(pad, dtype=complex))).reshape(-1, RECORD_GROUP)
+    d = 1
+    while d < RECORD_GROUP:
+        a1, b1, a0, b0 = a[:, d:], b[:, d:], a[:, :-d], b[:, :-d]
+        a, b = (np.concatenate((a[:, :d], a1 * a0 - np.conj(b1) * b0), axis=1),
+                np.concatenate((b[:, :d], b1 * a0 + np.conj(a1) * b0), axis=1))
+        d *= 2
+    # each group's records from the renormalized last record before it
+    state = psi.view(float)  # Re, Im of each component
+    rows = [state[None]]
     with np.errstate(invalid="ignore"):
-        for k in range(len(ba)):
-            psi = np.array([ba[k] * psi[0] + bb[k] * psi[1],
-                            bc[k] * psi[0] + bd[k] * psi[1]])
-            psi = psi / np.sqrt(psi.real.dot(psi.real) + psi.imag.dot(psi.imag))
-            recorded.append(psi)
-    if not np.isfinite(psi).all():
+        for ar, ai, br, bi in zip(a.real, a.imag, b.real, b.imag):
+            p0r, p0i, p1r, p1i = state
+            x = np.array([ar * p0r - ai * p0i - (br * p1r + bi * p1i),
+                          ar * p0i + ai * p0r - (br * p1i - bi * p1r),
+                          br * p0r - bi * p0i + (ar * p1r + ai * p1i),
+                          br * p0i + bi * p0r + (ar * p1i - ai * p1r)])
+            x /= np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3])
+            rows.append(x.T)
+            state = x[:, -1]
+    states = np.concatenate(rows)[:n_blocks + 1].copy().view(complex)
+    if not np.isfinite(states[-1]).all():
         raise NonFinite("spin state is not finite: the step field's squared "
                         "norm overflows")
-    idx = np.minimum(np.arange(len(recorded)) * block, n_steps)
-    alphas_all = np.unwrap(np.angle(f_samples))
-    return SpinEvolution(times=t[idx], states=np.array(recorded), frame=frame,
-                         alphas=alphas_all[idx], gap_area=gap_area,
-                         adiabaticity_ratio=ratio)
+    idx = np.minimum(np.arange(len(states)) * store_stride, traj.n_samples - 1)
+    alphas_all = np.unwrap(np.angle(ref.f_samples))
+    return SpinEvolution(times=traj.times[idx], states=states, frame=frame,
+                         alphas=alphas_all[idx], gap_area=ref.gap_area,
+                         adiabaticity_ratio=ref.ratio)
 
 
 class Raised(NamedTuple):
@@ -316,11 +338,11 @@ def test_chunked_spin_matches_whole_arrays(case, stride_log2, frame, band,
 
 
 def test_step_unitaries_match_complex_arithmetic():
-    """The in-place step unitaries against the complex expression over whole
-    arrays that they replaced, bitwise, signed zeros included, on every
+    """The in-place step pairs (a, b) of U = [[a, -conj b], [b, conj a]]
+    against the complex expressions a = cos_p - 1j*sinc*hz and b = sinc*hy
+    - 1j*sinc*hx over whole arrays, bitwise, signed zeros included, on every
     resolved step off the degeneracy set in a grid of special values; where
-    w overflows, ua and ud are NaN, so the state that takes the step is NaN
-    as before."""
+    w overflows, a is NaN, so the state that takes the step is NaN."""
     special = [0.0, 1e-300, 0.3, 1.0, 7.5, 1e3, 1e120, 1e200]
     special += [-x for x in special]
     dts = [5e-324, 1e-300, 1e-6, 1e-3, 0.01, 0.04]
@@ -336,10 +358,8 @@ def test_step_unitaries_match_complex_arithmetic():
         with np.errstate(over="ignore", invalid="ignore"):
             omega = np.sqrt(hx * hx + hy * hy + hz * hz)
             phase = omega * dt
-            cos_p = np.cos(phase)
             sinc = np.sin(phase) / omega
-            want = (cos_p - 1j * sinc * hz, -sinc * hy - 1j * sinc * hx,
-                    sinc * hy - 1j * sinc * hx, cos_p + 1j * sinc * hz)
+            want = (np.cos(phase) - 1j * sinc * hz, sinc * hy - 1j * sinc * hx)
             got = (comoving._step_unitaries(dt, hz, hx=h) if lab
                    else comoving._step_unitaries(dt, hz, hy=h))
         resolved = phase < 0.1
@@ -347,5 +367,43 @@ def test_step_unitaries_match_complex_arithmetic():
         assert resolved.sum() > 100 and overflow.sum() > 10
         for w, u in zip(want, got):
             assert same_bits(u[resolved], w[resolved])
-        for u in (got[0], got[3]):
-            assert np.isnan(u[overflow]).all()
+        assert np.isnan(got[0][overflow]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(drives(), uneven_drives()),
+       stride_log2=st.integers(0, 13),
+       frame=st.sampled_from(["comoving", "lab"]), band=st.integers(0, 1))
+# 1000 records after the first: 15 whole groups and 40 records
+@example(case=((1.0, 1.0), Ring(1.0, 25.0, 1000, 1.0, 0.3)),
+         stride_log2=0, frame="comoving", band=0)
+# stride 1 over 3 groups and 1 record, and over one record short of a group
+@example(case=((0.7, 1.1), Ring(0.5, 20.0, 3 * RECORD_GROUP + 1, 0.5, -1.0)),
+         stride_log2=0, frame="lab", band=1)
+@example(case=((0.7, 1.1), Ring(0.5, 90.0, RECORD_GROUP - 1, 0.05, 2.0)),
+         stride_log2=0, frame="comoving", band=1)
+# a stride at or above the step count: one block, the first and last state
+@example(case=((1.0, 1.0), Ring(1.0, 100.0, 3000, 1.0, 0.0)),
+         stride_log2=12, frame="lab", band=0)
+@example(case=((1.0, 1.0), Ring(1.0, 100.0, 4096, 1.0, 0.0)),
+         stride_log2=13, frame="comoving", band=1)
+def test_record_groups_match_a_sequential_product(case, stride_log2, frame,
+                                                  band):
+    """The records formed a group at a time from running products agree
+    within 1e-13 with one product a record, each state renormalized before
+    the next record is formed, and every norm is within 4 eps of 1."""
+    (k, g), path = case
+    p, traj = JTParams(k, g), trajectory(path)
+    psi, stride = PSI[frame, band], 1 << stride_log2
+    got = outcome(lambda: integrate_spin(p, traj, psi, frame=frame,
+                                         store_stride=stride))
+    assume(not isinstance(got, Raised))
+    _, a, b = reference_blocks(p, traj, frame, stride)
+    want = [psi]
+    for a_k, b_k in zip(a, b):
+        x = np.array([a_k * want[-1][0] - np.conj(b_k) * want[-1][1],
+                      b_k * want[-1][0] + np.conj(a_k) * want[-1][1]])
+        want.append(x / np.linalg.norm(x))
+    assert got.states.shape == (len(want), 2)
+    assert np.max(np.abs(got.states - np.array(want))) <= 1e-13
+    assert np.max(np.abs(got.norms - 1.0)) <= 4.0 * np.finfo(float).eps

@@ -334,7 +334,7 @@ def refined_angles(refine, branch):
 @settings(deadline=None, max_examples=100)
 @example(k=1e16, g=1e16, r=1e16, n=16, band=0, offset=0.5)  # node at pi/2
 # a probe lands where Im f is exactly 0: it reads an overlap of exactly 0.0
-@example(k=0.7255114487347943, g=2.0, r=1.0, n=2048, band=0, offset=0.5)
+@example(k=0.7255114487347945, g=2.0, r=1.0, n=2048, band=0, offset=0.5)
 @example(k=0.0, g=1.0, r=1.0, n=2048, band=0, offset=0.5)   # two nodes
 @example(k=1.0, g=1.0, r=1.0, n=4095, band=0, offset=0.0)
 @given(k=COUPLING, g=COUPLING, r=st.floats(1e-4, 1e8),
@@ -381,7 +381,7 @@ def outcome(compute):
 @example(k=1.0, g=1.0, r=1.0, n=4, band=0)      # inside 2k/g, four samples
 @example(k=1e16, g=1e16, r=1e16, n=16, band=0)  # the node rounds to pi/2
 # a probe lands where Im f is exactly 0 and reads an overlap of exactly 0.0
-@example(k=0.7255114487347943, g=2.0, r=1.0, n=2048, band=0)
+@example(k=0.7255114487347945, g=2.0, r=1.0, n=2048, band=0)
 @example(k=1.7e308, g=0.0, r=1.0, n=2048, band=0)  # every gap overflows
 # pi and pi/3 on the grid, close inside 2k/g: the half-step grid turns too
 # fast near pi/3 to track (AmbiguousContinuation)
