@@ -270,6 +270,14 @@ EXTRA = [
     # its seed cell
     "locate-ci --k 1 --g 0 --x-min 450 --x-max 451 --y-min -0.5 --y-max 0.5 "
     "--gap-tol 3000 --spatial-tol 0.02 --samples-per-edge 1 --min-depth 0",
+    # a drive midpoint on the degeneracy set, its error held back until
+    # every sample is checked, and a config file that sets nothing
+    "spin --k 1 --g 1 --r 2 --period 1e6 --steps 120003",
+    "berry --config /dev/null --k 1 --g 1 --r 1",
+    # small couplings refused by the absolute gap and degeneracy tolerances
+    "berry --k 1e-9 --g 1e-9 --r 1",
+    "nodal-map --k 1e-13 --g 1e-13 --r 1",
+    "spin --k 1e-13 --g 1e-13 --r 1 --period 1e20 --steps 4096",
 ]
 
 

@@ -92,8 +92,8 @@ def write_outputs(outputs: list[tuple[str, str | Iterable[str]]]) -> None:
 
     A text is a str or an iterable of str pieces, written as they come.
     The texts bound for one destination are joined by one blank line.  A
-    file that cannot be opened or written is a ConfigError that names the
-    path as first given.
+    destination that cannot be opened or written is a ConfigError that
+    names it as first given.
     """
     groups: dict[str, tuple[str, list]] = {}
     for dest, text in outputs:
@@ -101,7 +101,15 @@ def write_outputs(outputs: list[tuple[str, str | Iterable[str]]]) -> None:
         groups.setdefault(key, (dest, []))[1].append(text)
     for key, (dest, texts) in groups.items():
         if key == "-":
-            _write_pieces(sys.stdout, texts)
+            try:
+                _write_pieces(sys.stdout, texts)
+                sys.stdout.flush()
+            except OSError as err:  # a reader that closed the pipe, say
+                # the exit flush writes what is left of the buffer nowhere
+                with open(os.devnull, "wb") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())
+                raise ConfigError(
+                    f"cannot write -: {err.strerror or err}") from err
             continue
         try:
             with open(dest, "w", newline="\n") as fh:

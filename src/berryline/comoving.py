@@ -23,10 +23,14 @@ electronic part -+Delta alone.
 A drive is read in one pass over chunks of samples: each chunk gives the
 coupling at its samples and at the midpoints of its steps, and its steps are
 propagated, before the next one is read.  Every figure is bitwise the one
-whole arrays give.  The propagation carries each step as an SU(2) pair
-(a, b), U = [[a, -conj b], [b, conj a]]: the steps between two records
-reduce to one pair, and a group of records takes the prefix products of its
-pairs to the renormalized record before it; each record is renormalized.
+whole arrays give, save gap_area: np.sum of each GAP_BLOCK steps from the
+drive's start, the sums added in adjacent pairs, level by level, an odd
+last one carried up (np.sum's own value below GAP_BLOCK steps and at a
+power-of-two number of whole blocks).  The propagation carries each step as
+an SU(2) pair (a, b), U = [[a, -conj b], [b, conj a]]: the steps between
+two records reduce to one pair, and a group of records takes the prefix
+products of its pairs to the renormalized record before it; each record is
+renormalized.
 """
 
 from __future__ import annotations
@@ -56,6 +60,9 @@ CHUNK_STEPS = 1 << 14
 # Records formed together from one carried state by prefix products; the
 # groups count from the drive's start, whatever CHUNK_STEPS is.
 RECORD_GROUP = 64
+
+# Steps whose Delta dt one np.sum adds for gap_area, from the drive's start.
+GAP_BLOCK = 1 << 14
 
 
 def comoving_transform(p: JTParams, r: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -208,19 +215,12 @@ def _central_differences(t, th, h, first: bool, last: bool) -> np.ndarray:
 def _linspace(start: float, stop: float, num: int, lo: int, hi: int) -> np.ndarray:
     """np.linspace(start, stop, num)[lo:hi], bit for bit (num >= 2).
 
-    np.linspace forms arange(num) * ((stop - start) / (num - 1)) + start, or
-    arange(num) / (num - 1) * (stop - start) + start where that step
-    underflows to 0, and sets its last point to stop.
+    np.linspace forms arange(num) * ((stop - start) / (num - 1)) + start and
+    sets its last point to stop.  Where that step underflows to 0 it divides
+    first; its samples repeat then, as these do, and the drive is refused.
     """
-    delta = np.subtract(stop, start, dtype=float)
-    y = np.arange(lo, hi, dtype=float)
-    step = delta / (num - 1)
-    if step == 0:
-        y /= num - 1
-        y *= delta
-    else:
-        y *= step
-    y += start
+    step = np.subtract(stop, start, dtype=float) / (num - 1)
+    y = np.arange(lo, hi, dtype=float) * step + start
     if hi == num:
         y[-1] = stop
     return y
@@ -256,36 +256,6 @@ class _Drive(NamedTuple):
     ratio: float        # adiabaticity ratio at the samples
 
 
-# np.sum over float64 adds up to this many elements as one block and splits
-# a longer range at its half, rounded down to a multiple of 8
-_PAIRWISE_BLOCK = 128
-
-
-def _pairwise_sum(n: int, chunks) -> float:
-    """np.sum of the n floats the iterator `chunks` yields, bit for bit.
-
-    Walks np.sum's split tree in order: a part that lies in the chunks at
-    hand goes to np.sum whole, and only the head of a block that runs past
-    them is kept for the next chunk.
-    """
-    buf, base = np.empty(0), 0  # elements base.. not summed yet
-
-    def part(start, size):
-        nonlocal buf, base
-        end = start + size
-        while end > base + len(buf) and (size <= _PAIRWISE_BLOCK
-                                          or start == base + len(buf)):
-            buf, base = np.concatenate((buf[start - base:], next(chunks))), start
-        if end <= base + len(buf):
-            return np.sum(buf[start - base:end - base])
-        half = size // 2 - size // 2 % 8
-        return part(start, half) + part(start + half, size - half)
-
-    total = part(0, n)
-    del part  # it refers to itself, a cycle that would hold the chunks
-    return total
-
-
 def _unwrap_corrections(steps: np.ndarray) -> np.ndarray:
     """np.unwrap's correction for each step of a raw angle (period 2 pi)."""
     small = np.abs(steps) < math.pi
@@ -313,11 +283,10 @@ def _drive(p: JTParams, traj: NuclearTrajectory, block: int = 0,
     dropped.  coupling_field raises AlphaUndefined or NonFinite at the first
     sample; after that a ratio that is not finite raises NonFinite, and only
     then the error of the first midpoint, held back until every sample is
-    checked.  Indices count from the first sample or step.  Every figure is
-    bitwise the one whole arrays give: maxima and np.unwrap's running sum
-    carry exactly from chunk to chunk, and gap_area follows np.sum's
-    pairwise order (_pairwise_sum).  No array spans the whole drive, save
-    the recorded times and angles.
+    checked.  Indices count from the first sample or step.  Maxima and
+    np.unwrap's running sum carry exactly from chunk to chunk; gap_area
+    follows the block rule of the module docstring.  No array spans the
+    whole drive, save the recorded times and angles.
     """
     n_steps = traj.n_samples - 1
     block = block or n_steps
@@ -328,9 +297,11 @@ def _drive(p: JTParams, traj: NuclearTrajectory, block: int = 0,
     # the raw angle and the unwrap correction of the sample before a chunk;
     # adding -0.0 leaves the first angle as it is, even a -0.0
     last, carry = np.empty(0), -0.0
+    gap_sums, areas = [], np.empty(0)  # block sums; the open block's Delta dt
 
-    def areas():  # each chunk in turn; yields Delta dt at its midpoints
-        nonlocal last, carry, held, finite
+    # past the float range the products and midpoints are inf or NaN: the
+    # ratio is checked after the pass, a midpoint by the coupling
+    with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n_steps + 1, CHUNK_STEPS):
             e = min(s + CHUNK_STEPS, n_steps + 1)
             lo = max(s - 1, 0)
@@ -352,34 +323,32 @@ def _drive(p: JTParams, traj: NuclearTrajectory, block: int = 0,
             if e == n_steps + 1:
                 times[-1], alphas[-1] = t[-1], angle[-1] + sums[-1]
             last, carry = angle[-1:], sums[-1]
-            # the steps that start in the chunk end at the window's end; the
-            # last sample alone starts none
+            # the steps that start in the chunk end at the window's end (the
+            # last sample alone starts none); once an error is certain, only
+            # the samples are still checked
             t, r, th = (x[s - lo:] for x in window)
-            if len(t) == 1:
+            if len(t) == 1 or held is not None or not finite:
                 continue
             dt = np.diff(t)
-            if held is None and finite:
-                try:
-                    f, delta, dalpha = coupling_field(
-                        p, 0.5 * (r[:-1] + r[1:]), 0.5 * (th[:-1] + th[1:]),
-                        first=s)
-                except (AlphaUndefined, NonFinite) as err:
-                    held = err
-            # once an error is certain, the midpoints and steps are moot:
-            # only the samples are still checked
-            if held is not None or not finite:
-                yield dt  # a stand-in of the same length
+            try:
+                f, delta, dalpha = coupling_field(
+                    p, 0.5 * (r[:-1] + r[1:]), 0.5 * (th[:-1] + th[1:]),
+                    first=s)
+            except (AlphaUndefined, NonFinite) as err:
+                held = err
                 continue
             if step is not None:
                 step(s, dt, np.diff(th), f, delta, dalpha)
-            yield delta * dt
-
-    # past the float range the products and midpoints are inf or NaN: a
-    # ratio that is not finite raises here, a midpoint the coupling reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        chunks = areas()
-        gap_area = float(_pairwise_sum(n_steps, chunks))
-        next(chunks, None)  # the last sample alone, if no step starts there
+            areas = np.concatenate((areas, delta * dt))
+            whole = len(areas) - len(areas) % GAP_BLOCK
+            gap_sums += [np.sum(areas[j:j + GAP_BLOCK])
+                         for j in range(0, whole, GAP_BLOCK)]
+            areas = areas[whole:]
+        if len(areas):
+            gap_sums.append(np.sum(areas))
+        while len(gap_sums) > 1:
+            gap_sums = ([a + b for a, b in zip(gap_sums[::2], gap_sums[1::2])]
+                        + gap_sums[len(gap_sums) & ~1:])
         ratio = float(np.max(maxima))
     if not math.isfinite(ratio):
         raise NonFinite(f"adiabaticity ratio {ratio!r} is not finite: "
@@ -387,7 +356,7 @@ def _drive(p: JTParams, traj: NuclearTrajectory, block: int = 0,
                         "the float range")
     if held is not None:
         raise held
-    return _Drive(times, alphas, gap_area, ratio)
+    return _Drive(times, alphas, float(gap_sums[0]), ratio)
 
 
 def adiabaticity_ratio(p: JTParams, traj: NuclearTrajectory) -> float:

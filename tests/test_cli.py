@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -1050,6 +1052,25 @@ def test_unwritable_destination_exits_two(tmp_path, capsys, command, option,
     assert code == 2
     assert err.startswith(f"error: cannot write {dest}: ")
     assert err.count("\n") == 1
+
+
+def test_stdout_closed_by_its_reader_exits_two():
+    # a reader that closes the pipe after a few bytes, as `| head -c 10`
+    # does: one error line and exit 2, as for any unwritable destination
+    root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (root, os.environ.get("PYTHONPATH")))))
+    argv = ["spin", "--k", "1", "--g", "1", "--r", "1", "--period", "20000",
+            "--steps", "1048576"]
+    with subprocess.Popen([sys.executable, "-m", "berryline", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.read(10) == b"t,sigma_x,"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 2
+    assert err == "error: cannot write -: Broken pipe\n"
 
 
 @pytest.mark.parametrize("command, option, index", [

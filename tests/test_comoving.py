@@ -32,8 +32,8 @@ from berryline import (
     to_lab_frame,
 )
 from berryline import comoving
-from berryline.comoving import CHUNK_STEPS, _linspace, _pairwise_sum
-from berryline.jahnteller import model_polynomial
+from berryline.comoving import CHUNK_STEPS
+from berryline.jahnteller import coupling_field, model_polynomial
 
 PSI_LOWER = np.array([0.0, 1.0], dtype=complex)
 
@@ -238,16 +238,6 @@ def test_drive_that_overflows_or_underflows_is_refused(period, revolutions,
     assert str(err.value) == message
 
 
-def test_linspace_mirror_keeps_the_underflow_branch():
-    # where the step underflows to 0, np.linspace divides by num - 1 before
-    # it multiplies by the span; the drive is refused then (its times
-    # repeat), but the mirror still gives np.linspace's samples
-    for stop, num in ((1e-320, (1 << 14) + 1), (1e-300, 65), (1.0, 7)):
-        want = np.linspace(0.0, stop, num)
-        assert _linspace(0.0, stop, num, 0, num).tobytes() == want.tobytes()
-        assert _linspace(0.0, stop, num, 2, 5).tobytes() == want[2:5].tobytes()
-
-
 def whole_array_message(t, r, theta):
     """What the trajectory checks say about whole arrays (None: nothing)."""
     if not (np.isfinite(t).all() and np.isfinite(r).all()
@@ -296,21 +286,6 @@ def test_trajectory_checks_carry_across_chunks(n, uniform, defects,
         assert got == want
     else:
         assert got.theta_dot().tobytes() == np.gradient(theta, t).tobytes()
-
-
-@pytest.mark.parametrize("chunk", [128, 1 << 10, CHUNK_STEPS])
-def test_pairwise_sum_equals_np_sum(chunk):
-    # the chunked walk of np.sum's pairwise tree gives its bits, whatever
-    # the length and however the values arrive
-    rng = np.random.default_rng(chunk)
-    lengths = [*range(1, 8), 127, 128, 129, 1001, CHUNK_STEPS + 1,
-               *(8 * rng.integers(1, 1 << 15, 6) + rng.integers(1, 8, 6)),
-               *rng.integers(1, 1 << 20, 6), 1 << 21]
-    for n in map(int, lengths):
-        x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, n)
-        chunks = (x[s:s + chunk] for s in range(0, n, chunk))
-        got = np.float64(_pairwise_sum(n, chunks))
-        assert got.tobytes() == np.sum(x).tobytes(), n
 
 
 def test_theta_dot_exact_for_uniform_drive():
@@ -637,6 +612,20 @@ def test_recorded_phase_terms_match_direct_formulas(jt11):
     ratio = float(np.max(np.abs(dalpha) * np.abs(traj.theta_dot()) / delta))
     assert ev.adiabaticity_ratio == ratio
     assert adiabaticity_ratio(jt11, traj) == ratio
+
+
+@pytest.mark.parametrize("n_steps", [4096, 16385, 3 * (1 << 14) + 5, 100000,
+                                     1 << 20])
+def test_gap_area_is_within_2_ulps_of_the_exact_sum(jt11, n_steps):
+    # whatever order the sum takes, gap_area is within 2 ulps of the
+    # correctly rounded sum of the same float products Delta dt
+    traj = pseudorotation_trajectory(1.0, n_steps / 50.0, n_steps)
+    r, th = traj.r_of_t, traj.theta_of_t
+    _, delta, _ = coupling_field(jt11, 0.5 * (r[:-1] + r[1:]),
+                                 0.5 * (th[:-1] + th[1:]))
+    exact = math.fsum(delta * np.diff(traj.times))
+    ev = integrate_spin(jt11, traj, PSI_LOWER, store_stride=1 << 20)
+    assert abs(ev.gap_area - exact) <= 2 * math.ulp(exact)
 
 
 def test_adiabaticity_ratio_closed_form(jt10, jt11):

@@ -265,6 +265,16 @@ def test_constant_field_branch():
     assert branch.max_residual <= 1e-9
 
 
+def test_residual_past_the_float_range_is_refused():
+    # the eigenvalues +-1.5e308 sqrt(2) lie past the float range: the
+    # energies are +-inf, and so is the residual on H / scale
+    field = constant_field([[1.5e308, 1.5e308], [1.5e308, -1.5e308]])
+    path = DiscretizedPath([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    with pytest.raises(NonFinite,
+                       match="^eigensolver residual inf is not finite$"):
+        track_branch(field, path, band=0)
+
+
 def test_linear_model_sign_flip(jt10):
     # one loop on the frozen-gap model flips the eigenvector sign
     branch = track_branch(jt_field(jt10, frame="polar"),

@@ -3,8 +3,9 @@
 `reference_drive` and `reference_integrate_spin` are the drive and the
 propagation that the chunked `integrate_spin` replaced: every stage over
 whole arrays of samples, midpoints and steps, padded to a whole number of
-`store_stride` blocks, and the records formed a group of RECORD_GROUP at a
-time from running products of the group's block pairs.  They live here,
+`store_stride` blocks, the records formed a group of RECORD_GROUP at a
+time from running products of the group's block pairs, and gap_area summed
+by the block rule over the whole array of Delta dt.  They live here,
 not in the package, so the chunked path always has a whole-array one to
 answer to.  Results must agree bit for bit, and where the reference raises,
 the chunked code must raise the same error type at the same index with the
@@ -30,7 +31,7 @@ from berryline import (
     integrate_spin,
     pseudorotation_trajectory,
 )
-from berryline.comoving import (CHUNK_STEPS, RECORD_GROUP,
+from berryline.comoving import (CHUNK_STEPS, GAP_BLOCK, RECORD_GROUP,
                                 STEP_RESOLUTION_LIMIT, SpinEvolution,
                                 _reduce_blocks)
 from berryline.errors import NonFinite
@@ -46,6 +47,17 @@ class ReferenceDrive(NamedTuple):
     ratio: float
 
 
+def block_rule_sum(x):
+    """np.sum of each GAP_BLOCK elements from the start, joined as a tree
+    whose left part holds the largest power-of-two count of blocks below
+    the whole count: the sums added in adjacent pairs, level by level."""
+    blocks = -(-len(x) // GAP_BLOCK)
+    if blocks <= 1:
+        return np.sum(x)
+    left = GAP_BLOCK << (blocks - 1).bit_length() - 1
+    return block_rule_sum(x[:left]) + block_rule_sum(x[left:])
+
+
 def reference_drive(p, traj) -> ReferenceDrive:
     """The coupling at all samples, then at all step midpoints."""
     f_samples, delta, dalpha = coupling_field(p, traj.r_of_t, traj.theta_of_t)
@@ -59,7 +71,7 @@ def reference_drive(p, traj) -> ReferenceDrive:
         r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
         th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
         f_mid, delta, dalpha = coupling_field(p, r_mid, th_mid)
-        gap_area = float(np.sum(delta * np.diff(traj.times)))
+        gap_area = float(block_rule_sum(delta * np.diff(traj.times)))
     return ReferenceDrive(f_samples, f_mid, delta, dalpha, gap_area, ratio)
 
 
@@ -260,6 +272,12 @@ PSI = {("comoving", 0): np.array([0.0, 1.0], dtype=complex),
 # one block past the last step, over three chunks and 5 steps
 @example(case=((1.0, 1.0), Ring(1.0, 1000.0, 3 * 16384 + 5, 1.0, 0.0)),
          stride_log2=16, frame="lab", band=1, chunk_log2=14)
+# gap_area's blocks of two chunks each, and chunks of two blocks each (a
+# sum a chunk reads other bits here)
+@example(case=((0.7, 1.1), Ring(0.5, 2000.0, 3 * 16384 + 5, 1.0, 0.3)),
+         stride_log2=6, frame="comoving", band=0, chunk_log2=13)
+@example(case=((0.7, 1.1), Ring(0.5, 2000.0, 3 * 16384 + 5, 1.0, 0.3)),
+         stride_log2=6, frame="lab", band=1, chunk_log2=15)
 # one block of eight chunks, the last three of them identity fill
 @example(case=((1.0, 1.0), Ring(1.0, 1000.0, 4 * 16384 + 1, 1.0, 0.0)),
          stride_log2=17, frame="comoving", band=0, chunk_log2=14)
