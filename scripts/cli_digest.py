@@ -15,7 +15,8 @@ another checkout compares that checkout's code.
 The calls: jobs 0-3 of seeds 301 and 302 of every benchmark workload (built
 by ``benchmarks/workloads.make_job``), the README examples, and extra calls
 that pin edge cases of the option checks, the barrier spectra, the circle
-grids, the degeneracy locator and the output writer.
+grids, the degeneracy locator and the output writer, and one call of each
+command that writes its output to a file.
 
 With ``--against DIR`` the same calls also run on the checkout at DIR, in a
 child process under the same ``-W`` options, and the script prints the
@@ -278,6 +279,15 @@ EXTRA = [
     "berry --k 1e-9 --g 1e-9 --r 1",
     "nodal-map --k 1e-13 --g 1e-13 --r 1",
     "spin --k 1e-13 --g 1e-13 --r 1 --period 1e20 --steps 4096",
+    # every command's output written to a file: a flat spectrum, a cut
+    # model ring on the dense fallback, berry and locate-ci results, and a
+    # spin series and summary joined in one file
+    "spectrum --flat --parity odd --grid 64 --levels 4 --out levels.csv",
+    "spectrum --k 1 --g 1 --r0 1 --grid 256 --barrier 0.5:1.2 --out cut.csv",
+    "berry --k 1 --g 1 --r 1 --out berry.json",
+    "locate-ci --k 1 --g 1 --samples-per-edge 2 --min-depth 2 --out ci.json",
+    "spin --k 1 --g 1 --r 1 --period 100 --steps 4096 --series-out both.txt "
+    "--summary-out both.txt",
 ]
 
 

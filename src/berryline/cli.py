@@ -4,16 +4,18 @@ Subcommands: nodal-map, berry, spectrum, locate-ci, spin.  Every option can
 also be supplied through a flat key=value config file (--config); explicit
 flags win over the file, the file wins over built-in defaults.  All numeric
 output is printed with 17 significant digits so reruns are byte-identical
-and JSON re-reads reproduce the floats exactly.  Each command returns its
-outputs as (destination, text) pairs, a text whole or in pieces, and main
-writes them.  Exit codes: 0 success, 2 usage or config problem or an
-unwritable destination, 3 domain error (the message names the error class
-and offending values).
+and JSON re-reads reproduce the floats exactly.  Every CSV table is written
+by csv_pieces, one %-format a row (%.17g for a float cell).  Each command
+returns its outputs as (destination, text) pairs, a text whole or in
+pieces, and main writes them.  Exit codes: 0 success, 2 usage or config
+problem or an unwritable destination, 3 domain error (the message names the
+error class and offending values).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import math
@@ -100,58 +102,35 @@ def write_outputs(outputs: list[tuple[str, str | Iterable[str]]]) -> None:
         key = dest if dest == "-" else os.path.realpath(dest)
         groups.setdefault(key, (dest, []))[1].append(text)
     for key, (dest, texts) in groups.items():
-        if key == "-":
-            try:
-                _write_pieces(sys.stdout, texts)
-                sys.stdout.flush()
-            except OSError as err:  # a reader that closed the pipe, say
-                # the exit flush writes what is left of the buffer nowhere
+        try:
+            with (contextlib.nullcontext(sys.stdout) if key == "-"
+                  else open(dest, "w", newline="\n")) as fh:
+                for i, text in enumerate(texts):
+                    if i:
+                        fh.write("\n")
+                    fh.writelines([text] if isinstance(text, str) else text)
+                fh.flush()
+        except OSError as err:  # a full disk, or a reader that closed the pipe
+            if key == "-":  # so that the exit flush writes the rest nowhere
                 with open(os.devnull, "wb") as null:
                     os.dup2(null.fileno(), sys.stdout.fileno())
-                raise ConfigError(
-                    f"cannot write -: {err.strerror or err}") from err
-            continue
-        try:
-            with open(dest, "w", newline="\n") as fh:
-                _write_pieces(fh, texts)
-        except OSError as err:
             raise ConfigError(
                 f"cannot write {dest}: {err.strerror or err}") from err
 
 
-def _write_pieces(fh, texts) -> None:
-    for i, text in enumerate(texts):
-        if i:
-            fh.write("\n")
-        for piece in [text] if isinstance(text, str) else text:
-            fh.write(piece)
+def csv_pieces(header: list[str], blocks,
+               row: str | None = None) -> Iterator[str]:
+    """CSV text in pieces: the header line, then the rows of each block of
+    rows in `blocks`, one block at a time.
 
-
-def _csv_cell(cell) -> str:
-    if cell is None:
-        return ""
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
-    return fmt(cell)
-
-
-def csv_lines(header: list[str], rows) -> str:
-    """CSV text: None is an empty cell, a str is written as is, an integer in
-    decimal and anything else by fmt."""
-    return "".join([",".join(header) + "\n"]
-                   + [",".join(map(_csv_cell, row)) + "\n" for row in rows])
-
-
-def csv_pieces(header: list[str], blocks) -> Iterator[str]:
-    """CSV text of float rows in pieces: the header line, then the rows of
-    each block of rows in `blocks`, one block at a time.  One %-format per
-    row gives the bytes fmt gives cell by cell."""
+    Every row is written by the one %-format `row`, which defaults to %.17g
+    in each column: %.17g gives a float the bytes fmt gives it, %d an
+    integer, and %s a word or a cell formatted beforehand ("" if empty).
+    """
     yield ",".join(header) + "\n"
-    float_row = ",".join(["%.17g"] * len(header)) + "\n"
+    line = (row or ",".join(["%.17g"] * len(header))) + "\n"
     for rows in blocks:
-        yield "".join([float_row % tuple(row) for row in rows])
+        yield "".join([line % tuple(cells) for cells in rows])
 
 
 # --- option plumbing ---------------------------------------------------------
@@ -329,11 +308,21 @@ def _jt_params(values: dict) -> JTParams:
     return JTParams(values["k"], values["g"])
 
 
+def _echoed(values: dict, *names: str) -> dict:
+    """The head of a JSON result: the format version, then the settings
+    `names` echoed back in that order."""
+    return {"format_version": FORMAT_VERSION, **{n: values[n] for n in names}}
+
+
 # --- subcommands -------------------------------------------------------------
 
-_NODAL_OPTS = [
+_COUPLINGS = [
     Opt("k", _NONNEG, _REQUIRED, "linear coupling"),
     Opt("g", _NONNEG, _REQUIRED, "quadratic coupling"),
+]
+
+_NODAL_OPTS = [
+    *_COUPLINGS,
     Opt("r", _RADII, _REQUIRED, "radius or START:STOP:STEP sweep"),
     Opt("theta-samples", _between(2, 1 << 21), 2048, "loop samples per circle"),
     Opt("band", _BAND, 0, "band index (0 lower, 1 upper)"),
@@ -342,7 +331,7 @@ _NODAL_OPTS = [
 ]
 
 
-def cmd_nodal_map(values: dict) -> list[tuple[str, str]]:
+def cmd_nodal_map(values: dict) -> list[tuple[str, Iterable[str]]]:
     p = _jt_params(values)
     m = nodal_map(p, values["r"], theta_samples=values["theta_samples"],
                   band=values["band"])
@@ -352,8 +341,11 @@ def cmd_nodal_map(values: dict) -> list[tuple[str, str]]:
             rows.append((row.r, ang, "analytic"))
         for ang in row.numeric_angles:
             rows.append((row.r, ang, "numeric"))
-    node_csv = csv_lines(["r", "theta_node", "source"], rows)
-    deg_csv = csv_lines(["r", "theta"], [(d.r, d.theta) for d in m.degeneracies])
+    node_csv = csv_pieces(["r", "theta_node", "source"], [rows],
+                          "%.17g,%.17g,%s")
+    degs = [(d.r, "" if d.theta is None else fmt(d.theta))
+            for d in m.degeneracies]
+    deg_csv = csv_pieces(["r", "theta"], [degs], "%.17g,%s")
 
     for r in m.skipped_radii:
         print(f"note: radius {fmt(r)} lies on the degeneracy circle; skipped",
@@ -366,8 +358,7 @@ def cmd_nodal_map(values: dict) -> list[tuple[str, str]]:
 
 
 _BERRY_OPTS = [
-    Opt("k", _NONNEG, _REQUIRED, "linear coupling"),
-    Opt("g", _NONNEG, _REQUIRED, "quadratic coupling"),
+    *_COUPLINGS,
     Opt("r", _POSITIVE, _REQUIRED, "loop radius"),
     Opt("theta-samples", _between(2, 1 << 21), 2048, "loop samples"),
     Opt("band", _BAND, 0, "band index"),
@@ -381,12 +372,7 @@ def cmd_berry(values: dict) -> list[tuple[str, str]]:
                                       values["band"])
     phase = open_path_berry_phase(branch.vectors)
     result = {
-        "format_version": FORMAT_VERSION,
-        "k": values["k"],
-        "g": values["g"],
-        "r": values["r"],
-        "band": values["band"],
-        "theta_samples": values["theta_samples"],
+        **_echoed(values, "k", "g", "r", "band", "theta_samples"),
         "K": nodes.count,
         "node_angles": list(nodes.angles),
         "geometric_phase": phase.geometric_phase,
@@ -399,8 +385,8 @@ def cmd_berry(values: dict) -> list[tuple[str, str]]:
 _SPECTRUM_OPTS = [
     Opt("flat", None, None, "flat (zero) potential instead of a model band",
         flag=True),
-    Opt("k", _NONNEG, None, "linear coupling (model mode)"),
-    Opt("g", _NONNEG, None, "quadratic coupling (model mode)"),
+    *(replace(opt, default=None, help=opt.help + " (model mode)")
+      for opt in _COUPLINGS),
     Opt("band", _BAND, 0, "band index (model mode)"),
     Opt("parity", _PARITY, None, "seam parity even|odd (required with --flat)"),
     Opt("r0", _RING_RADIUS, 1.0, "ring radius"),
@@ -411,7 +397,7 @@ _SPECTRUM_OPTS = [
 ]
 
 
-def cmd_spectrum(values: dict) -> list[tuple[str, str]]:
+def cmd_spectrum(values: dict) -> list[tuple[str, Iterable[str]]]:
     barrier = values["barrier"]
     if barrier is not None:
         barrier = (barrier[0], barrier[1] - barrier[0])
@@ -448,18 +434,17 @@ def cmd_spectrum(values: dict) -> list[tuple[str, str]]:
         "barrier": None if values["barrier"] is None else list(values["barrier"]),
         "boundary": result.boundary,
     }
-    lines = "# " + emit_json_compact(header) + "\n"
     rows = [
         (i, float(e), int(flag), problem.flux_parity)
         for i, (e, flag) in enumerate(zip(result.levels, result.degeneracy_flags))
     ]
-    lines += csv_lines(["index", "energy", "degeneracy_flag", "parity"], rows)
-    return [(values["out"], lines)]
+    table = csv_pieces(["index", "energy", "degeneracy_flag", "parity"],
+                       [rows], "%d,%.17g,%d,%s")
+    return [(values["out"], ["# " + emit_json_compact(header) + "\n", *table])]
 
 
 _LOCATE_OPTS = [
-    Opt("k", _NONNEG, _REQUIRED, "linear coupling"),
-    Opt("g", _NONNEG, _REQUIRED, "quadratic coupling"),
+    *_COUPLINGS,
     Opt("x-min", _finite, -3.0, "search window"),
     Opt("x-max", _finite, 3.0, "search window"),
     Opt("y-min", _finite, -3.0, "search window"),
@@ -501,11 +486,7 @@ def cmd_locate_ci(values: dict) -> list[tuple[str, str]]:
                               min_depth=values["min_depth"],
                               max_depth=values["max_depth"])
     result = {
-        "format_version": FORMAT_VERSION,
-        "k": values["k"],
-        "g": values["g"],
-        "band": values["band"],
-        "spatial_tol": values["spatial_tol"],
+        **_echoed(values, "k", "g", "band", "spatial_tol"),
         "points": [list(pt) for pt in res.points],
         "gaps": list(res.gaps),
         "cells_evaluated": res.cells_evaluated,
@@ -515,8 +496,7 @@ def cmd_locate_ci(values: dict) -> list[tuple[str, str]]:
 
 
 _SPIN_OPTS = [
-    Opt("k", _NONNEG, _REQUIRED, "linear coupling"),
-    Opt("g", _NONNEG, _REQUIRED, "quadratic coupling"),
+    *_COUPLINGS,
     Opt("r", _POSITIVE, _REQUIRED, "drive radius"),
     Opt("period", _POSITIVE, _REQUIRED, "drive period"),
     Opt("steps", _between(2, 1 << 21), 65536, "integration steps"),
@@ -574,15 +554,8 @@ def cmd_spin(values: dict) -> list[tuple[str, Iterable[str]]]:
     series = csv_pieces(["t", "sigma_x", "sigma_y", "sigma_z", "norm"],
                         blocks())
     summary = {
-        "format_version": FORMAT_VERSION,
-        "k": values["k"],
-        "g": values["g"],
-        "r": values["r"],
-        "period": values["period"],
-        "steps": values["steps"],
-        "revolutions": values["revolutions"],
-        "frame": values["frame"],
-        "initial": values["initial"],
+        **_echoed(values, "k", "g", "r", "period", "steps", "revolutions",
+                  "frame", "initial"),
         "total_phase": total,
         "dynamical_phase": dyn,
         "geometric_phase": geo,

@@ -42,7 +42,7 @@ from berryline.cli import (
     _to_interval,
     _to_range,
     build_parser,
-    csv_lines,
+    csv_pieces,
     emit_json,
     fmt,
     main,
@@ -97,9 +97,11 @@ def test_bool_parsing():
         _to_bool("maybe")
 
 
-def test_csv_lines_cells():
-    text = csv_lines(["a", "b", "c"], [(1, None, 0.5), ("x", 2.0, None)])
-    assert text == "a,b,c\n1,,0.5\nx,2,\n"
+def test_csv_pieces_cells():
+    # an int, an empty cell, a str and floats, one piece per block of rows
+    pieces = csv_pieces(["a", "b", "c"], [[(1, "", 0.5)], [(2, "x", 2.0)]],
+                        "%d,%s,%.17g")
+    assert list(pieces) == ["a,b,c\n", "1,,0.5\n", "2,x,2\n"]
 
 
 def test_emit_json_parses_and_round_trips():
