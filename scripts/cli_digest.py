@@ -288,6 +288,12 @@ EXTRA = [
     "locate-ci --k 1 --g 1 --samples-per-edge 2 --min-depth 2 --out ci.json",
     "spin --k 1 --g 1 --r 1 --period 100 --steps 4096 --series-out both.txt "
     "--summary-out both.txt",
+    # a drive whose angle stands still (theta0 absorbs each angle step), and
+    # one whose points are rotated far from theta = 0
+    "spin --k 1 --g 1 --r 1 --period 100 --steps 65536 --theta0 1e17 "
+    "--revolutions 0.5",
+    "spin --k 1 --g 1 --r 1 --period 100 --steps 65536 --theta0 1000.5 "
+    "--revolutions 0.75",
 ]
 
 

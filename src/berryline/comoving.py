@@ -31,6 +31,13 @@ an SU(2) pair (a, b), U = [[a, -conj b], [b, conj a]]: the steps between
 two records reduce to one pair, and a group of records takes the prefix
 products of its pairs to the renormalized record before it; each record is
 renormalized.
+
+The coupling is evaluated at the Cartesian points the trajectory gives
+(NuclearTrajectory.plane): r cos theta and r sin theta of the samples and
+of the polar midpoints of the steps, save on a pseudorotation.  There the
+times and angles are still np.linspace's, bit for bit, but the points are
+not cos/sin of them: each block of ROTATION_BLOCK samples rotates its first
+point by a table of turns (see pseudorotation_trajectory).
 """
 
 from __future__ import annotations
@@ -42,10 +49,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .berryphase import canonicalize_phase
-from .eigenpath import DiscretizedPath
+from .eigenpath import DiscretizedPath, first_index
 from .errors import AlphaUndefined, NonFinite, OpenPath, StepTooLarge
-from .jahnteller import (JTParams, coupling_field, jt_electronic_hamiltonian,
-                         jt_point_data, rotation_matrix)
+from .jahnteller import (JTParams, _plane, coupling_at, coupling_field,
+                         jt_electronic_hamiltonian, jt_point_data,
+                         rotation_matrix)
 
 # A step must keep dt * max(2 Delta, |dalpha/dtheta * thetadot|) below this.
 STEP_RESOLUTION_LIMIT = 0.1
@@ -63,6 +71,10 @@ RECORD_GROUP = 64
 
 # Steps whose Delta dt one np.sum adds for gap_area, from the drive's start.
 GAP_BLOCK = 1 << 14
+
+# Samples of a pseudorotation whose points are turned from the block's first
+# one; a power of two that divides CHUNK_STEPS, so a chunk holds whole blocks.
+ROTATION_BLOCK = 256
 
 
 def comoving_transform(p: JTParams, r: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +118,8 @@ class NuclearTrajectory:
     times, radii and angles at sample indices start..stop-1, so a drive
     reads them one chunk at a time.  Built from arrays, it slices them;
     from_sampler takes any such function.  Either way the samples are
-    checked once, a chunk at a time, when the trajectory is built.
+    checked once, a chunk at a time, when the trajectory is built.  `plane`
+    gives the Cartesian points at which a drive evaluates the model.
     """
 
     def __init__(self, times, r_of_t, theta_of_t):
@@ -125,12 +138,14 @@ class NuclearTrajectory:
         traj._bind(n_samples, sample)
         return traj
 
-    def _bind(self, n_samples: int, sample) -> None:
-        """Check the samples a chunk at a time, then keep the sampler."""
+    def _bind(self, n_samples: int, sample, moving: bool = False) -> None:
+        """Check the samples a chunk at a time, then keep the sampler; with
+        `moving`, every step must also change the angle."""
         if n_samples < 3:
             raise ValueError(f"a trajectory needs >= 3 samples, got {n_samples}")
         finite = increasing = positive = uniform = True
-        last = np.empty(0)  # the time before a chunk
+        stuck = None  # the first step whose angle stands still, and its angle
+        last = last_th = np.empty(0)  # the time and angle before a chunk
         with np.errstate(over="ignore", invalid="ignore"):
             h = np.diff(sample(0, 2)[0])[0]  # the first time step
             for s in range(0, n_samples, CHUNK_STEPS):
@@ -141,16 +156,34 @@ class NuclearTrajectory:
                 increasing &= bool((dt > 0).all())
                 positive &= bool((r > 0).all())
                 uniform &= bool((dt == h).all())
-                last = t[-1:]
+                if moving and stuck is None:
+                    th = np.concatenate((last_th, th))
+                    j = first_index(th[1:] == th[:-1])
+                    if j < len(th) - 1:
+                        stuck = s - len(last_th) + j, th[j]
+                last, last_th = t[-1:], th[-1:]
         if not finite:
             raise ValueError("trajectory samples must be finite")
         if not increasing:
             raise ValueError("times must be strictly increasing")
         if not positive:
             raise ValueError("trajectory radii must be > 0")
+        if stuck is not None:
+            raise ValueError(f"the angle does not advance at step {stuck[0]}: "
+                             f"theta stays {float(stuck[1])!r}")
         self.n_samples, self.sample = n_samples, sample
         # np.gradient's uniform form applies when every time step is equal
         self._uniform_step = h if uniform else None
+
+    def plane(self, start: int, r, theta):
+        """(x, y, x_mid, y_mid): the Cartesian points of the samples start,
+        start + 1, ..., whose radii and angles are r and theta, and of the
+        midpoints of the steps between them, r cos theta and r sin theta of
+        the samples and of the polar midpoints (inf or NaN past the float
+        range)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (*_plane(r, theta), *_plane(0.5 * (r[:-1] + r[1:]),
+                                               0.5 * (theta[:-1] + theta[1:])))
 
     @property
     def times(self) -> np.ndarray:
@@ -212,16 +245,17 @@ def _central_differences(t, th, h, first: bool, last: bool) -> np.ndarray:
     return out
 
 
-def _linspace(start: float, stop: float, num: int, lo: int, hi: int) -> np.ndarray:
-    """np.linspace(start, stop, num)[lo:hi], bit for bit (num >= 2).
+def _linspace(start: float, stop: float, num: int, idx: np.ndarray) -> np.ndarray:
+    """np.linspace(start, stop, num)[idx], bit for bit, for increasing float
+    indices idx (num >= 2).
 
     np.linspace forms arange(num) * ((stop - start) / (num - 1)) + start and
     sets its last point to stop.  Where that step underflows to 0 it divides
     first; its samples repeat then, as these do, and the drive is refused.
     """
     step = np.subtract(stop, start, dtype=float) / (num - 1)
-    y = np.arange(lo, hi, dtype=float) * step + start
-    if hi == num:
+    y = idx * step + start
+    if len(idx) and idx[-1] == num - 1:
         y[-1] = stop
     return y
 
@@ -231,20 +265,51 @@ def pseudorotation_trajectory(r: float, period: float, n_steps: int,
                               revolutions: float = 1.0) -> NuclearTrajectory:
     """Uniform circular drive at fixed radius (overflow fails as non-finite).
 
-    The samples are those of np.linspace over the whole drive, bit for bit,
-    formed for one range of indices at a time.
+    The times and angles are those of np.linspace over the whole drive, bit
+    for bit, formed for one range of indices at a time; a drive whose angle
+    stands still over a step (theta0 absorbs the angle step) is refused
+    with ValueError, which names the step.  The points are not cos/sin of
+    each angle: in blocks of ROTATION_BLOCK samples, a block's first point
+    is _plane(r, theta) of its angle, bit for bit, and its sample j (step
+    j's midpoint) is that point turned by winding * j / n_steps (winding *
+    (j + 1/2) / n_steps), from two tables made once.
     """
     r, duration = float(r), period * revolutions
     winding = 2.0 * math.pi * revolutions
+    n = ROTATION_BLOCK
+
+    def angles(idx):
+        return theta0 + winding * _linspace(0.0, 1.0, n_steps + 1, idx)
 
     def sample(start, stop):
+        idx = np.arange(start, stop, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            return (_linspace(0.0, duration, n_steps + 1, start, stop),
-                    np.full(stop - start, r),
-                    theta0 + winding * _linspace(0.0, 1.0, n_steps + 1,
-                                                 start, stop))
+            return (_linspace(0.0, duration, n_steps + 1, idx),
+                    np.full(stop - start, r), angles(idx))
 
-    return NuclearTrajectory.from_sampler(n_steps + 1, sample)
+    def rotated(start, count, turn):
+        """Points start..start+count-1 of the blocks' first ones times turn."""
+        b0, b1 = start // n, -(-(start + count) // n)
+        x0, y0 = _plane(r, angles(np.arange(b0, b1, dtype=float) * n))
+        # the samples' first turn is (1, +-0), the sign of the winding's,
+        # so a block's first sample keeps its point's bits, signed zeros too
+        c, s = turn
+        x = x0[:, None] * c - y0[:, None] * s
+        y = x0[:, None] * s + y0[:, None] * c
+        k = slice(start - b0 * n, start - b0 * n + count)
+        return x.ravel()[k], y.ravel()[k]
+
+    def plane(start, radii, theta):
+        return (*rotated(start, len(theta), turns[0]),
+                *rotated(start, len(theta) - 1, turns[1]))
+
+    traj = NuclearTrajectory.__new__(NuclearTrajectory)
+    traj._bind(n_steps + 1, sample, moving=True)
+    # once the samples are finite, so is winding
+    turns = [_plane(1.0, winding * ((np.arange(n) + half) / n_steps))
+             for half in (0.0, 0.5)]
+    traj.plane = plane
+    return traj
 
 
 class _Drive(NamedTuple):
@@ -276,14 +341,16 @@ def _drive(p: JTParams, traj: NuclearTrajectory, block: int = 0,
     Each chunk reads its samples once, with one more on each side: they
     give the coupling at the samples, the angular velocity there (as
     theta_dot does) and the midpoints of the steps that start in the chunk.
+    The coupling is evaluated at the points traj.plane gives for them.
     The samples give the adiabaticity ratio, and the time and the unwrapped
     mixing angle at the records: the samples at multiples of `block` (the
     step count if 0) and the last sample.  Each chunk of midpoints goes to
     `step(start, dt, dtheta, f, delta, dalpha)`, in time order, and then is
-    dropped.  coupling_field raises AlphaUndefined or NonFinite at the first
-    sample; after that a ratio that is not finite raises NonFinite, and only
-    then the error of the first midpoint, held back until every sample is
-    checked.  Indices count from the first sample or step.  Maxima and
+    dropped.  The coupling raises AlphaUndefined or NonFinite at the first
+    sample, naming its r and theta (a midpoint's are the mean of its
+    ends'); after that a ratio that is not finite raises NonFinite, and
+    only then the error of the first midpoint, held back until every sample
+    is checked.  Indices count from the first sample or step.  Maxima and
     np.unwrap's running sum carry exactly from chunk to chunk; gap_area
     follows the block rule of the module docstring.  No array spans the
     whole drive, save the recorded times and angles.
@@ -306,8 +373,15 @@ def _drive(p: JTParams, traj: NuclearTrajectory, block: int = 0,
             e = min(s + CHUNK_STEPS, n_steps + 1)
             lo = max(s - 1, 0)
             window = traj.sample(lo, min(e + 1, n_steps + 1))
-            t, r, th = (x[s - lo:e - lo] for x in window)
-            f, delta, dalpha = coupling_field(p, r, th, first=s)
+            # the samples from the chunk's first to the window's end, and
+            # the points of those and of the midpoints of their steps
+            t, r, th = (x[s - lo:] for x in window)
+            x, y, x_mid, y_mid = traj.plane(s, r, th)
+            m = e - s  # the chunk's samples
+            f, delta, dalpha = coupling_at(
+                p, x[:m], y[:m], lambda j: (float(r[j]), float(th[j])),
+                first=s)
+            del x, y  # points go once evaluated, to keep the peak memory
             theta_dot = _central_differences(window[0], window[2],
                                              traj._uniform_step, s == 0,
                                              e == n_steps + 1)
@@ -317,7 +391,7 @@ def _drive(p: JTParams, traj: NuclearTrajectory, block: int = 0,
             steps = np.diff(np.concatenate((last, angle)))
             sums = np.cumsum(np.concatenate(([carry],
                                              _unwrap_corrections(steps))))
-            k = slice(-s % block, None, block)  # the chunk's records
+            k = slice(-s % block, m, block)  # the chunk's records
             i = slice(-(-s // block), -(-e // block))
             times[i], alphas[i] = t[k], angle[k] + sums[len(last):][k]
             if e == n_steps + 1:
@@ -326,14 +400,15 @@ def _drive(p: JTParams, traj: NuclearTrajectory, block: int = 0,
             # the steps that start in the chunk end at the window's end (the
             # last sample alone starts none); once an error is certain, only
             # the samples are still checked
-            t, r, th = (x[s - lo:] for x in window)
             if len(t) == 1 or held is not None or not finite:
                 continue
             dt = np.diff(t)
             try:
-                f, delta, dalpha = coupling_field(
-                    p, 0.5 * (r[:-1] + r[1:]), 0.5 * (th[:-1] + th[1:]),
-                    first=s)
+                f, delta, dalpha = coupling_at(
+                    p, x_mid, y_mid,
+                    lambda j: (float(0.5 * (r[j] + r[j + 1])),
+                               float(0.5 * (th[j] + th[j + 1]))), first=s)
+                del x_mid, y_mid
             except (AlphaUndefined, NonFinite) as err:
                 held = err
                 continue

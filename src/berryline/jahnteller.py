@@ -19,7 +19,8 @@ sit at the origin and, for k, g > 0, at radius 2k/g under theta = pi/3, pi,
 overlap with the anchor is cos(alpha/2); the zeros of that overlap are the
 node lines computed here both in closed form and through the generic
 tracking pipeline.  Both frames evaluate f as one polynomial in z = x + i y
-(model_polynomial), the polar one at x = r cos theta and y = r sin theta.
+(model_polynomial), the polar one at x = r cos theta and y = r sin theta;
+coupling_at takes the points (x, y) as given, as the spin drive does.
 """
 
 from __future__ import annotations
@@ -90,25 +91,38 @@ def _plane(r, theta):
 
 
 def coupling_field(p: JTParams, r, theta, first: int = 0):
-    """f, Delta = |f| and d alpha/d theta elementwise, off the degeneracy set.
+    """coupling_at the points x = r cos theta, y = r sin theta (elementwise;
+    its errors name the point's r and theta)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = _plane(r, theta)
+
+    def polar(j):
+        r_b, theta_b = np.broadcast_arrays(r, theta)
+        return float(r_b.flat[j]), float(theta_b.flat[j])
+
+    return coupling_at(p, x, y, polar, first)
+
+
+def coupling_at(p: JTParams, x, y, polar, first: int = 0):
+    """f, Delta = |f| and d alpha/d theta at the points (x, y), elementwise,
+    off the degeneracy set.
 
     d alpha/d theta = Re(a/f) = (a_re f_re/Delta + a_im f_im/Delta)/Delta
     for a = k z - g conj(z)^2 = 3 k z - 2 f = -i df/d theta, formed from a/4
     and Delta/4 so that it is finite where k r + g r^2/2 is.  At the first
     point with Delta <= DEGENERACY_TOL this raises AlphaUndefined, at the
     first point where Delta overflows or is NaN, NonFinite; both name the
-    point's index, counted from `first` (for arrays evaluated in pieces).
+    point's index, counted from `first` (for arrays evaluated in pieces),
+    and its (r, theta) = polar(j) for the point's own index j.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        x, y = _plane(r, theta)
         f = np.empty(np.shape(x), dtype=complex)
         f.real, f.imag = model_polynomial(p, x, y)
     delta = np.abs(f)
     # the first point outside DEGENERACY_TOL < Delta < inf; NaN is outside
     j = first_index(np.ravel(~((delta > DEGENERACY_TOL) & (delta < math.inf))))
     if j < delta.size:
-        r_b, theta_b = np.broadcast_arrays(r, theta)
-        r_j, theta_j = float(r_b.flat[j]), float(theta_b.flat[j])
+        r_j, theta_j = polar(j)
         if not math.isfinite(np.ravel(delta)[j]):
             raise NonFinite(f"coupling at point {first + j} (r={r_j!r}, "
                             f"theta={theta_j!r}) is not finite")

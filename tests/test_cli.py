@@ -572,8 +572,9 @@ def test_spin_evaluates_the_coupling_twice(capsys, monkeypatch):
     # of the 16384 step midpoints is evaluated exactly once, in chunks of
     # steps; only the 4096-segment loop of ac_loop_phase is left out.  Every
     # caller reaches the coupling through the one model polynomial,
-    # jahnteller.model_polynomial, at x = r cos theta and y = r sin theta,
-    # so the count is taken where that helper reads them
+    # jahnteller.model_polynomial, so the count is taken where that helper
+    # reads the points: the trajectory's own, bit for bit, which lie within
+    # the bound of tests/test_comoving.py of r cos theta and r sin theta
     points, in_loop, loops = [], False, 0
     original, original_loop = jahnteller.model_polynomial, cli.ac_loop_phase
 
@@ -596,11 +597,17 @@ def test_spin_evaluates_the_coupling_twice(capsys, monkeypatch):
     assert code == 0
     assert loops == 1
     assert sum(x.size for x, _ in points) == 16385 + 16384
-    samples = pseudorotation_trajectory(1.0, 200.0, 16384).theta_of_t
+    traj = pseudorotation_trajectory(1.0, 200.0, 16384)
+    samples = traj.theta_of_t
+    x, y, x_mid, y_mid = traj.plane(0, traj.r_of_t, samples)
     thetas = np.concatenate((samples, 0.5 * (samples[:-1] + samples[1:])))
-    for got, want in zip(zip(*points), (np.cos(thetas), np.sin(thetas))):
+    bound = 3.0 * np.finfo(float).eps * (1.0 + 2.0 * math.pi)
+    for got, want, exact in zip(zip(*points), ((x, x_mid), (y, y_mid)),
+                                (np.cos(thetas), np.sin(thetas))):
+        want = np.concatenate(want)
         assert np.array_equal(np.sort(np.concatenate(got).ravel()),
                               np.sort(want))
+        assert np.max(np.abs(want - exact)) <= bound
 
 
 @pytest.mark.parametrize("steps, base, strides", [
@@ -907,6 +914,10 @@ def test_sweep_matches_single_radius_runs(capsys):
      "bad value for r: empty sweep"),
     # a loop of radius 0 is the origin, a point, as in nodal-map and spin
     (("berry", "--k", "1", "--g", "1", "--r", "0"), "bad value for r:"),
+    # theta0 absorbs every angle step: the half turn stands still
+    (("spin", "--k", "1", "--g", "1", "--r", "1", "--period", "100",
+      "--steps", "65536", "--theta0", "1e17", "--revolutions", "0.5"),
+     "cannot sample the drive: the angle does not advance at step 0:"),
 ])
 def test_bad_option_value_exits_two(capsys, argv, message):
     # out-of-range values are usage errors, caught where options are read

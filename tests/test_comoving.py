@@ -32,8 +32,8 @@ from berryline import (
     to_lab_frame,
 )
 from berryline import comoving
-from berryline.comoving import CHUNK_STEPS
-from berryline.jahnteller import coupling_field, model_polynomial
+from berryline.comoving import CHUNK_STEPS, ROTATION_BLOCK
+from berryline.jahnteller import _plane, coupling_at, model_polynomial
 
 PSI_LOWER = np.array([0.0, 1.0], dtype=complex)
 
@@ -204,10 +204,15 @@ def test_sampled_trajectory_equals_np_linspace(r, period_log10,
                                                n_steps, cuts):
     # pseudorotation_trajectory forms any index range of np.linspace's
     # samples bit for bit, and refuses the drives whose whole arrays are
-    # refused, with the same message
+    # refused, with the same message, and then those whose whole array of
+    # angles stands still over a step, naming the first such step
     period, revolutions = 10.0 ** period_log10, 10.0 ** revolutions_log10
     arrays = linspace_samples(r, period, n_steps, theta0, revolutions)
     want = built(lambda: NuclearTrajectory(*arrays))
+    stuck = np.flatnonzero(np.diff(arrays[2]) == 0)
+    if not isinstance(want, str) and len(stuck):
+        want = (f"the angle does not advance at step {stuck[0]}: "
+                f"theta stays {float(arrays[2][stuck[0]])!r}")
     got = built(lambda: pseudorotation_trajectory(
         r, period, n_steps, theta0=theta0, revolutions=revolutions))
     if isinstance(want, str):
@@ -236,6 +241,74 @@ def test_drive_that_overflows_or_underflows_is_refused(period, revolutions,
         pseudorotation_trajectory(1.0, period, n_steps,
                                   revolutions=revolutions)
     assert str(err.value) == message
+
+
+def test_drive_whose_angle_stands_still_is_refused():
+    # theta0 = 1e17 absorbs every angle step of a half turn
+    with pytest.raises(ValueError) as err:
+        pseudorotation_trajectory(1.0, 100.0, 65536, theta0=1e17,
+                                  revolutions=0.5)
+    assert str(err.value) == ("the angle does not advance at step 0: "
+                              "theta stays 1e+17")
+    # a winding of 2 pi 1e-300 from theta0 = 0 still moves at every step
+    traj = pseudorotation_trajectory(1.0, 1.0, 64, revolutions=1e-300)
+    assert (np.diff(traj.theta_of_t) > 0).all()
+    # angle steps of 3e-16 move theta below 2 and stand still above it,
+    # first in the second chunk: the check carries from chunk to chunk
+    n, step = 1 << 16, 3e-16
+    revolutions = n * step / (2.0 * math.pi)
+    theta0 = 2.0 - 20000 * step
+    theta = linspace_samples(1.0, 1.0, n, theta0, revolutions)[2]
+    j = int(np.flatnonzero(np.diff(theta) == 0)[0])
+    assert CHUNK_STEPS < j < n
+    with pytest.raises(ValueError) as err:
+        pseudorotation_trajectory(1.0, 1.0, n, theta0=theta0,
+                                  revolutions=revolutions)
+    assert str(err.value) == (f"the angle does not advance at step {j}: "
+                              f"theta stays {float(theta[j])!r}")
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="np.longdouble is double here: no extended-"
+                           "precision reference")
+@settings(max_examples=60, deadline=None)
+@given(r=st.floats(1e-3, 1e3), theta0=st.floats(-10.0, 10.0),
+       revolutions=st.floats(1e-3, 3.0), sense=st.sampled_from([1.0, -1.0]),
+       n_steps=st.integers(1 << 12, 1 << 16))
+@example(r=1.0, theta0=0.0, revolutions=1.0, sense=1.0, n_steps=1 << 12)
+@example(r=1.0, theta0=-0.0, revolutions=1.0, sense=1.0, n_steps=1 << 12)
+@example(r=1.0, theta0=0.0, revolutions=1.0, sense=-1.0, n_steps=1 << 12)
+@example(r=0.5, theta0=-0.0, revolutions=2.5, sense=-1.0,
+         n_steps=(1 << 16) - 1)
+def test_drive_points_lie_on_the_sampled_circle(r, theta0, revolutions,
+                                                sense, n_steps):
+    # every sample and step midpoint of a pseudorotation lies within 3 eps r
+    # of the circle, and within 3 eps r (1 + |theta0| + |winding|) of
+    # r e^{i theta} formed in extended precision from the sampled angle or
+    # the polar midpoint, which are rounded on that scale; r cos theta and
+    # r sin theta keep the same bounds.  A block's first sample is _plane's
+    # point, bit for bit: from theta0 = -0.0 a clockwise drive (negative
+    # period and revolutions) starts at sin theta = -0.0
+    traj = pseudorotation_trajectory(r, sense, n_steps, theta0=theta0,
+                                     revolutions=sense * revolutions)
+    theta = traj.theta_of_t
+    x, y, x_mid, y_mid = traj.plane(0, traj.r_of_t, theta)
+    eps = np.finfo(float).eps
+    scale = 1.0 + abs(theta0) + 2.0 * math.pi * revolutions
+    for points, angles in (((x, y), theta),
+                           ((x_mid, y_mid), 0.5 * (theta[:-1] + theta[1:]))):
+        t, radius = angles.astype(np.longdouble), np.longdouble(r)
+        exact = radius * np.cos(t), radius * np.sin(t)
+        for px, py in (points, _plane(r, angles)):
+            off = np.hypot(*(np.asarray(a - b, dtype=float)
+                             for a, b in zip((px, py), exact)))
+            assert np.max(off) <= 3.0 * eps * r * scale
+            on_circle = np.hypot(px.astype(np.longdouble),
+                                 py.astype(np.longdouble)) - radius
+            assert np.max(np.abs(on_circle)) <= 3.0 * eps * r
+    starts = slice(0, None, ROTATION_BLOCK)
+    for got, want in zip((x[starts], y[starts]), _plane(r, theta[starts])):
+        assert got.tobytes() == want.tobytes()
 
 
 def whole_array_message(t, r, theta):
@@ -589,26 +662,25 @@ def test_dynamical_phase_quadrature_converges(jt11):
 def test_recorded_phase_terms_match_direct_formulas(jt11):
     # gap_area and adiabaticity_ratio, recorded by integrate_spin and read
     # by dynamical_phase and adiabaticity_ratio, equal bit for bit the sums
-    # over a coupling evaluated here apart from the integrator
+    # over a coupling evaluated here apart from the integrator, at the
+    # trajectory's points
     traj = pseudorotation_trajectory(1.0, 200.0, 12345, revolutions=1.5)
     ev = integrate_spin(jt11, traj, PSI_LOWER, store_stride=16)
     dt = np.diff(traj.times)
+    x, y, x_mid, y_mid = traj.plane(0, traj.r_of_t, traj.theta_of_t)
 
-    def field(r, theta):  # Delta and d alpha/d theta, as coupling_field
-        x, y = r * np.cos(theta), r * np.sin(theta)
+    def field(x, y):  # Delta and d alpha/d theta, as coupling_at
         re, im = model_polynomial(jt11, x, y)
         delta = np.abs(re + 1j * im)
         # a/4 = (k z - g conj(z)^2)/4 = 0.75 k z - f/2, here with k = 1
         return delta, ((0.75 * x - 0.5 * re) * (re / delta)
                        + (0.75 * y - 0.5 * im) * (im / delta)) / (0.25 * delta)
 
-    r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
-    th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
-    delta, _ = field(r_mid, th_mid)
+    delta, _ = field(x_mid, y_mid)
     assert ev.gap_area == float(-np.sum(-delta * dt))
     assert dynamical_phase(jt11, traj) == ev.gap_area
     assert dynamical_phase(jt11, traj, band=1) == float(-np.sum(delta * dt))
-    delta, dalpha = field(traj.r_of_t, traj.theta_of_t)
+    delta, dalpha = field(x, y)
     ratio = float(np.max(np.abs(dalpha) * np.abs(traj.theta_dot()) / delta))
     assert ev.adiabaticity_ratio == ratio
     assert adiabaticity_ratio(jt11, traj) == ratio
@@ -618,11 +690,11 @@ def test_recorded_phase_terms_match_direct_formulas(jt11):
                                      1 << 20])
 def test_gap_area_is_within_2_ulps_of_the_exact_sum(jt11, n_steps):
     # whatever order the sum takes, gap_area is within 2 ulps of the
-    # correctly rounded sum of the same float products Delta dt
+    # correctly rounded sum of the same float products Delta dt, Delta at
+    # the trajectory's midpoints
     traj = pseudorotation_trajectory(1.0, n_steps / 50.0, n_steps)
     r, th = traj.r_of_t, traj.theta_of_t
-    _, delta, _ = coupling_field(jt11, 0.5 * (r[:-1] + r[1:]),
-                                 0.5 * (th[:-1] + th[1:]))
+    _, delta, _ = coupling_at(jt11, *traj.plane(0, r, th)[2:], None)
     exact = math.fsum(delta * np.diff(traj.times))
     ev = integrate_spin(jt11, traj, PSI_LOWER, store_stride=1 << 20)
     assert abs(ev.gap_area - exact) <= 2 * math.ulp(exact)

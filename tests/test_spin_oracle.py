@@ -2,7 +2,8 @@
 
 `reference_drive` and `reference_integrate_spin` are the drive and the
 propagation that the chunked `integrate_spin` replaced: every stage over
-whole arrays of samples, midpoints and steps, padded to a whole number of
+whole arrays of samples, midpoints and steps (the coupling at the points
+the trajectory gives for the whole arrays), padded to a whole number of
 `store_stride` blocks, the records formed a group of RECORD_GROUP at a
 time from running products of the group's block pairs, and gap_area summed
 by the block rule over the whole array of Delta dt.  They live here,
@@ -35,7 +36,7 @@ from berryline.comoving import (CHUNK_STEPS, GAP_BLOCK, RECORD_GROUP,
                                 STEP_RESOLUTION_LIMIT, SpinEvolution,
                                 _reduce_blocks)
 from berryline.errors import NonFinite
-from berryline.jahnteller import DEGENERACY_TOL, coupling_field
+from berryline.jahnteller import DEGENERACY_TOL, coupling_at
 
 
 class ReferenceDrive(NamedTuple):
@@ -59,18 +60,24 @@ def block_rule_sum(x):
 
 
 def reference_drive(p, traj) -> ReferenceDrive:
-    """The coupling at all samples, then at all step midpoints."""
-    f_samples, delta, dalpha = coupling_field(p, traj.r_of_t, traj.theta_of_t)
+    """The coupling at all samples, then at all step midpoints, at the
+    points the trajectory gives for the whole arrays at once; an error
+    names the polar sample or midpoint."""
+    r, theta = traj.r_of_t, traj.theta_of_t
+    x, y, x_mid, y_mid = traj.plane(0, r, theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_mid, th_mid = 0.5 * (r[:-1] + r[1:]), 0.5 * (theta[:-1] + theta[1:])
+    f_samples, delta, dalpha = coupling_at(
+        p, x, y, lambda j: (float(r[j]), float(theta[j])))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        theta_dot = np.gradient(traj.theta_of_t, traj.times)
+        theta_dot = np.gradient(theta, traj.times)
         ratio = float(np.max(np.abs(dalpha) * np.abs(theta_dot) / delta))
         if not math.isfinite(ratio):
             raise NonFinite(f"adiabaticity ratio {ratio!r} is not finite: "
                             "the angular velocity or d alpha/d theta leaves "
                             "the float range")
-        r_mid = 0.5 * (traj.r_of_t[:-1] + traj.r_of_t[1:])
-        th_mid = 0.5 * (traj.theta_of_t[:-1] + traj.theta_of_t[1:])
-        f_mid, delta, dalpha = coupling_field(p, r_mid, th_mid)
+        f_mid, delta, dalpha = coupling_at(
+            p, x_mid, y_mid, lambda j: (float(r_mid[j]), float(th_mid[j])))
         gap_area = float(block_rule_sum(delta * np.diff(traj.times)))
     return ReferenceDrive(f_samples, f_mid, delta, dalpha, gap_area, ratio)
 
